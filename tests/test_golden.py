@@ -1,0 +1,88 @@
+"""Byte-identity pins: the sha256 of fixed-seed outputs at small sizes.
+
+A refactor that must not change any output proves it here. When a change is
+meant to alter an output, update the digest in the same commit and say why.
+"""
+
+import csv
+import hashlib
+import io
+
+from hgrec import build_meta_graph, mm_path_length_bound, normalize, uniform_single_mask
+from hgrec.cli import main
+from hgrec.generators import GeneratorSpec, chain, star
+from hgrec.sweep import SweepConfig, rows_to_csv, run_sweep
+
+STRATEGY = uniform_single_mask()
+
+PIPELINE_DIGESTS = {
+    "g.hg": "e336c77dac795f32cca5142e07fdbd1e4d9af6b064b787dd2577265fc3bf5673",
+    "d.ds": "3aea1035043aec8a17e07ab499dbf62a4271bac3226e5ded8e062e902b41a5e9",
+    "d.mm": "d62e5925330d9a01329b516637555beca44e083c2f9beaa3714ebdd1770112b3",
+    "o.json": "2a4b2c65c8c5f82e417ded243976b7e515739a889813d84cbc4840247fe155fd",
+    "rec.hg": "ad38754940f382d691a09966b7fbbed1ea2bafe950a080c4de0a34faa390b471",
+    "recover.stdout": "0bf33a2b7b79037a98b0ca173ea8b06eb995d5b31fae1c225fa6c38611d36b77",
+    "report.json": "43aed3e75b4d9ca21d665756ca22358278a486a8c5112677b9321fc574acbc80",
+}
+EXACT_STAR_DIGEST = "1f6ef74ae31a6635a4c863b2ab069a2313b7e41ad3ac3596357b4733d72c99e5"
+SWEEP_DIGEST = "85e77546f80f00ccbd3377eb4829705ce1605e81f45acae9293a7b4e5bdf5833"
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(*argv) -> None:
+    assert main([str(a) for a in argv]) == 0
+
+
+def test_readme_pipeline_bytes(tmp_path, capsys):
+    p = {name: tmp_path / name for name in PIPELINE_DIGESTS}
+    run("gen", "--structure", "wcgnm", "--n", 12, "--p", 0.3, "--w-min", 1, "--w-max", 10,
+        "--seed", 11, "-o", p["g.hg"])
+    run("sample", "--hypergraph", p["g.hg"], "-n", 300, "--seed", 12, "-o", p["d.ds"])
+    run("mm-sample", "--hypergraph", p["g.hg"], "-n", 3000, "-k", 2, "--seed", 13,
+        "-o", p["d.mm"])
+    run("train", "--mm-data", p["d.mm"], "-o", p["o.json"])
+    capsys.readouterr()
+    run("recover", "--oracle", p["o.json"], "--candidates", "pairs", "-o", p["rec.hg"])
+    p["recover.stdout"].write_text(capsys.readouterr().out, encoding="utf-8")
+    run("report", "--truth", p["g.hg"], "--rec", p["rec.hg"], "-o", p["report.json"])
+    got = {name: sha(path.read_bytes()) for name, path in p.items()}
+    assert got == PIPELINE_DIGESTS
+
+
+def test_exact_recover_star_bytes(tmp_path):
+    g, rec = tmp_path / "g.hg", tmp_path / "rec.hg"
+    run("gen", "--structure", "star", "--n", 9, "--w-min", 1, "--w-max", 10, "--seed", 21, "-o", g)
+    run("recover", "--exact-from", g, "--candidates", "pairs", "-o", rec)
+    assert sha(rec.read_bytes()) == EXACT_STAR_DIGEST
+
+
+def test_path_length_bounds():
+    wcgnm = GeneratorSpec(structure="wcgnm", n=30, p=0.15, seed=31).build()
+    got = [
+        mm_path_length_bound(build_meta_graph(h, STRATEGY))
+        for h in (normalize(star(12)), normalize(chain(9)), wcgnm)
+    ]
+    assert got == [2, 8, 6]
+
+
+def test_sweep_csv_bytes():
+    cfg = SweepConfig.from_dict({
+        "instances": [
+            {"structure": "star", "n": 6, "w_min": 1.0, "w_max": 10.0},
+            {"structure": "wcgnm", "n": 10, "p": 0.4, "w_min": 1.0, "w_max": 5.0},
+        ],
+        "n_grid": [200, 800],
+        "k_grid": [1, 3],
+        "num_seeds": 2,
+    })
+    rows = list(csv.DictReader(io.StringIO(rows_to_csv(run_sweep(cfg)))))
+    assert all(row["status"] == "ok" for row in rows)
+    buf = io.StringIO()
+    columns = [c for c in rows[0] if c != "runtime_ms"]
+    writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert sha(buf.getvalue().encode("utf-8")) == SWEEP_DIGEST
