@@ -146,4 +146,9 @@ def relative_weight(
     if m2 <= 0.0:
         raise UndefinedRatio(f"oracle assigns zero belief to {e2.key!r} given {masked.key!r}")
     m1 = 0.0 if dist is None else dist.get(e1, 0.0)
+    return belief_ratio(m1, m2, p1, p2)
+
+
+def belief_ratio(m1: float, m2: float, p1: float, p2: float) -> float:
+    """w(e1)/w(e2) from one shared form: beliefs ``m_i = M(e_i|m)``, masking ``p_i = pi(m|e_i)``."""
     return (m1 * p2) / (m2 * p1)

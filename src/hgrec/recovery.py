@@ -25,7 +25,8 @@ from .core import (
     sketch_diff,
 )
 from .errors import EmptyDataset, NothingRecovered, UndefinedRatio
-from .sampling import Dataset, MaskedHyperedge, MaskingStrategy
+from .oracle import belief_ratio
+from .sampling import Dataset, MaskedHyperedge, MaskingStrategy, MetaGraph
 
 #: Candidate-set sentinel: enumerate all 2-subsets of the oracle's known nodes.
 ALL_PAIRS = "all-pairs"
@@ -90,37 +91,30 @@ def bf_weight_estimation(
         raise ValueError(f"ratio_aggregation must be one of {RATIO_AGGREGATIONS}")
     if w_tilde.get(e_init, 0.0) != 1.0:
         raise ValueError("w_tilde[e_init] must be 1.0 before propagation")
-    edges = sorted(set(kept_edges))
+    mg = MetaGraph.over(kept_edges, strategy)
     cache = _query_cache if _query_cache is not None else {}
-
-    by_form: dict[MaskedHyperedge, list[Hyperedge]] = {}
-    for e in edges:
-        for form, _ in strategy.support(e):
-            by_form.setdefault(form, []).append(e)
-    neighbors: dict[Hyperedge, set[Hyperedge]] = {e: set() for e in edges}
-    shared: dict[tuple[Hyperedge, Hyperedge], list[MaskedHyperedge]] = {}
-    for form, owners in by_form.items():
-        for a, b in combinations(owners, 2):
-            key = (a, b) if a < b else (b, a)
-            shared.setdefault(key, []).append(form)
-            neighbors[a].add(b)
-            neighbors[b].add(a)
+    # Per form, the owners still unweighted; pruned whenever the form is read.
+    pending = {f: list(owners) for f, owners in mg.owners.items()}
 
     queue = [e_init]
     head = 0
     while head < len(queue):
         e = queue[head]
         head += 1
-        for nb in sorted(neighbors[e]):
-            if w_tilde.get(nb, 0.0) > 0.0:
-                continue
-            key = (e, nb) if e < nb else (nb, e)
+        shared: dict[Hyperedge, list[MaskedHyperedge]] = {}
+        for form in mg.forms[e]:
+            unweighted = [u for u in pending[form] if w_tilde.get(u, 0.0) <= 0.0]
+            pending[form] = unweighted
+            for nb in unweighted:
+                if nb != e:
+                    shared.setdefault(nb, []).append(form)
+        for nb in sorted(shared):
             ratios = []
-            for form in sorted(shared[key]):
+            for form in shared[nb]:
                 m_e = _positive_belief(cache, oracle, form, e)
                 m_nb = _positive_belief(cache, oracle, form, nb)
                 if m_e > 0.0 and m_nb > 0.0:
-                    ratio = (strategy.prob(form, e) * m_nb) / (strategy.prob(form, nb) * m_e)
+                    ratio = belief_ratio(m_nb, m_e, strategy.prob(form, nb), strategy.prob(form, e))
                     if ratio_aggregation == "first":
                         ratios = [ratio]
                         break
@@ -134,17 +128,7 @@ def bf_weight_estimation(
             w_tilde[nb] = step * w_tilde[e]
             queue.append(nb)
 
-    reachable = {e_init}
-    frontier = [e_init]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for nb in neighbors[e]:
-                if nb not in reachable:
-                    reachable.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    stranded = sorted(e for e in reachable if w_tilde.get(e, 0.0) <= 0.0)
+    stranded = [e for e in mg.component(e_init) if w_tilde.get(e, 0.0) <= 0.0]
     if stranded:
         raise UndefinedRatio(
             f"{stranded[0].key} shares masked forms with reached edges but none carries "
@@ -181,32 +165,7 @@ def recover_from_oracle(
     if not kept:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 
-    by_form: dict[MaskedHyperedge, list[Hyperedge]] = {}
-    for e in kept:
-        for form, _ in strategy.support(e):
-            by_form.setdefault(form, []).append(e)
-    neighbors: dict[Hyperedge, set[Hyperedge]] = {e: set() for e in kept}
-    for owners in by_form.values():
-        for a, b in combinations(owners, 2):
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-
-    seen: set[Hyperedge] = set()
-    components: list[list[Hyperedge]] = []
-    for start in kept:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in neighbors[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        components.append(sorted(comp))
-
+    components = MetaGraph.over(kept, strategy).components()
     w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}
     for comp in components:
         seed = comp[0]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -285,62 +286,82 @@ def sample_mm_dataset(
 
 @dataclass(frozen=True)
 class MetaGraph:
-    """Hyperedges as vertices; two are adjacent when they share a masked form."""
+    """Hyperedges as vertices; two are adjacent when they share a masked form.
+
+    Stored as the edge <-> form incidence: ``forms`` maps each edge to its
+    support forms, ``owners`` maps each form to the edges that can produce it,
+    both canonically sorted. Edge-to-edge distance is half the distance in
+    this bipartite graph, so walks never build the (edge, edge) pair table.
+    """
 
     vertices: tuple[Hyperedge, ...]
-    adjacency: Mapping[Hyperedge, tuple[Hyperedge, ...]]
-    shared_forms: Mapping[tuple[Hyperedge, Hyperedge], tuple[MaskedHyperedge, ...]]
+    forms: Mapping[Hyperedge, tuple[MaskedHyperedge, ...]]
+    owners: Mapping[MaskedHyperedge, tuple[Hyperedge, ...]]
+
+    @classmethod
+    def over(cls, edges: Iterable[Hyperedge], strategy: MaskingStrategy) -> "MetaGraph":
+        """The share-a-mask incidence over ``edges`` under ``strategy``."""
+        vertices = tuple(sorted(set(edges)))
+        forms = {e: tuple(sorted(f for f, _ in strategy.support(e))) for e in vertices}
+        owners: dict[MaskedHyperedge, list[Hyperedge]] = {}
+        for e in vertices:
+            for form in forms[e]:
+                owners.setdefault(form, []).append(e)
+        return cls(vertices, forms, {f: tuple(es) for f, es in owners.items()})
+
+    @cached_property
+    def adjacency(self) -> Mapping[Hyperedge, tuple[Hyperedge, ...]]:
+        """Sorted neighbours of each edge; built on first read, it costs the sum of owners squared."""
+        return {
+            e: tuple(sorted({u for f in fs for u in self.owners[f] if u != e}))
+            for e, fs in self.forms.items()
+        }
 
     def shared(self, e1: Hyperedge, e2: Hyperedge) -> tuple[MaskedHyperedge, ...]:
         """Masked forms producible from both edges (canonically sorted)."""
-        key = (e1, e2) if e1 < e2 else (e2, e1)
-        return self.shared_forms.get(key, ())
+        if e1 == e2:
+            return ()
+        theirs = set(self.forms.get(e2, ()))
+        return tuple(f for f in self.forms.get(e1, ()) if f in theirs)
+
+    def layers(self, start: Hyperedge) -> Iterator[list[Hyperedge]]:
+        """Breadth-first layers of edges from ``start``: layer d holds the edges at distance d."""
+        seen = {start}
+        seen_forms: set[MaskedHyperedge] = set()
+        layer = [start]
+        while layer:
+            yield layer
+            nxt = []
+            for e in layer:
+                for form in self.forms[e]:
+                    if form in seen_forms:
+                        continue
+                    seen_forms.add(form)
+                    for u in self.owners[form]:
+                        if u not in seen:
+                            seen.add(u)
+                            nxt.append(u)
+            layer = nxt
+
+    def component(self, start: Hyperedge) -> tuple[Hyperedge, ...]:
+        """The sorted connected component containing ``start``."""
+        return tuple(sorted(e for layer in self.layers(start) for e in layer))
 
     def components(self) -> tuple[tuple[Hyperedge, ...], ...]:
         """Connected components, each sorted, ordered by smallest member."""
         seen: set[Hyperedge] = set()
         comps = []
         for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.adjacency[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
+            if start not in seen:
+                comp = self.component(start)
+                seen.update(comp)
+                comps.append(comp)
         return tuple(comps)
 
 
 def build_meta_graph(h: WeightedHypergraph, strategy: MaskingStrategy) -> MetaGraph:
-    """Compute the share-a-mask adjacency over the hyperedges of ``h``."""
-    by_form: dict[MaskedHyperedge, list[Hyperedge]] = {}
-    for e in h.edge_set:
-        for form, _ in strategy.support(e):
-            by_form.setdefault(form, []).append(e)
-
-    shared: dict[tuple[Hyperedge, Hyperedge], set[MaskedHyperedge]] = {}
-    for form, owners in by_form.items():
-        for i in range(len(owners)):
-            for j in range(i + 1, len(owners)):
-                a, b = owners[i], owners[j]
-                key = (a, b) if a < b else (b, a)
-                shared.setdefault(key, set()).add(form)
-
-    neighbors: dict[Hyperedge, set[Hyperedge]] = {e: set() for e in h.edge_set}
-    for a, b in shared:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
-
-    return MetaGraph(
-        vertices=h.edge_set,
-        adjacency={e: tuple(sorted(nb)) for e, nb in neighbors.items()},
-        shared_forms={k: tuple(sorted(v)) for k, v in sorted(shared.items())},
-    )
+    """The share-a-mask relation over the hyperedges of ``h``."""
+    return MetaGraph.over(h.edge_set, strategy)
 
 
 def mm_path_length_bound(mg: MetaGraph) -> int | None:
@@ -352,22 +373,13 @@ def mm_path_length_bound(mg: MetaGraph) -> int | None:
     if not mg.vertices:
         raise EmptyHypergraph("meta-graph has no vertices")
     n = len(mg.vertices)
-    diameter = 0
+    longest = 0
     for start in mg.vertices:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in mg.adjacency[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        if len(dist) < n:
+        layers = list(mg.layers(start))
+        if sum(map(len, layers)) < n:
             return None
-        diameter = max(diameter, max(dist.values()))
-    return diameter + 1
+        longest = max(longest, len(layers))
+    return longest
 
 
 def strategy_constants(h: WeightedHypergraph, strategy: MaskingStrategy) -> tuple[float, int]:
