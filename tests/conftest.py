@@ -2,8 +2,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
-from hgrec import Hyperedge, NodeRelabeling, WeightedHypergraph, normalize
+from hgrec import (
+    Hyperedge,
+    MaskedHyperedge,
+    MaskingStrategy,
+    NodeRelabeling,
+    WeightedHypergraph,
+    normalize,
+)
 
 # Relatedness fixture used across the kg-eval tests: extracting around "table"
 # with k=2, d=2 selects {table, furniture, house, room} and exactly 4 edges.
@@ -24,6 +32,34 @@ KG_RESPONSE = (
     "4. table - room\n"
     "5. house - furniture\n"
     "Those are the most related pairs.\n"
+)
+
+
+class HideOneOrTwo(MaskingStrategy):
+    """Hide 1 node, or 2 when at least one stays visible, uniformly over all such forms.
+
+    Unlike ``uniform1``, two distinct edges can then share several forms:
+    ``a b c`` and ``a b d`` share ``a b|1``, ``a|2`` and ``b|2``.
+    """
+
+    kind = "hide12"
+
+    def support(self, e):
+        forms = [
+            MaskedHyperedge(set(e.nodes) - set(hidden), len(hidden))
+            for r in (1, 2)
+            if len(e) - r >= 1
+            for hidden in combinations(e.nodes, r)
+        ]
+        return tuple((f, 1.0 / len(forms)) for f in sorted(forms))
+
+
+# Mixed-size edge lists over 7 nodes, for checks against brute-force definitions.
+EDGE_LISTS = st.lists(
+    st.sets(st.sampled_from([str(i) for i in range(7)]), min_size=2, max_size=4).map(Hyperedge),
+    min_size=1,
+    max_size=12,
+    unique=True,
 )
 
 

@@ -1,13 +1,18 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrec import (
     ALL_PAIRS,
     Dataset,
     ExactOracle,
+    Hyperedge,
+    MaskedHyperedge,
     MMDataset,
     NodeRelabeling,
+    TabularOracle,
     WeightedHypergraph,
     bf_weight_estimation,
     dissimilarity,
@@ -19,13 +24,13 @@ from hgrec import (
     train_tabular,
     uniform_single_mask,
 )
-from hgrec.errors import EmptyDataset, NothingRecovered, NotABijection
+from hgrec.errors import EmptyDataset, NothingRecovered, NotABijection, UndefinedRatio
 from hgrec.generators import assign_weights, star
-from conftest import random_connected_graph
+from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
 
 STRATEGY = uniform_single_mask()
 
-E_AB, E_AC = edge("a", "b"), edge("a", "c")
+E_AB, E_AC, E_BC = edge("a", "b"), edge("a", "c"), edge("b", "c")
 TWO_EDGE = WeightedHypergraph({E_AB: 0.25, E_AC: 0.75}, normalized=True)
 
 STAR4_WEIGHTED = WeightedHypergraph(
@@ -162,6 +167,106 @@ def test_seed_edge_invariance():
             outputs.append({e: v / total for e, v in w.items()})
         for other in outputs[1:]:
             assert all(abs(other[e] - outputs[0][e]) <= 1e-12 for e in outputs[0])
+
+
+def tabular(counts: dict[str, dict[str, int]]) -> TabularOracle:
+    """A count table keyed like the oracle JSON: ``{"a|1": {"a+b": 2}}``."""
+    return TabularOracle({
+        MaskedHyperedge.from_key(m): {Hyperedge.from_key(e): c for e, c in per.items()}
+        for m, per in counts.items()
+    })
+
+
+def test_bf_uncarryable_pair_is_reached_later():
+    # a|1 has no belief for ab, so neither ac nor ad is carried from the seed ab.
+    # ac is reached through bc over c|1, then ad from ac over a|1, a form already read.
+    e_ad = edge("a", "d")
+    oracle = tabular({"a|1": {"a+c": 1, "a+d": 2}, "b|1": {"a+b": 1, "b+c": 1},
+                      "c|1": {"a+c": 1, "b+c": 1}})
+    edges = [E_AB, E_AC, e_ad, E_BC]
+    w = {e: 0.0 for e in edges}
+    w[E_AB] = 1.0
+    bf_weight_estimation(E_AB, edges, oracle, STRATEGY, w)
+    assert w == pytest.approx({E_AB: 1.0, E_AC: 1.0, e_ad: 2.0, E_BC: 1.0}, abs=1e-12)
+    recovered, connected = recover_from_oracle(oracle, edges, STRATEGY)
+    assert connected
+    assert recovered.weight(e_ad) == pytest.approx(0.4, abs=1e-12)
+
+
+def test_bf_stranded_edge_raises():
+    # ac is kept through c|1 but its only shared form a|1 has no belief for it.
+    oracle = tabular({"a|1": {"a+b": 1}, "c|1": {"a+c": 1}})
+    with pytest.raises(UndefinedRatio, match=r"a\+c"):
+        bf_weight_estimation(E_AB, [E_AB, E_AC], oracle, STRATEGY, {E_AB: 1.0, E_AC: 0.0})
+    with pytest.raises(UndefinedRatio, match=r"a\+c"):
+        recover_from_oracle(oracle, ALL_PAIRS, STRATEGY)
+
+
+def test_bf_several_shared_forms():
+    # abc and abd share a|2 < a+b|1 < b|2; a|2 has no belief for abd.
+    strategy = HideOneOrTwo()
+    abc, abd = edge("a", "b", "c"), edge("a", "b", "d")
+    oracle = tabular({"a|2": {"a+b+c": 1}, "a+b|1": {"a+b+c": 1, "a+b+d": 2},
+                      "b|2": {"a+b+c": 1, "a+b+d": 8}})
+    expected = {"first": 2.0, "geometric_mean": 4.0}
+    for aggregation, ratio in expected.items():
+        w = {abc: 1.0, abd: 0.0}
+        bf_weight_estimation(abc, [abc, abd], oracle, strategy, w, ratio_aggregation=aggregation)
+        assert w[abd] == pytest.approx(ratio, abs=1e-12), aggregation
+
+
+def pairwise_bf(e_init, edges, oracle, strategy, w, aggregation):
+    """Reference propagation over the (edge, edge) definition of the share-a-mask relation."""
+    support = {e: {f for f, _ in strategy.support(e)} for e in edges}
+    queue, head = [e_init], 0
+    while head < len(queue):
+        e = queue[head]
+        head += 1
+        for nb in edges:
+            shared = sorted(support[e] & support[nb])
+            if nb == e or not shared or w[nb] > 0.0:
+                continue
+            ratios = []
+            for form in shared:
+                dist = oracle.query(form) or {}
+                m_e, m_nb = dist.get(e, 0.0), dist.get(nb, 0.0)
+                if m_e > 0.0 and m_nb > 0.0:
+                    ratios.append((strategy.prob(form, e) * m_nb) / (strategy.prob(form, nb) * m_e))
+                    if aggregation == "first":
+                        break
+            if ratios:
+                step = ratios[0] if len(ratios) == 1 else math.exp(sum(map(math.log, ratios)) / len(ratios))
+                w[nb] = step * w[e]
+                queue.append(nb)
+    reachable, frontier = {e_init}, [e_init]
+    while frontier:
+        frontier = [u for v in frontier for u in edges if support[u] & support[v] and u not in reachable]
+        reachable.update(frontier)
+    return w, any(w[e] <= 0.0 for e in reachable)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bf_matches_pairwise_definition(data):
+    strategy = data.draw(st.sampled_from([STRATEGY, HideOneOrTwo()]))
+    aggregation = data.draw(st.sampled_from(["first", "geometric_mean"]))
+    edges = sorted(data.draw(EDGE_LISTS))
+    counts: dict = {}
+    for e in edges:
+        for form, _ in strategy.support(e):
+            c = data.draw(st.integers(0, 3))
+            if c:
+                counts.setdefault(form, {})[e] = c
+    oracle = TabularOracle(counts)
+    w = {e: 0.0 for e in edges}
+    w[edges[0]] = 1.0
+    expected, stranded = pairwise_bf(edges[0], edges, oracle, strategy, dict(w), aggregation)
+    if stranded:
+        with pytest.raises(UndefinedRatio):
+            bf_weight_estimation(edges[0], edges, oracle, strategy, w, ratio_aggregation=aggregation)
+    else:
+        bf_weight_estimation(edges[0], edges, oracle, strategy, w, ratio_aggregation=aggregation)
+        assert w == expected
 
 
 # -- reports ----------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrec import (
     Dataset,
@@ -21,7 +22,7 @@ from hgrec import (
 )
 from hgrec.errors import EmptyHypergraph, NotNormalized, ParseError
 from hgrec.generators import chain, star
-from conftest import random_connected_graph
+from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
 
 STRATEGY = uniform_single_mask()
 
@@ -214,6 +215,44 @@ def test_meta_graph_equals_line_graph_on_pairs():
             for b in nbrs
         }
         assert meta_edges == set(lg.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_LISTS, st.sampled_from([STRATEGY, HideOneOrTwo()]))
+def test_meta_graph_matches_brute_force(edges, strategy):
+    """Adjacency is "support sets intersect"; components and L come from BFS over it."""
+    edges = sorted(edges)
+    support = {e: {f for f, _ in strategy.support(e)} for e in edges}
+    adjacency = {
+        e: tuple(u for u in edges if u != e and support[e] & support[u]) for e in edges
+    }
+
+    def distances(start):
+        dist, frontier = {start: 0}, [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in adjacency[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return dist
+
+    comps = sorted({tuple(sorted(distances(e))) for e in edges})
+    length = None
+    if len(comps) == 1:
+        length = 1 + max(max(distances(e).values()) for e in edges)
+
+    mg = build_meta_graph(WeightedHypergraph({e: 1.0 for e in edges}), strategy)
+    assert mg.vertices == tuple(edges)
+    assert mg.adjacency == adjacency
+    for a in edges:
+        for b in edges:
+            expected = tuple(sorted(support[a] & support[b])) if a != b else ()
+            assert mg.shared(a, b) == expected
+    assert mg.components() == tuple(comps)
+    assert mm_path_length_bound(mg) == length
 
 
 # -- path-length bound ------------------------------------------------------------------
