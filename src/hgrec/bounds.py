@@ -22,7 +22,6 @@ class BoundsInput:
     C_pi: float
     epsilon: float
     delta: float
-    N: int | None = None
 
     def __post_init__(self):
         if self.m < 1:

@@ -156,7 +156,6 @@ def _cmd_bounds(args) -> int:
         C_pi=args.C_pi,
         epsilon=args.epsilon,
         delta=args.delta,
-        N=args.n_samples,
     )
     k_min, n_min = mm_sample_bounds(b)
     doc["K_min"] = k_min
