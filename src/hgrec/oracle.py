@@ -67,14 +67,19 @@ class TabularOracle:
     @classmethod
     def from_json(cls, text: str) -> "TabularOracle":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("oracle JSON must be an object")
         if doc.get("format") != "hgrec-oracle-v1":
             raise ValueError(f"unknown oracle format {doc.get('format')!r}")
-        counts = {
-            MaskedHyperedge.from_key(mk): {
-                Hyperedge.from_key(ek): int(c) for ek, c in per.items()
-            }
-            for mk, per in doc["counts"].items()
-        }
+        table = doc.get("counts")
+        if not isinstance(table, dict) or not all(isinstance(per, dict) for per in table.values()):
+            raise ValueError("oracle 'counts' must map masked forms to objects of counts")
+        counts = {}
+        for mk, per in table.items():
+            for ek, c in per.items():
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ValueError(f"count for {ek!r} given {mk!r} must be an integer, got {c!r}")
+            counts[MaskedHyperedge.from_key(mk)] = {Hyperedge.from_key(ek): c for ek, c in per.items()}
         return cls(counts)
 
     def save(self, path: str | Path) -> None:

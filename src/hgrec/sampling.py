@@ -202,6 +202,8 @@ class MMDataset:
     @classmethod
     def decode(cls, text: str, n_outer: int | None = None, k_inner: int | None = None) -> "MMDataset":
         """Parse .mm lines; without N and K the records are treated as N groups of K=1."""
+        if (n_outer is None) != (k_inner is None):
+            raise ValueError(f"N and K must be given together, got N={n_outer}, K={k_inner}")
         records = []
         for num, line in enumerate(text.split("\n"), start=1):
             if not line.strip():

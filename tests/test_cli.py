@@ -73,6 +73,15 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert "InvalidSize" in capsys.readouterr().err
 
 
+def test_recover_oracle_without_counts_exits_1(tmp_path, capsys):
+    oracle = tmp_path / "o.json"
+    oracle.write_text('{"format": "hgrec-oracle-v1"}', encoding="utf-8")
+    code = run("recover", "--oracle", oracle, "-o", tmp_path / "rec.hg")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and err.count("\n") == 1
+
+
 def test_align_methods(tmp_path):
     h1 = tmp_path / "a.hg"
     h2 = tmp_path / "b.hg"

@@ -150,6 +150,19 @@ def test_oracle_rejects_unknown_format():
         TabularOracle.from_json('{"format": "v999", "counts": {}}')
 
 
+@pytest.mark.parametrize("tail", [
+    "",
+    ', "counts": []',
+    ', "counts": {"a|1": 3}',
+    ', "counts": {"a|1": {"a+b": 2.5}}',
+    ', "counts": {"a|1": {"a+b": "3"}}',
+    ', "counts": {"a|1": {"a+b": true}}',
+])
+def test_oracle_rejects_malformed_counts(tail):
+    with pytest.raises(ValueError, match="counts|count for"):
+        TabularOracle.from_json('{"format": "hgrec-oracle-v1"' + tail + "}")
+
+
 # -- consistency with the exact oracle ------------------------------------------------------
 
 def test_tabular_converges_to_exact():

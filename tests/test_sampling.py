@@ -168,6 +168,14 @@ def test_mm_decode_rejects_incompatible():
         MMDataset.decode("0 1\t0 1\n")
 
 
+def test_mm_decode_needs_n_and_k_together():
+    text = "0 1\t0 _\n" * 6
+    for n_outer, k_inner in ((3, None), (None, 2)):
+        with pytest.raises(ValueError, match="together"):
+            MMDataset.decode(text, n_outer, k_inner)
+    assert len(MMDataset.decode(text, 3, 2)) == 6
+
+
 # -- meta-graph -----------------------------------------------------------------------
 
 def test_meta_graph_star_is_complete():
