@@ -26,16 +26,14 @@ from .errors import (
 NORMALIZATION_TOL = 1e-9
 WEIGHT_EQ_TOL = 1e-12
 
-_RESERVED = ("+", "|")
-
 
 def check_token(token: str) -> str:
     """Validate a node token and return it unchanged."""
     if not isinstance(token, str) or not token:
         raise ValueError(f"node token must be a nonempty string, got {token!r}")
-    if any(c.isspace() for c in token):
+    if token.split() != [token]:  # str.split breaks exactly at the characters str.isspace accepts
         raise ValueError(f"node token must not contain whitespace: {token!r}")
-    if token == "_" or any(c in token for c in _RESERVED):
+    if token == "_" or "+" in token or "|" in token:
         raise ValueError(f"node token uses a reserved character: {token!r}")
     return token
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
 
 from .core import SimpleGraph
 from .errors import (
@@ -36,8 +35,8 @@ class KnowledgeGraph:
 
     def add_edge(self, a: str, b: str, weight: float) -> None:
         """Insert an edge, keeping the maximum weight on duplicates. Self-loops are dropped."""
-        if weight <= 0:
-            raise InvalidWeight(f"relatedness must be positive, got {weight}")
+        if not math.isfinite(weight) or weight <= 0:
+            raise InvalidWeight(f"relatedness must be positive and finite, got {weight}")
         if a == b:
             return
         for x, y in ((a, b), (b, a)):
@@ -94,6 +93,8 @@ def ingest_edge_list(path: str | Path) -> KnowledgeGraph:
             w = float(parts[2])
         except ValueError:
             raise ParseError(num, f"bad weight {parts[2]!r}") from None
+        if not math.isfinite(w):
+            raise ParseError(num, f"weight must be finite, got {parts[2]!r}")
         kg.add_edge(a, b, w)
     return kg
 
@@ -310,6 +311,8 @@ def replay_completion(responses_dir: str | Path, prompt: str) -> str:
 def chat_completion(config: EndpointConfig, prompt: str) -> str:
     """Single-turn chat-completion request; returns the first choice's text."""
     import os
+
+    import requests  # about 90 ms to import, and only this call needs it
 
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(config.api_key_env)

@@ -7,8 +7,9 @@ Both oracle kinds expose ``query(masked) -> {completion: probability} | None``
 from __future__ import annotations
 
 import json
-from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from .core import Hyperedge, WeightedHypergraph
 from .errors import NotNormalized, NotShared, UndefinedRatio
@@ -74,12 +75,19 @@ class TabularOracle:
         table = doc.get("counts")
         if not isinstance(table, dict) or not all(isinstance(per, dict) for per in table.values()):
             raise ValueError("oracle 'counts' must map masked forms to objects of counts")
-        counts = {}
+        counts: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
         for mk, per in table.items():
+            masked = MaskedHyperedge.from_key(mk)
+            if masked in counts:
+                raise ValueError(f"masked key {mk!r} repeats the form {masked.key!r}")
+            completions = counts[masked] = {}
             for ek, c in per.items():
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(f"count for {ek!r} given {mk!r} must be an integer, got {c!r}")
-            counts[MaskedHyperedge.from_key(mk)] = {Hyperedge.from_key(ek): c for ek, c in per.items()}
+                e = Hyperedge.from_key(ek)
+                if e in completions:
+                    raise ValueError(f"completion key {ek!r} given {mk!r} repeats the edge {e.key!r}")
+                completions[e] = c
         return cls(counts)
 
     def save(self, path: str | Path) -> None:
@@ -96,8 +104,11 @@ class TabularOracle:
 def train_tabular(data: MMDataset) -> TabularOracle:
     """Accumulate (masked form, completion) counts; empty datasets are allowed."""
     counts: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
-    for (full, masked), c in Counter(data.records).items():
-        counts.setdefault(masked, {})[full] = c
+    per_pair = np.bincount(data.ids, minlength=len(data.pairs)).tolist()
+    for (full, masked), c in zip(data.pairs, per_pair):
+        if c:
+            per = counts.setdefault(masked, {})
+            per[full] = per.get(full, 0) + c
     return TabularOracle(counts)
 
 

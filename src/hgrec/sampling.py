@@ -167,68 +167,93 @@ class Dataset:
         return cls.decode(Path(path).read_text(encoding="utf-8"))
 
 
-@dataclass(frozen=True)
 class MMDataset:
-    """Masked-modeling records: N outer hyperedge draws x K masked variants each."""
+    """Masked-modeling records: N outer hyperedge draws x K masked variants each.
 
-    records: tuple[tuple[Hyperedge, MaskedHyperedge], ...]
-    n_outer: int
-    k_inner: int
+    Stored by columns: ``pairs`` holds each distinct ``(hyperedge, masked
+    form)`` record once and ``ids`` (``int32``, one per record, in record
+    order) indexes into it, so a repeated record costs one array slot.
+    ``records`` is built from them on first read.
+    """
 
-    def __post_init__(self):
-        if len(self.records) != self.n_outer * self.k_inner:
-            raise ValueError(
-                f"expected {self.n_outer}x{self.k_inner} records, got {len(self.records)}"
-            )
+    def __init__(
+        self,
+        records: Iterable[tuple[Hyperedge, MaskedHyperedge]],
+        n_outer: int,
+        k_inner: int,
+    ):
+        index: dict[tuple[Hyperedge, MaskedHyperedge], int] = {}
+        ids = [index.setdefault(r, len(index)) for r in records]
+        self._set(tuple(index), np.array(ids, dtype=np.int32), n_outer, k_inner)
+
+    @classmethod
+    def _from_columns(cls, pairs, ids: np.ndarray, n_outer: int, k_inner: int) -> "MMDataset":
+        """A dataset over a ready pair table; ``pairs`` may repeat a record."""
+        self = cls.__new__(cls)
+        self._set(tuple(pairs), ids, n_outer, k_inner)
+        return self
+
+    def _set(self, pairs, ids, n_outer, k_inner) -> None:
+        if len(ids) != n_outer * k_inner:
+            raise ValueError(f"expected {n_outer}x{k_inner} records, got {len(ids)}")
+        ids.flags.writeable = False
+        self.pairs: tuple[tuple[Hyperedge, MaskedHyperedge], ...] = pairs
+        self.ids: np.ndarray = ids
+        self.n_outer = n_outer
+        self.k_inner = k_inner
+
+    @cached_property
+    def records(self) -> tuple[tuple[Hyperedge, MaskedHyperedge], ...]:
+        return tuple(map(self.pairs.__getitem__, self.ids.tolist()))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.records)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MMDataset):
+            return NotImplemented
+        return (self.n_outer, self.k_inner, self.records) == (other.n_outer, other.k_inner, other.records)
+
     def outer_dataset(self) -> Dataset:
         """The N outer hyperedge draws, one per group of K records."""
-        k = self.k_inner
-        return Dataset(tuple(self.records[t * k][0] for t in range(self.n_outer)))
+        return Dataset(tuple(self.pairs[i][0] for i in self.ids[:: self.k_inner].tolist()))
 
     def encode(self) -> str:
-        lines = []
-        for full, masked in self.records:
-            shown = list(masked.visible) + ["_"] * masked.masked_count
-            lines.append(" ".join(full.nodes) + "\t" + " ".join(shown) + "\n")
-        return "".join(lines)
+        lines = np.array(
+            [
+                " ".join(full.nodes) + "\t" + " ".join(masked.visible + ("_",) * masked.masked_count) + "\n"
+                for full, masked in self.pairs
+            ],
+            dtype=object,
+        )
+        return "".join(lines[self.ids].tolist())
 
     @classmethod
     def decode(cls, text: str, n_outer: int | None = None, k_inner: int | None = None) -> "MMDataset":
-        """Parse .mm lines; without N and K the records are treated as N groups of K=1."""
+        """Parse .mm lines; without N and K the records are treated as N groups of K=1.
+
+        Each distinct line is parsed and checked once; its repeats share the record.
+        """
         if (n_outer is None) != (k_inner is None):
             raise ValueError(f"N and K must be given together, got N={n_outer}, K={k_inner}")
-        records = []
-        for num, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
-            left, sep, right = line.partition("\t")
-            if not sep:
-                raise ParseError(num, "expected '<full>\\t<masked>'")
-            try:
-                full = Hyperedge(left.split())
-            except ValueError as exc:
-                raise ParseError(num, str(exc)) from None
-            tokens = right.split()
-            count = sum(1 for t in tokens if t == "_")
-            if count < 1:
-                raise ParseError(num, "masked side needs at least one '_' slot")
-            try:
-                masked = MaskedHyperedge((t for t in tokens if t != "_"), count)
-            except ValueError as exc:
-                raise ParseError(num, str(exc)) from None
-            if not masked.is_mask_of(full):
-                raise ParseError(num, f"{masked.key!r} is not a masked form of {full.key!r}")
-            records.append((full, masked))
+        lines = text.split("\n")
+        code = dict.fromkeys(lines, -1)  # distinct line -> index into pairs; blank lines stay -1
+        pairs = []
+        for line in code:
+            if line.strip():
+                try:
+                    pairs.append(_decode_record(line))
+                except ValueError as exc:
+                    raise ParseError(lines.index(line) + 1, str(exc)) from None
+                code[line] = len(pairs) - 1
+        ids = np.fromiter(map(code.__getitem__, lines), dtype=np.int32, count=len(lines))
+        ids = ids[ids >= 0]
         if n_outer is None:
-            n_outer, k_inner = len(records), 1
-        return cls(tuple(records), n_outer, k_inner)
+            n_outer, k_inner = len(ids), 1
+        return cls._from_columns(pairs, ids, n_outer, k_inner)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.encode(), encoding="utf-8", newline="\n")
@@ -236,6 +261,22 @@ class MMDataset:
     @classmethod
     def load(cls, path: str | Path, n_outer: int | None = None, k_inner: int | None = None) -> "MMDataset":
         return cls.decode(Path(path).read_text(encoding="utf-8"), n_outer, k_inner)
+
+
+def _decode_record(line: str) -> tuple[Hyperedge, MaskedHyperedge]:
+    """One ``<full>\\t<masked>`` line; raises ``ValueError`` saying what is wrong."""
+    left, sep, right = line.partition("\t")
+    if not sep:
+        raise ValueError("expected '<full>\\t<masked>'")
+    full = Hyperedge(left.split())
+    tokens = right.split()
+    count = tokens.count("_")
+    if count < 1:
+        raise ValueError("masked side needs at least one '_' slot")
+    masked = MaskedHyperedge((t for t in tokens if t != "_"), count)
+    if not masked.is_mask_of(full):
+        raise ValueError(f"{masked.key!r} is not a masked form of {full.key!r}")
+    return full, masked
 
 
 def sample_dataset(h: WeightedHypergraph, n_samples: int, seed: int) -> Dataset:
@@ -267,20 +308,18 @@ def sample_mm_dataset(
     outer = sampler.draw(rng_stream(seed, "mm-outer"), n_outer)
     u = rng_stream(seed, "mm-mask").random((n_outer, k_inner))
 
-    records: list = [None] * (n_outer * k_inner)
-    for ei in np.unique(outer):
+    pairs: list[tuple[Hyperedge, MaskedHyperedge]] = []
+    ids = np.empty((n_outer, k_inner), dtype=np.int32)
+    order = np.argsort(outer, kind="stable")
+    drawn, starts = np.unique(outer[order], return_index=True)
+    for ei, rows in zip(drawn.tolist(), np.split(order, starts[1:])):
         e = edges[ei]
         support = strategy.support(e)
-        forms = [f for f, _ in support]
         cdf = np.cumsum([p for _, p in support])
-        rows = np.nonzero(outer == ei)[0]
         picks = np.searchsorted(cdf, u[rows], side="right")
-        picks = np.minimum(picks, len(forms) - 1)
-        for r, t in enumerate(rows):
-            base = t * k_inner
-            for k in range(k_inner):
-                records[base + k] = (e, forms[picks[r, k]])
-    return MMDataset(tuple(records), n_outer, k_inner)
+        ids[rows] = len(pairs) + np.minimum(picks, len(support) - 1)
+        pairs.extend((e, f) for f, _ in support)
+    return MMDataset._from_columns(pairs, ids.ravel(), n_outer, k_inner)
 
 
 # -- the share-a-mask relation over hyperedges -----------------------------------

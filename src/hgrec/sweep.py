@@ -28,7 +28,7 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -79,6 +79,17 @@ class InstanceSpec:
     w_max: float = 1.0
 
 
+def _instance_from_dict(index: int, doc) -> InstanceSpec:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"sweep config: instance {index} must be an object")
+    unknown = sorted(set(doc) - {f.name for f in fields(InstanceSpec)})
+    if unknown:
+        raise ValueError(f"sweep config: instance {index} has unknown key {unknown[0]!r}")
+    if "structure" not in doc:
+        raise ValueError(f"sweep config: instance {index} is missing key 'structure'")
+    return InstanceSpec(**doc)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     instances: tuple[InstanceSpec, ...]
@@ -104,8 +115,13 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "SweepConfig":
+        if not isinstance(doc, Mapping):
+            raise ValueError("sweep config must be an object")
+        for key in ("instances", "n_grid", "k_grid", "num_seeds"):
+            if key not in doc:
+                raise ValueError(f"sweep config: missing key {key!r}")
         return cls(
-            instances=tuple(InstanceSpec(**i) for i in doc["instances"]),
+            instances=tuple(_instance_from_dict(idx, i) for idx, i in enumerate(doc["instances"])),
             n_grid=tuple(int(x) for x in doc["n_grid"]),
             k_grid=tuple(int(x) for x in doc["k_grid"]),
             num_seeds=int(doc["num_seeds"]),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,6 +83,37 @@ def test_recover_oracle_without_counts_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and err.count("\n") == 1
+
+
+def test_recover_oracle_with_colliding_keys_exits_1(tmp_path, capsys):
+    oracle = tmp_path / "o.json"
+    oracle.write_text('{"format": "hgrec-oracle-v1", "counts": {"a|1": {"a+b": 2, "b+a": 5}}}',
+                      encoding="utf-8")
+    code = run("recover", "--oracle", oracle, "-o", tmp_path / "rec.hg")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and "'b+a'" in err and err.count("\n") == 1
+
+
+def test_sweep_bad_instance_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "instances": [{"structure": "star", "n": 6, "bogus": 1}],
+        "n_grid": [100],
+        "k_grid": [1],
+        "num_seeds": 1,
+    }), encoding="utf-8")
+    assert run("sweep", "--config", cfg, "-o", tmp_path / "rows.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and "'bogus'" in err and err.count("\n") == 1
+
+
+def test_cli_import_leaves_requests_unloaded():
+    import hgrec
+
+    check = "import hgrec.cli, sys; assert 'requests' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(hgrec.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
 
 def test_align_methods(tmp_path):

@@ -17,6 +17,7 @@ from hgrec import (
     relabel,
     sketch_diff,
 )
+from hgrec.core import check_token
 from hgrec.errors import (
     DuplicateEdge,
     EmptyHypergraph,
@@ -52,6 +53,18 @@ def test_hyperedge_too_small():
 def test_bad_tokens_rejected(token):
     with pytest.raises(ValueError):
         Hyperedge([token, "ok"])
+
+
+TOKEN_CHARS = st.one_of(st.characters(), st.sampled_from(" \t\x0b\x1c\x85\xa0\u2028\u3000_+|"))
+
+
+@given(st.text(alphabet=TOKEN_CHARS, max_size=6))
+def test_check_token_matches_per_character_rules(token):
+    if not token or token == "_" or any(c.isspace() or c in "+|" for c in token):
+        with pytest.raises(ValueError):
+            check_token(token)
+    else:
+        assert check_token(token) == token
 
 
 def test_hyperedge_ordering_is_lexicographic():

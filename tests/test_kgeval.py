@@ -62,6 +62,16 @@ def test_ingest_nonpositive_weight(tmp_path):
         ingest_edge_list(path)
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_ingest_non_finite_weight(tmp_path, weight):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"a\tb\t0.5\nc\td\t{weight}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 2: "):
+        ingest_edge_list(path)
+    with pytest.raises(InvalidWeight):
+        KnowledgeGraph().add_edge("c", "d", float(weight))
+
+
 def test_ingest_lowercases_and_trims(tmp_path):
     path = tmp_path / "mixed.tsv"
     path.write_text(" Table \tFURNITURE\t1.0\n", encoding="utf-8")

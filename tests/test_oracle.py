@@ -163,6 +163,15 @@ def test_oracle_rejects_malformed_counts(tail):
         TabularOracle.from_json('{"format": "hgrec-oracle-v1"' + tail + "}")
 
 
+@pytest.mark.parametrize("counts, repeated", [
+    ('{"a|1": {"a+b": 2, "b+a": 5}}', "completion key 'b\\+a'"),
+    ('{"a|1": {"a+b": 2}, "a+a|1": {"a+c": 5}}', "masked key 'a\\+a\\|1'"),
+])
+def test_oracle_rejects_keys_with_one_canonical_form(counts, repeated):
+    with pytest.raises(ValueError, match=repeated):
+        TabularOracle.from_json('{"format": "hgrec-oracle-v1", "counts": ' + counts + "}")
+
+
 # -- consistency with the exact oracle ------------------------------------------------------
 
 def test_tabular_converges_to_exact():

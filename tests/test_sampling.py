@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from hgrec import (
     sample_dataset,
     sample_mm_dataset,
     strategy_constants,
+    train_tabular,
     uniform_single_mask,
 )
 from hgrec.errors import EmptyHypergraph, NotNormalized, ParseError
 from hgrec.generators import chain, star
+from hgrec.rng import AliasSampler, rng_stream
 from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
 
 STRATEGY = uniform_single_mask()
@@ -159,6 +162,89 @@ def test_mm_round_trip(tmp_path):
     mm.save(path)
     back = MMDataset.load(path, 10, 2)
     assert back.records == mm.records
+
+
+def reference_mm_sample(h, n_outer, k_inner, strategy, seed):
+    """One record per loop step, drawing from the same streams as ``sample_mm_dataset``."""
+    edges = h.edge_set
+    outer = AliasSampler([h.weight(e) for e in edges]).draw(rng_stream(seed, "mm-outer"), n_outer)
+    u = rng_stream(seed, "mm-mask").random((n_outer, k_inner))
+    records = []
+    for t in range(n_outer):
+        support = strategy.support(edges[outer[t]])
+        cdf = np.cumsum([p for _, p in support])
+        for k in range(k_inner):
+            pick = min(int(np.searchsorted(cdf, u[t, k], side="right")), len(support) - 1)
+            records.append((edges[outer[t]], support[pick][0]))
+    return tuple(records)
+
+
+def reference_mm_encode(records):
+    return "".join(
+        " ".join(full.nodes) + "\t" + " ".join(list(masked.visible) + ["_"] * masked.masked_count) + "\n"
+        for full, masked in records
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(EDGE_LISTS, st.integers(1, 40), st.integers(1, 3), st.sampled_from([STRATEGY, HideOneOrTwo()]))
+def test_sample_mm_matches_per_record_loop(edges, n_outer, k_inner, strategy):
+    h = normalize(WeightedHypergraph({e: float(1 + i % 3) for i, e in enumerate(sorted(edges))}))
+    mm = sample_mm_dataset(h, n_outer, k_inner, strategy, seed=n_outer)
+    expected = reference_mm_sample(h, n_outer, k_inner, strategy, seed=n_outer)
+    assert mm.records == expected
+    assert mm.encode() == reference_mm_encode(expected)
+    assert mm.outer_dataset().samples == tuple(full for full, _ in expected[::k_inner])
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_LISTS, st.integers(1, 3), st.data())
+def test_mm_records_round_trip_and_train_against_counter(edges, k_inner, data):
+    table = [(e, f) for e in edges for f, _ in HideOneOrTwo().support(e)]
+    n_outer = data.draw(st.integers(0, 10))
+    records = tuple(data.draw(st.lists(st.sampled_from(table), min_size=n_outer * k_inner,
+                                       max_size=n_outer * k_inner)))
+    mm = MMDataset(records, n_outer, k_inner)
+    text = mm.encode()
+    assert text == reference_mm_encode(records)
+    back = MMDataset.decode(text, n_outer, k_inner)
+    assert back.records == mm.records == records
+    assert back.encode() == text
+    expected: dict = {}
+    for (full, masked), c in Counter(records).items():
+        expected.setdefault(masked, {})[full] = c
+    assert train_tabular(back).counts == expected
+    assert train_tabular(mm).counts == expected
+
+
+def test_mm_unshared_records_encode_like_shared():
+    text = "0 1\t0 _\n" * 3 + "1 2\t2 _\n" + "0 1\t0 _\n"
+    shared = MMDataset.decode(text)
+    assert shared.records[0] is shared.records[1] is shared.records[4]
+    unshared = MMDataset(
+        [(edge("0", "1"), MaskedHyperedge(["0"], 1)) for _ in range(3)]
+        + [(edge("1", "2"), MaskedHyperedge(["2"], 1)), (edge("0", "1"), MaskedHyperedge(["0"], 1))],
+        5,
+        1,
+    )
+    assert unshared.encode() == shared.encode() == text
+    assert unshared == shared
+    assert train_tabular(unshared).counts == train_tabular(shared).counts
+
+
+def test_mm_decode_reports_first_occurrence_of_repeated_bad_line():
+    good, bad, other_bad = "0 1\t0 _", "0 1\t2 _", "0 1\t0 1"
+    text = "\n".join([good, "", good, bad, good, other_bad, bad, bad]) + "\n"
+    with pytest.raises(ParseError, match=r"^line 4: "):
+        MMDataset.decode(text)
+    with pytest.raises(ParseError, match=r"^line 3: expected"):
+        MMDataset.decode(f"{good}\n{good}\nno tab here\n{good}\nno tab here\n")
+
+
+def test_mm_decode_merges_lines_that_spell_one_record():
+    mm = MMDataset.decode("1 0\t0 _\n0  1\t0 _\n0 1\t0 _\n")
+    assert set(mm.records) == {(edge("0", "1"), MaskedHyperedge(["0"], 1))}
+    assert train_tabular(mm).counts == {MaskedHyperedge(["0"], 1): {edge("0", "1"): 3}}
 
 
 def test_mm_decode_rejects_incompatible():

@@ -85,6 +85,27 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize("instance, message", [
+    ({"structure": "star", "n": 6, "bogus": 1}, "instance 1 has unknown key 'bogus'"),
+    ({"n": 6}, "instance 1 is missing key 'structure'"),
+    ([], "instance 1 must be an object"),
+])
+def test_config_rejects_bad_instance(instance, message):
+    doc = SMALL.to_dict()
+    doc["instances"].append(instance)
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_dict(doc)
+
+
+def test_config_rejects_missing_key():
+    doc = SMALL.to_dict()
+    del doc["n_grid"]
+    with pytest.raises(ValueError, match="missing key 'n_grid'"):
+        SweepConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="must be an object"):
+        SweepConfig.from_json("[]")
+
+
 # -- scaling fits -------------------------------------------------------------------
 
 def test_fit_exact_power_law():
