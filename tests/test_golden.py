@@ -7,10 +7,24 @@ meant to alter an output, update the digest in the same commit and say why.
 import csv
 import hashlib
 import io
+import random
 
-from hgrec import build_meta_graph, mm_path_length_bound, normalize, uniform_single_mask
+from hgrec import (
+    NodeRelabeling,
+    SimpleGraph,
+    WeightedHypergraph,
+    align_wl_anchored,
+    build_meta_graph,
+    edge,
+    mm_path_length_bound,
+    normalize,
+    relabel,
+    uniform_single_mask,
+    wl_refine,
+)
+from hgrec.alignment import format_alignment
 from hgrec.cli import main
-from hgrec.generators import GeneratorSpec, chain, star
+from hgrec.generators import GeneratorSpec, chain, frucht, star
 from hgrec.sweep import SweepConfig, rows_to_csv, run_sweep
 
 STRATEGY = uniform_single_mask()
@@ -86,3 +100,56 @@ def test_sweep_csv_bytes():
     writer.writeheader()
     writer.writerows(rows)
     assert sha(buf.getvalue().encode("utf-8")) == SWEEP_DIGEST
+
+
+def shuffled(h, seed):
+    """``h`` with its node names permuted among themselves."""
+    nodes = list(h.nodes)
+    perm = nodes[:]
+    random.Random(seed).shuffle(perm)
+    return relabel(h, NodeRelabeling(dict(zip(nodes, perm))))
+
+
+def random_cubic(rng, n):
+    """A uniform-weight simple 3-regular graph on ``n`` nodes (pairing model, rejection)."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        pairs = {tuple(sorted(stubs[i:i + 2])) for i in range(0, len(stubs), 2)}
+        if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
+            return normalize(WeightedHypergraph({edge(str(a), str(b)): 1.0 for a, b in pairs}))
+
+
+# (sha256 of format_alignment, backtracks) for align_wl_anchored(h, shuffled(h, seed)).
+ALIGNMENT_PINS = {
+    "star60": ("5cbb413c58155c6a0ea3a8062efbd1e31e5a216993a787c52adc337415991869", 0),
+    "wcgnm60": ("ba053bc178ee7b566d2f02971d5ac8d100b14d2a9ddfb9008950ec02d79f77d5", 0),
+    "frucht": ("ecef99bfeca6fd882fa3fe43d269a4be6f0264018ca5ea1fead6d3e39b54ae65", 9),
+    "cubic16": ("c704c53f6961300970d3385c4c3b31f83d262b528ccafb5d74d223da3e0f21a0", 4),
+}
+
+
+def test_wl_ir_alignment_bytes():
+    cases = {
+        "star60": (normalize(star(60)), 1),
+        "wcgnm60": (GeneratorSpec("wcgnm", 60, 0.1, 1.0, 10.0, 7).build(), 2),
+        "frucht": (normalize(frucht()), 2),
+        "cubic16": (random_cubic(random.Random(3), 16), 3),
+    }
+    got = {}
+    for label, (h, seed) in cases.items():
+        a = align_wl_anchored(h, shuffled(h, seed))
+        got[label] = (sha(format_alignment(a).encode("utf-8")), a.backtracks)
+    assert got == ALIGNMENT_PINS
+
+
+def test_wl_refine_frucht_colorings():
+    h = normalize(frucht())
+    g = SimpleGraph(h.nodes, [(e.nodes[0], e.nodes[1]) for e in h.edge_set])
+    assert wl_refine(g) == {v: 0 for v in g.vertices}
+    init = {v: 0 for v in g.vertices}
+    init["0"] = 1
+    assert wl_refine(g, init) == {
+        "0": 0, "1": 1, "10": 2, "11": 3, "2": 4, "3": 5,
+        "4": 6, "5": 7, "6": 8, "7": 9, "8": 10, "9": 11,
+    }
