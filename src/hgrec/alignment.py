@@ -80,24 +80,6 @@ class AnchorSet:
         return cls()
 
 
-def _verify_isomorphism(
-    h1: WeightedHypergraph, h2: WeightedHypergraph, mapping: dict[str, str]
-) -> bool:
-    edges2 = h2.edges
-    seen = set()
-    for e, w in h1.edges.items():
-        try:
-            mapped = Hyperedge(mapping[v] for v in e)
-        except KeyError:
-            return False
-        if mapped in seen or mapped not in edges2:
-            return False
-        if abs(edges2[mapped] - w) > STRUCT_WEIGHT_TOL:
-            return False
-        seen.add(mapped)
-    return len(seen) == h2.m
-
-
 def align_exact(
     h1: WeightedHypergraph, h2: WeightedHypergraph, max_nodes: int = 8
 ) -> Alignment:
@@ -199,7 +181,27 @@ def align_by_hyperedge_ids(
     )
 
 
-# -- 1-WL refinement ------------------------------------------------------------
+# -- color refinement -----------------------------------------------------------
+
+
+def _refine(adjs, colorings):
+    """Refine the colorings of one or more graphs, with shared color ids, to a fixpoint.
+
+    A vertex's new color is the rank of its (own color, sorted neighbor colors)
+    signature among the sorted signatures of all sides. Refinement stops when
+    the number of color classes stops growing.
+    """
+    count = len(set().union(*(c.values() for c in colorings)))
+    while True:
+        sigs = [
+            {v: (c[v], tuple(sorted(c[u] for u in nbrs))) for v, nbrs in adj.items()}
+            for adj, c in zip(adjs, colorings)
+        ]
+        ids = {s: i for i, s in enumerate(sorted(set().union(*(sig.values() for sig in sigs))))}
+        colorings = [{v: ids[s] for v, s in sig.items()} for sig in sigs]
+        if len(ids) == count:
+            return colorings
+        count = len(ids)
 
 
 def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[str, int]:
@@ -216,18 +218,9 @@ def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[
         used = set(colors.values())
         if used != set(range(len(used))):
             raise ValueError("initial colors must be dense from 0")
-    while True:
-        sigs = {v: (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v)))) for v in order}
-        ids: dict[tuple, int] = {}
-        new = {}
-        for v in order:
-            s = sigs[v]
-            if s not in ids:
-                ids[s] = len(ids)
-            new[v] = ids[s]
-        if len(ids) == len(set(colors.values())):
-            return new
-        colors = new
+    [refined] = _refine([{v: g.neighbors(v) for v in order}], [colors])
+    ids: dict[int, int] = {}
+    return {v: ids.setdefault(refined[v], len(ids)) for v in order}
 
 
 def color_classes(coloring: Mapping[str, int]) -> tuple[tuple[str, ...], ...]:
@@ -271,69 +264,52 @@ def _incidence(h: WeightedHypergraph, buckets: dict[float, int]):
     return {v: tuple(sorted(nb)) for v, nb in adj.items()}, init
 
 
-def _joint_refine(adj1, adj2, colors1, colors2):
-    """Refine both sides with shared color ids until stable."""
-    n_colors = len(set(colors1.values()) | set(colors2.values()))
+def _leaf_alignment(h1, h2, colors1, colors2, backtracks: int) -> Alignment | None:
+    """The alignment a discrete coloring pairs up, if it maps ``h1`` onto ``h2``."""
+    partner = {c: v for v, c in colors2.items()}
+    phi = NodeRelabeling({v[1]: partner[c][1] for v, c in colors1.items() if v[0] == "n"})
+    mapped = relabel(h1, phi)
+    edges1, edges2 = mapped.edges, h2.edges
+    if edges1.keys() != edges2.keys():
+        return None
+    if any(abs(w - edges2[e]) > STRUCT_WEIGHT_TOL for e, w in edges1.items()):
+        return None
+    return Alignment(mapping=phi, cost=dissimilarity(mapped, h2), backtracks=backtracks)
+
+
+def _ir_search(adjs, colorings, next_color: int, h1, h2) -> Alignment | None:
+    """Depth-first individualization-refinement over an explicit stack.
+
+    Each frame holds the refined colorings of one search node, the side-1
+    vertex it individualizes and an iterator over the side-2 candidates not
+    yet tried. The pair drawn from the frame at depth d gets color
+    ``next_color + d``.
+    """
+    stack = []
+    tried = 0
     while True:
-        sig1 = {v: (colors1[v], tuple(sorted(colors1[u] for u in adj1[v]))) for v in adj1}
-        sig2 = {v: (colors2[v], tuple(sorted(colors2[u] for u in adj2[v]))) for v in adj2}
-        ids = {s: i for i, s in enumerate(sorted(set(sig1.values()) | set(sig2.values())))}
-        colors1 = {v: ids[s] for v, s in sig1.items()}
-        colors2 = {v: ids[s] for v, s in sig2.items()}
-        if len(ids) == n_colors:
-            return colors1, colors2
-        n_colors = len(ids)
-
-
-def _balanced(colors1, colors2) -> bool:
-    return Counter(colors1.values()) == Counter(colors2.values())
-
-
-class _SearchStats:
-    __slots__ = ("backtracks",)
-
-    def __init__(self):
-        self.backtracks = 0
-
-
-def _extract_mapping(colors1, colors2) -> dict[str, str] | None:
-    by_color2: dict[int, tuple] = {}
-    for v, c in colors2.items():
-        by_color2[c] = v
-    mapping = {}
-    for v, c in colors1.items():
-        if v[0] != "n":
-            continue
-        partner = by_color2.get(c)
-        if partner is None or partner[0] != "n":
+        colors1, colors2 = _refine(adjs, colorings)
+        sizes = Counter(colors1.values())
+        if sizes == Counter(colors2.values()):
+            open_colors = [(size, c) for c, size in sizes.items() if size > 1]
+            if open_colors:
+                _, target = min(open_colors)
+                v1 = min(v for v, c in colors1.items() if c == target)
+                candidates = iter(sorted(v for v, c in colors2.items() if c == target))
+                stack.append(((colors1, colors2), v1, candidates))
+            else:
+                # Each frame's latest candidate leads here; every other one tried failed.
+                found = _leaf_alignment(h1, h2, colors1, colors2, tried - len(stack))
+                if found is not None:
+                    return found
+        while stack and (v2 := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
             return None
-        mapping[v[1]] = partner[1]
-    return mapping
-
-
-def _ir_search(adj1, adj2, colors1, colors2, next_color, h1, h2, stats):
-    colors1, colors2 = _joint_refine(adj1, adj2, colors1, colors2)
-    if not _balanced(colors1, colors2):
-        return None
-    class_sizes = Counter(colors1.values())
-    open_colors = [(size, c) for c, size in class_sizes.items() if size > 1]
-    if not open_colors:
-        mapping = _extract_mapping(colors1, colors2)
-        if mapping is not None and _verify_isomorphism(h1, h2, mapping):
-            return mapping
-        return None
-    _, target = min(open_colors)
-    v1 = min(v for v, c in colors1.items() if c == target)
-    for v2 in sorted(v for v, c in colors2.items() if c == target):
-        c1 = dict(colors1)
-        c2 = dict(colors2)
-        c1[v1] = next_color
-        c2[v2] = next_color
-        found = _ir_search(adj1, adj2, c1, c2, next_color + 1, h1, h2, stats)
-        if found is not None:
-            return found
-        stats.backtracks += 1
-    return None
+        (colors1, colors2), v1, _ = stack[-1]
+        color = next_color + len(stack) - 1
+        colorings = ({**colors1, v1: color}, {**colors2, v2: color})
+        tried += 1
 
 
 def align_wl_anchored(
@@ -368,8 +344,9 @@ def align_wl_anchored(
         if vb not in adj2:
             raise InconsistentAnchors(f"anchor {vb[1]!r} does not exist in the second hypergraph")
 
+    adjs = (adj1, adj2)
     if anchor_vertices:
-        base1, base2 = _joint_refine(adj1, adj2, colors1, colors2)
+        base1, base2 = _refine(adjs, (colors1, colors2))
         for va, vb in anchor_vertices:
             if base1[va] != base2[vb]:
                 raise InconsistentAnchors(
@@ -382,14 +359,7 @@ def align_wl_anchored(
         colors2[vb] = next_color
         next_color += 1
 
-    stats = _SearchStats()
-    mapping = _ir_search(adj1, adj2, colors1, colors2, next_color, h1, h2, stats)
-    if mapping is None:
-        return None
-    phi = NodeRelabeling(mapping)
-    return Alignment(
-        mapping=phi, cost=dissimilarity(relabel(h1, phi), h2), backtracks=stats.backtracks
-    )
+    return _ir_search(adjs, (colors1, colors2), next_color, h1, h2)
 
 
 def fuse_datasets(d1: Dataset, d2: Dataset, phi_star: NodeRelabeling) -> Dataset:

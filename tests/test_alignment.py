@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -320,6 +322,21 @@ def test_ir_handles_larger_hyperedges():
     assert a is not None
     assert relabel(h1, a.mapping) == h2
 
+
+
+def test_ir_search_depth_does_not_use_the_call_stack():
+    # Every leaf of star(200) is one color class until individualized: a
+    # search about 200 individualizations deep.
+    h1 = normalize(star(200))
+    h2 = relabel(h1, random_relabeling(random.Random(9), h1))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        a = align_wl_anchored(h1, h2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert a is not None and a.cost == 0.0
+    assert relabel(h1, a.mapping) == h2
 
 def test_anchor_set_rejects_duplicates():
     with pytest.raises(NotABijection):
