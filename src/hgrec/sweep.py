@@ -79,6 +79,17 @@ class InstanceSpec:
     w_max: float = 1.0
 
 
+def _integral(where: str, x) -> int:
+    """``x`` as an int if it is an integral JSON number (2 or 2.0, not 2.5 or true)."""
+    if isinstance(x, bool) or not (isinstance(x, int) or isinstance(x, float) and x.is_integer()):
+        raise ValueError(f"sweep config: {where} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _instance_from_dict(index: int, doc) -> InstanceSpec:
     if not isinstance(doc, Mapping):
         raise ValueError(f"sweep config: instance {index} must be an object")
@@ -87,7 +98,25 @@ def _instance_from_dict(index: int, doc) -> InstanceSpec:
         raise ValueError(f"sweep config: instance {index} has unknown key {unknown[0]!r}")
     if "structure" not in doc:
         raise ValueError(f"sweep config: instance {index} is missing key 'structure'")
+    doc = dict(doc)
+    if "n" in doc:
+        doc["n"] = _integral(f"instance {index} key 'n'", doc["n"])
+    if doc.get("p") is not None and not _is_number(doc["p"]):
+        raise ValueError(
+            f"sweep config: instance {index} key 'p' must be a number or null, got {doc['p']!r}"
+        )
+    for key in ("w_min", "w_max"):
+        if key in doc and not _is_number(doc[key]):
+            raise ValueError(
+                f"sweep config: instance {index} key {key!r} must be a number, got {doc[key]!r}"
+            )
     return InstanceSpec(**doc)
+
+
+def _grid(doc: Mapping, key: str) -> tuple[int, ...]:
+    if not isinstance(doc[key], (list, tuple)):
+        raise ValueError(f"sweep config: {key!r} must be a list, got {doc[key]!r}")
+    return tuple(_integral(f"{key!r} entry", x) for x in doc[key])
 
 
 @dataclass(frozen=True)
@@ -120,12 +149,17 @@ class SweepConfig:
         for key in ("instances", "n_grid", "k_grid", "num_seeds"):
             if key not in doc:
                 raise ValueError(f"sweep config: missing key {key!r}")
+        if not isinstance(doc["instances"], (list, tuple)):
+            raise ValueError(f"sweep config: 'instances' must be a list, got {doc['instances']!r}")
+        masking = doc.get("masking", "uniform1")
+        if not isinstance(masking, str):
+            raise ValueError(f"sweep config: 'masking' must be a string, got {masking!r}")
         return cls(
             instances=tuple(_instance_from_dict(idx, i) for idx, i in enumerate(doc["instances"])),
-            n_grid=tuple(int(x) for x in doc["n_grid"]),
-            k_grid=tuple(int(x) for x in doc["k_grid"]),
-            num_seeds=int(doc["num_seeds"]),
-            masking=doc.get("masking", "uniform1"),
+            n_grid=_grid(doc, "n_grid"),
+            k_grid=_grid(doc, "k_grid"),
+            num_seeds=_integral("'num_seeds'", doc["num_seeds"]),
+            masking=masking,
         )
 
     @classmethod

@@ -106,6 +106,48 @@ def test_config_rejects_missing_key():
         SweepConfig.from_json("[]")
 
 
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_grid", [None], "'n_grid' entry must be an integer, got None"),
+    ("n_grid", [2.5], "'n_grid' entry must be an integer, got 2.5"),
+    ("n_grid", 300, "'n_grid' must be a list, got 300"),
+    ("k_grid", ["1"], "'k_grid' entry must be an integer, got '1'"),
+    ("k_grid", [True], "'k_grid' entry must be an integer, got True"),
+    ("num_seeds", 1.5, "'num_seeds' must be an integer, got 1.5"),
+    ("masking", 1, "'masking' must be a string, got 1"),
+    ("instances", {"structure": "star"}, "'instances' must be a list"),
+])
+def test_config_rejects_wrong_types(key, value, message):
+    doc = SMALL.to_dict()
+    doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", "six", "instance 0 key 'n' must be an integer, got 'six'"),
+    ("n", 6.5, "instance 0 key 'n' must be an integer, got 6.5"),
+    ("p", "dense", "instance 0 key 'p' must be a number or null, got 'dense'"),
+    ("w_min", None, "instance 0 key 'w_min' must be a number, got None"),
+    ("w_max", [10], "instance 0 key 'w_max' must be a number, got \\[10\\]"),
+])
+def test_config_rejects_wrong_instance_types(key, value, message):
+    doc = SMALL.to_dict()
+    doc["instances"][0][key] = value
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_dict(doc)
+
+
+def test_config_integral_floats_keep_the_master_seed():
+    doc = SMALL.to_dict()
+    doc["n_grid"] = [300.0]
+    doc["k_grid"] = [1.0]
+    doc["num_seeds"] = 1.0
+    doc["instances"][0]["n"] = 6.0
+    cfg = SweepConfig.from_dict(doc)
+    assert cfg == SMALL and cfg.master_seed() == SMALL.master_seed()
+
+
 # -- scaling fits -------------------------------------------------------------------
 
 def test_fit_exact_power_law():
