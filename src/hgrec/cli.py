@@ -203,8 +203,21 @@ def _cmd_kg_extract(args) -> int:
     return 0
 
 
+def _load_subgraph(path: str, need_k: bool) -> dict:
+    """Read a kg-extract document, checking ``entities`` and, when asked, ``k``."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: subgraph must be a JSON object")
+    entities = doc.get("entities")
+    if not isinstance(entities, list) or not all(isinstance(e, str) for e in entities):
+        raise ValueError(f"{path}: subgraph 'entities' must be a list of strings")
+    if need_k and (isinstance(doc.get("k"), bool) or not isinstance(doc.get("k"), int)):
+        raise ValueError(f"{path}: subgraph 'k' must be an integer, got {doc.get('k')!r}")
+    return doc
+
+
 def _cmd_kg_prompt(args) -> int:
-    doc = json.loads(Path(args.subgraph).read_text(encoding="utf-8"))
+    doc = _load_subgraph(args.subgraph, need_k=args.k is None)
     k = args.k if args.k is not None else doc["k"]
     _write(args.output, render_prompt(doc["entities"], k))
     return 0
@@ -213,7 +226,7 @@ def _cmd_kg_prompt(args) -> int:
 def _cmd_kg_parse(args) -> int:
     from .kgeval import parse_edgelist
 
-    doc = json.loads(Path(args.subgraph).read_text(encoding="utf-8"))
+    doc = _load_subgraph(args.subgraph, need_k=False)
     response = Path(args.response).read_text(encoding="utf-8")
     pairs, unparsed = parse_edgelist(response, doc["entities"])
     out = {"pairs": [list(p) for p in sorted(pairs)], "unparsed": unparsed}
@@ -223,7 +236,7 @@ def _cmd_kg_parse(args) -> int:
 
 def _cmd_kg_chat(args) -> int:
     prompt = Path(args.prompt_file).read_text(encoding="utf-8")
-    if args.responses_dir:
+    if args.responses_dir is not None:
         text = replay_completion(args.responses_dir, prompt)
     else:
         config = EndpointConfig.load(args.endpoint_config)
@@ -237,9 +250,9 @@ def _cmd_kg_eval(args) -> int:
     spec = SubgraphSpec(args.source.lower(), args.k, args.d)
     truth, entities = extract_subgraph(kg, spec)
     prompt = render_prompt(entities, args.k)
-    if args.responses_dir:
+    if args.responses_dir is not None:
         response = replay_completion(args.responses_dir, prompt)
-    elif args.response:
+    elif args.response is not None:
         response = Path(args.response).read_text(encoding="utf-8")
     else:
         config = EndpointConfig.load(args.endpoint_config)
@@ -384,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kg_parse)
 
     p = sub.add_parser("kg-chat", parents=[common], help="fetch a model response for a prompt")
-    p.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
     p.add_argument("--prompt-file", required=True)
-    p.add_argument("--responses-dir", help="offline replay directory keyed by prompt hash")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
+    src.add_argument("--responses-dir", help="offline replay directory keyed by prompt hash")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_kg_chat)
 
@@ -395,9 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--responses-dir", help="offline replay directory")
-    p.add_argument("--response", help="response text file")
-    p.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--responses-dir", help="offline replay directory")
+    src.add_argument("--response", help="response text file")
+    src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
     p.add_argument("--model", default="unknown", help="model label for the CSV row")
     p.add_argument("--csv", help="also write a CSV row here")
     p.add_argument("-o", "--output")

@@ -282,6 +282,17 @@ class EndpointConfig:
     @classmethod
     def from_json(cls, text: str) -> "EndpointConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("endpoint config must be a JSON object")
+        for key in ("base_url", "model"):
+            if key not in doc:
+                raise ValueError(f"endpoint config: missing key {key!r}")
+        for key in ("base_url", "model", "api_key_env"):
+            if key in doc and not isinstance(doc[key], str):
+                raise ValueError(f"endpoint config: {key!r} must be a string, got {doc[key]!r}")
+        for key in ("temperature", "timeout_s"):
+            if key in doc and (isinstance(doc[key], bool) or not isinstance(doc[key], (int, float))):
+                raise ValueError(f"endpoint config: {key!r} must be a number, got {doc[key]!r}")
         return cls(
             base_url=doc["base_url"],
             model=doc["model"],

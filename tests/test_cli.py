@@ -247,3 +247,79 @@ def test_kg_eval_offline_byte_stable(tmp_path):
     doc = json.loads(outputs[0][0])
     assert doc["score"] == 0.75
     assert outputs[0][1].decode().splitlines()[1] == "table,2,2,fake,0.75,1,2"
+
+
+def assert_one_error_line(capsys, what: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError:") and what in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc, what", [
+    ([], "must be a JSON object"),
+    ({"k": 2}, "'entities' must be a list of strings"),
+    ({"entities": "ab", "k": 2}, "'entities' must be a list of strings"),
+    ({"entities": ["table", 7], "k": 2}, "'entities' must be a list of strings"),
+    ({"entities": ["table"]}, "'k' must be an integer, got None"),
+    ({"entities": ["table"], "k": "2"}, "'k' must be an integer, got '2'"),
+])
+def test_kg_prompt_malformed_subgraph_exits_1(tmp_path, capsys, doc, what):
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("kg-prompt", "--subgraph", sub, "-o", tmp_path / "prompt.txt") == 1
+    assert_one_error_line(capsys, what)
+
+
+def test_kg_prompt_k_flag_overrides_missing_k(tmp_path):
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"entities": ["table", "room"]}), encoding="utf-8")
+    prompt = tmp_path / "prompt.txt"
+    assert run("kg-prompt", "--subgraph", sub, "-k", 3, "-o", prompt) == 0
+    assert prompt.read_text() == render_prompt(["table", "room"], 3)
+
+
+@pytest.mark.parametrize("doc, what", [
+    ({"entities": "ab"}, "'entities' must be a list of strings"),
+    ("table", "must be a JSON object"),
+])
+def test_kg_parse_malformed_subgraph_exits_1(tmp_path, capsys, doc, what):
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps(doc), encoding="utf-8")
+    resp = tmp_path / "resp.txt"
+    resp.write_text("a - b\n", encoding="utf-8")
+    assert run("kg-parse", "--response", resp, "--subgraph", sub, "-o", tmp_path / "p.json") == 1
+    assert_one_error_line(capsys, what)
+
+
+@pytest.mark.parametrize("config, what", [
+    ("[]", "must be a JSON object"),
+    ('{"model": "m"}', "missing key 'base_url'"),
+    ('{"base_url": "http://x", "model": "m", "temperature": null}', "'temperature' must be a number"),
+])
+def test_kg_malformed_endpoint_config_exits_1(tmp_path, capsys, config, what):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text(KG_TSV, encoding="utf-8")
+    cfg = tmp_path / "endpoint.json"
+    cfg.write_text(config, encoding="utf-8")
+    prompt = tmp_path / "prompt.txt"
+    prompt.write_text("p", encoding="utf-8")
+    assert run("kg-chat", "--prompt-file", prompt, "--endpoint-config", cfg) == 1
+    assert_one_error_line(capsys, what)
+    assert run("kg-eval", "--kg", kg, "--source", "table", "-k", 2, "-d", 2,
+               "--endpoint-config", cfg) == 1
+    assert_one_error_line(capsys, what)
+
+
+@pytest.mark.parametrize("argv", [
+    ("kg-chat", "--prompt-file", "p.txt"),
+    ("kg-chat", "--prompt-file", "p.txt", "--responses-dir", "r", "--endpoint-config", "e.json"),
+    ("kg-eval", "--kg", "kg.tsv", "--source", "table", "-k", 2, "-d", 2),
+    ("kg-eval", "--kg", "kg.tsv", "--source", "table", "-k", 2, "-d", 2,
+     "--responses-dir", "r", "--response", "resp.txt"),
+    ("kg-eval", "--kg", "kg.tsv", "--source", "table", "-k", 2, "-d", 2,
+     "--response", "resp.txt", "--endpoint-config", "e.json"),
+])
+def test_kg_response_source_is_exactly_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    assert "--" in capsys.readouterr().err

@@ -294,6 +294,29 @@ class FakeResponse:
         return self._payload
 
 
+
+@pytest.mark.parametrize("text, message", [
+    ('["http://x", "m"]', "must be a JSON object"),
+    ('{"model": "m"}', "missing key 'base_url'"),
+    ('{"base_url": "http://x"}', "missing key 'model'"),
+    ('{"base_url": 5, "model": "m"}', "'base_url' must be a string, got 5"),
+    ('{"base_url": "http://x", "model": null}', "'model' must be a string, got None"),
+    ('{"base_url": "http://x", "model": "m", "api_key_env": 1}', "'api_key_env' must be a string"),
+    ('{"base_url": "http://x", "model": "m", "temperature": null}', "'temperature' must be a number"),
+    ('{"base_url": "http://x", "model": "m", "temperature": "0.5"}', "'temperature' must be a number"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": [1]}', "'timeout_s' must be a number"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": true}', "'timeout_s' must be a number"),
+])
+def test_endpoint_config_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        EndpointConfig.from_json(text)
+
+
+def test_endpoint_config_reads_numbers():
+    cfg = EndpointConfig.from_json('{"base_url": "http://x", "model": "m", "temperature": 1, '
+                                   '"timeout_s": 2.5, "api_key_env": "K"}')
+    assert cfg == EndpointConfig("http://x", "m", 1.0, 2.5, "K")
+
 def test_chat_ok(monkeypatch):
     def fake_post(url, json=None, headers=None, timeout=None):
         assert url.endswith("/chat/completions")
