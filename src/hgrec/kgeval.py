@@ -175,15 +175,29 @@ def _strip_list_marker(line: str) -> str:
     return line
 
 
+def _split_pair(line: str, vocab: set[str]) -> tuple[str, str] | None:
+    """The first split, by separator precedence then leftmost position, into two entities."""
+    for sep in _SEPARATORS:
+        at = line.find(sep)
+        while at != -1:
+            a, b = _clean(line[:at]), _clean(line[at + len(sep):])
+            if a in vocab and b in vocab:
+                return a, b
+            at = line.find(sep, at + 1)
+    return None
+
+
 def parse_edgelist(
     response_text: str, vocabulary: list[str]
 ) -> tuple[set[tuple[str, str]], list[str]]:
     """Best-effort extraction of entity pairs from a model response.
 
     A line yields a pair when, after stripping list markers, parentheses, and
-    quotes, it splits on one separator into exactly two vocabulary entities
-    (case-insensitive exact match). Self-pairs are dropped; lines yielding
-    nothing are returned in ``unparsed``.
+    quotes, it splits at one occurrence of a separator into exactly two
+    vocabulary entities (case-insensitive exact match). Separators are tried in
+    precedence order and, for each, split points from left to right, so
+    ``t-shirt - jeans`` splits at the spaced dash. Self-pairs are dropped;
+    lines yielding nothing are returned in ``unparsed``.
     """
     vocab = {v.strip().lower() for v in vocabulary}
     if not vocab:
@@ -195,15 +209,7 @@ def parse_edgelist(
             continue
         line = _strip_list_marker(raw)
         line = line.strip().strip("()[]").strip()
-        matched = None
-        for sep in _SEPARATORS:
-            sides = line.split(sep)
-            if len(sides) != 2:
-                continue
-            a, b = _clean(sides[0]), _clean(sides[1])
-            if a in vocab and b in vocab:
-                matched = (a, b)
-                break
+        matched = _split_pair(line, vocab)
         if matched is None:
             unparsed.append(raw)
             continue

@@ -220,6 +220,21 @@ def test_parse_three_way_line_unparsed():
     assert unparsed == ["table - room - house"]
 
 
+
+def test_parse_hyphenated_entity():
+    vocab = ["t-shirt", "jeans", "x-ray"]
+    pairs, unparsed = parse_edgelist("1. t-shirt - jeans\njeans-t-shirt\nt-shirt - x-ray", vocab)
+    assert pairs == {("jeans", "t-shirt"), ("t-shirt", "x-ray")}
+    assert unparsed == []
+
+
+def test_parse_prefers_earlier_separator_then_leftmost_split():
+    # "a-b" and "b-c" are entities too: the leftmost dash that leaves two
+    # entities wins, and a comma is only tried after every dash.
+    vocab = ["a", "b", "c", "a-b", "b-c", "c, d", "d"]
+    pairs, _ = parse_edgelist("a-b-c\na-b, c\nb-c, d", vocab)
+    assert pairs == {("a", "b-c"), ("a-b", "c"), ("b", "c, d")}
+
 # -- scoring ----------------------------------------------------------------------------
 
 def graph(*pairs):
