@@ -265,9 +265,15 @@ def _incidence(h: WeightedHypergraph, buckets: dict[float, int]):
 
 
 def _leaf_alignment(h1, h2, colors1, colors2, backtracks: int) -> Alignment | None:
-    """The alignment a discrete coloring pairs up, if it maps ``h1`` onto ``h2``."""
+    """The alignment a discrete coloring pairs up, if it maps ``h1`` onto ``h2``.
+
+    The coloring is balanced, so each color names one vertex per side.
+    """
     partner = {c: v for v, c in colors2.items()}
-    phi = NodeRelabeling({v[1]: partner[c][1] for v, c in colors1.items() if v[0] == "n"})
+    pairs = [(v[1], partner[c]) for v, c in colors1.items() if v[0] == "n"]
+    if any(w[0] != "n" for _, w in pairs):
+        return None
+    phi = NodeRelabeling({v: w[1] for v, w in pairs})
     mapped = relabel(h1, phi)
     edges1, edges2 = mapped.edges, h2.edges
     if edges1.keys() != edges2.keys():
