@@ -323,10 +323,9 @@ def test_ir_handles_larger_hyperedges():
     assert relabel(h1, a.mapping) == h2
 
 
-
 def test_ir_search_depth_does_not_use_the_call_stack():
-    # Every leaf of star(200) is one color class until individualized: a
-    # search about 200 individualizations deep.
+    # The leaves of star(200) stay one color class until individualized one
+    # by one: the search goes 198 individualizations deep.
     h1 = normalize(star(200))
     h2 = relabel(h1, random_relabeling(random.Random(9), h1))
     limit = sys.getrecursionlimit()
@@ -337,6 +336,7 @@ def test_ir_search_depth_does_not_use_the_call_stack():
         sys.setrecursionlimit(limit)
     assert a is not None and a.cost == 0.0
     assert relabel(h1, a.mapping) == h2
+
 
 def test_anchor_set_rejects_duplicates():
     with pytest.raises(NotABijection):

@@ -108,7 +108,6 @@ def test_sweep_bad_instance_key_exits_1(tmp_path, capsys):
     assert err.startswith("error: ValueError:") and "'bogus'" in err and err.count("\n") == 1
 
 
-
 @pytest.mark.parametrize("change, key", [
     ({"n_grid": [None]}, "'n_grid'"),
     ({"instances": [{"structure": "star", "n": "six"}]}, "instance 0 key 'n'"),
@@ -121,6 +120,7 @@ def test_sweep_wrong_value_type_exits_1(tmp_path, capsys, change, key):
     assert run("sweep", "--config", cfg, "-o", tmp_path / "rows.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and key in err and err.count("\n") == 1
+
 
 def test_cli_import_leaves_requests_unloaded():
     import hgrec

@@ -220,7 +220,6 @@ def test_parse_three_way_line_unparsed():
     assert unparsed == ["table - room - house"]
 
 
-
 def test_parse_hyphenated_entity():
     vocab = ["t-shirt", "jeans", "x-ray"]
     pairs, unparsed = parse_edgelist("1. t-shirt - jeans\njeans-t-shirt\nt-shirt - x-ray", vocab)
@@ -234,6 +233,7 @@ def test_parse_prefers_earlier_separator_then_leftmost_split():
     vocab = ["a", "b", "c", "a-b", "b-c", "c, d", "d"]
     pairs, _ = parse_edgelist("a-b-c\na-b, c\nb-c, d", vocab)
     assert pairs == {("a", "b-c"), ("a-b", "c"), ("b", "c, d")}
+
 
 # -- scoring ----------------------------------------------------------------------------
 
@@ -307,7 +307,6 @@ class FakeResponse:
         if self._payload is None:
             raise ValueError("no body")
         return self._payload
-
 
 
 @pytest.mark.parametrize("text, message", [

@@ -106,7 +106,6 @@ def test_config_rejects_missing_key():
         SweepConfig.from_json("[]")
 
 
-
 @pytest.mark.parametrize("key, value, message", [
     ("n_grid", [None], "'n_grid' entry must be an integer, got None"),
     ("n_grid", [2.5], "'n_grid' entry must be an integer, got 2.5"),
