@@ -354,6 +354,9 @@ def chat_completion(config: EndpointConfig, prompt: str) -> str:
     if resp.status_code >= 400:
         raise RequestFailed(resp.status_code, resp.text[:200])
     try:
-        return resp.json()["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, ValueError) as exc:
-        raise RequestFailed(resp.status_code, f"malformed completion body: {resp.text[:200]}") from exc
+        content = resp.json()["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError, ValueError):
+        content = None
+    if not isinstance(content, str):
+        raise RequestFailed(resp.status_code, f"malformed completion body: {resp.text[:200]}")
+    return content

@@ -36,6 +36,14 @@ class MaskedHyperedge:
         self.visible = tokens
         self.masked_count = count
 
+    @classmethod
+    def _of_checked(cls, visible: tuple[str, ...], masked_count: int) -> "MaskedHyperedge":
+        """A form over checked, sorted, distinct tokens, such as a slice of ``Hyperedge.nodes``."""
+        self = cls.__new__(cls)
+        self.visible = visible
+        self.masked_count = masked_count
+        return self
+
     @property
     def key(self) -> str:
         """Canonical text key: visible tokens joined by '+', then '|' and the count."""
@@ -99,11 +107,12 @@ class UniformSingleMask(MaskingStrategy):
     def support(self, e: Hyperedge) -> tuple[tuple[MaskedHyperedge, float], ...]:
         cached = self._cache.get(e)
         if cached is None:
-            k = len(e)
-            forms = [
-                MaskedHyperedge((u for u in e if u != v), 1) for v in e
-            ]
-            cached = tuple(sorted((f, 1.0 / k) for f in forms))
+            nodes = e.nodes
+            p = 1.0 / len(nodes)
+            form = MaskedHyperedge._of_checked
+            # Hiding a later node of the sorted tuple leaves a smaller visible
+            # tuple, so descending i is the canonical (sorted) form order.
+            cached = tuple([(form(nodes[:i] + nodes[i + 1 :], 1), p) for i in reversed(range(len(nodes)))])
             self._cache[e] = cached
         return cached
 
@@ -410,17 +419,40 @@ def mm_path_length_bound(mg: MetaGraph) -> int | None:
 
     Returns ``None`` when the meta-graph is disconnected; a single hyperedge
     gives 1 and direct neighbors give 2.
+
+    All starts advance at once: ``reach[i]`` is a bitmask of the edges within
+    the current distance of edge ``i``, and each round widens every mask by one
+    step, forms taking the OR of their owners and edges the OR of their forms.
+    The masks stop changing one round after the longest shortest path is
+    covered. A round costs the incidence size times m/64 machine words.
     """
     if not mg.vertices:
         raise EmptyHypergraph("meta-graph has no vertices")
-    n = len(mg.vertices)
-    longest = 0
-    for start in mg.vertices:
-        layers = list(mg.layers(start))
-        if sum(map(len, layers)) < n:
-            return None
-        longest = max(longest, len(layers))
-    return longest
+    index = {e: i for i, e in enumerate(mg.vertices)}
+    owners = [[index[e] for e in es] for es in mg.owners.values()]
+    form_index = {f: j for j, f in enumerate(mg.owners)}
+    forms = [[form_index[f] for f in mg.forms[e]] for e in mg.vertices]
+    reach = [1 << i for i in range(len(mg.vertices))]
+    rounds = 0
+    while True:
+        via = []
+        for es in owners:
+            acc = 0
+            for i in es:
+                acc |= reach[i]
+            via.append(acc)
+        nxt = []
+        for i, fs in enumerate(forms):
+            acc = reach[i]
+            for j in fs:
+                acc |= via[j]
+            nxt.append(acc)
+        if nxt == reach:
+            break
+        reach = nxt
+        rounds += 1
+    full = (1 << len(reach)) - 1
+    return rounds + 1 if all(r == full for r in reach) else None
 
 
 def strategy_constants(h: WeightedHypergraph, strategy: MaskingStrategy) -> tuple[float, int]:

@@ -206,7 +206,8 @@ def _run_cell(cfg_doc: dict, cell: tuple[int, int, int, int]) -> dict:
     row.update(
         structure=inst.structure,
         n=inst.n,
-        kappa_target=_fmt(inst.w_max / inst.w_min),
+        # A zero w_min has no ratio; the generator rejects it and the row's status says so.
+        kappa_target=_fmt(inst.w_max / inst.w_min) if inst.w_min else "",
         N=n_samples,
         K=k_inner,
         seed=seed_idx,

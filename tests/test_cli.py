@@ -9,6 +9,7 @@ import pytest
 from hgrec.cli import main
 from hgrec.core import load_hypergraph
 from hgrec.kgeval import prompt_key, render_prompt
+from hgrec.sweep import load_csv
 from conftest import KG_RESPONSE, KG_TSV
 
 
@@ -120,6 +121,21 @@ def test_sweep_wrong_value_type_exits_1(tmp_path, capsys, change, key):
     assert run("sweep", "--config", cfg, "-o", tmp_path / "rows.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("w_min", [0, -1])
+def test_sweep_nonpositive_w_min_records_invalid_weights(tmp_path, capsys, w_min):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "instances": [{"structure": "star", "n": 6, "w_min": w_min, "w_max": 10.0}],
+        "n_grid": [100],
+        "k_grid": [1],
+        "num_seeds": 2,
+    }), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert run("sweep", "--config", cfg, "-o", out) == 0
+    assert capsys.readouterr().err == ""
+    assert [r["status"] for r in load_csv(out)] == ["InvalidWeights", "InvalidWeights"]
 
 
 def test_cli_import_leaves_requests_unloaded():

@@ -364,3 +364,18 @@ def test_chat_network_error(monkeypatch):
     monkeypatch.setattr("requests.post", fail)
     with pytest.raises(RequestFailed):
         chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+
+
+@pytest.mark.parametrize("payload", [
+    [],
+    {"choices": None},
+    {"choices": []},
+    {"choices": ["text"]},
+    {"choices": [{"message": None}]},
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": 7}}]},
+])
+def test_chat_malformed_body(monkeypatch, payload):
+    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, payload, text="body"))
+    with pytest.raises(RequestFailed, match="malformed completion body"):
+        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_uniform_single_mask_triple():
     support = STRATEGY.support(edge("a", "b", "c"))
     assert len(support) == 3
     assert all(p == pytest.approx(1 / 3, abs=1e-15) for _, p in support)
+
+
+@given(st.sets(st.text(alphabet="abcXYZ019-é", min_size=1, max_size=3), min_size=2, max_size=6))
+def test_uniform_single_mask_matches_checked_forms(tokens):
+    e = Hyperedge(tokens)
+    expected = sorted((MaskedHyperedge((u for u in e if u != v), 1), 1.0 / len(e)) for v in e)
+    assert uniform_single_mask().support(e) == tuple(expected)
 
 
 def test_support_probabilities_sum_to_one():
@@ -311,11 +319,12 @@ def test_meta_graph_equals_line_graph_on_pairs():
         assert meta_edges == set(lg.edges)
 
 
-@settings(max_examples=200, deadline=None)
-@given(EDGE_LISTS, st.sampled_from([STRATEGY, HideOneOrTwo()]))
-def test_meta_graph_matches_brute_force(edges, strategy):
-    """Adjacency is "support sets intersect"; components and L come from BFS over it."""
-    edges = sorted(edges)
+def brute_force_meta_graph(edges, strategy):
+    """(support, adjacency, components, L) of sorted ``edges`` straight from the definitions.
+
+    Adjacency is "support sets intersect"; components and L come from one BFS
+    over it per start.
+    """
     support = {e: {f for f, _ in strategy.support(e)} for e in edges}
     adjacency = {
         e: tuple(u for u in edges if u != e and support[e] & support[u]) for e in edges
@@ -337,6 +346,15 @@ def test_meta_graph_matches_brute_force(edges, strategy):
     length = None
     if len(comps) == 1:
         length = 1 + max(max(distances(e).values()) for e in edges)
+    return support, adjacency, comps, length
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_LISTS, st.sampled_from([STRATEGY, HideOneOrTwo()]))
+def test_meta_graph_matches_brute_force(edges, strategy):
+    """Adjacency is "support sets intersect"; components and L come from BFS over it."""
+    edges = sorted(edges)
+    support, adjacency, comps, length = brute_force_meta_graph(edges, strategy)
 
     mg = build_meta_graph(WeightedHypergraph({e: 1.0 for e in edges}), strategy)
     assert mg.vertices == tuple(edges)
@@ -373,6 +391,40 @@ def test_length_bound_empty():
     mg = build_meta_graph(WeightedHypergraph({}), STRATEGY)
     with pytest.raises(EmptyHypergraph):
         mm_path_length_bound(mg)
+
+
+# Past 64 edges the reach bitmasks span several machine words.
+
+@pytest.mark.parametrize("n", [65, 130, 200])
+def test_length_bound_long_chain(n):
+    assert mm_path_length_bound(build_meta_graph(normalize(chain(n)), STRATEGY)) == n - 1
+
+
+def test_length_bound_wide_star():
+    assert mm_path_length_bound(build_meta_graph(normalize(star(200)), STRATEGY)) == 2
+
+
+def test_length_bound_two_chains_of_different_lengths():
+    pairs = [(f"a{i}", f"a{i + 1}") for i in range(70)] + [(f"b{i}", f"b{i + 1}") for i in range(9)]
+    h = WeightedHypergraph({Hyperedge(p): 1.0 for p in pairs})
+    assert mm_path_length_bound(build_meta_graph(h, STRATEGY)) is None
+
+
+@st.composite
+def wide_edge_lists(draw):
+    """40 to 80 same-size edges over few nodes, so that many lists are connected."""
+    k = draw(st.integers(2, 3))
+    pool = [Hyperedge(c) for c in combinations([str(i) for i in range(draw(st.integers(12, 16)))], k)]
+    return draw(st.permutations(pool))[: draw(st.integers(40, 80))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_edge_lists(), st.sampled_from([STRATEGY, HideOneOrTwo()]))
+def test_length_bound_matches_brute_force_past_one_word(edges, strategy):
+    edges = sorted(edges)
+    *_, length = brute_force_meta_graph(edges, strategy)
+    mg = build_meta_graph(WeightedHypergraph({e: 1.0 for e in edges}), strategy)
+    assert mm_path_length_bound(mg) == length
 
 
 # -- strategy constants ------------------------------------------------------------------

@@ -56,6 +56,19 @@ def test_errors_recorded_and_sweep_continues():
     assert rows[0]["d_plugin"] == ""
 
 
+@pytest.mark.parametrize("w_min", [0.0, -1.0])
+def test_nonpositive_w_min_recorded_as_invalid_weights(w_min):
+    cfg = SweepConfig(
+        instances=(InstanceSpec(structure="star", n=5, w_min=w_min, w_max=3.0),),
+        n_grid=(100, 200),
+        k_grid=(1,),
+        num_seeds=1,
+    )
+    rows = run_sweep(cfg)
+    assert [r["status"] for r in rows] == ["InvalidWeights", "InvalidWeights"]
+    assert all(r["d_plugin"] == "" for r in rows)
+
+
 def test_parallel_matches_serial():
     cfg = SweepConfig(
         instances=(InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),),
