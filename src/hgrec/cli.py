@@ -27,7 +27,7 @@ from .alignment import (
     parse_node_mapping,
 )
 from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
-from .core import Hyperedge, load_hypergraph, save_hypergraph
+from .core import load_hypergraph, save_hypergraph
 from .errors import HgrecError
 from .generators import GeneratorSpec
 from .kgeval import (
@@ -97,8 +97,7 @@ def _cmd_recover(args) -> int:
     if args.candidates == "pairs":
         candidates = ALL_PAIRS
     else:
-        lines = Path(args.candidates).read_text(encoding="utf-8").split("\n")
-        candidates = [Hyperedge(l.split()) for l in lines if l.strip()]
+        candidates = Dataset.load(args.candidates).samples
     recovered, connected = recover_from_oracle(
         oracle, candidates, strategy, ratio_aggregation=args.aggregation
     )

@@ -1,7 +1,10 @@
 """Masked-modeling oracles: the count-ratio minimizer and the exact population belief.
 
 Both oracle kinds expose ``query(masked) -> {completion: probability} | None``
-(``None`` signals an unseen / unsupported masked form) and ``known_nodes()``.
+(``None`` signals an unseen / unsupported masked form), ``forms()`` (the masked
+forms the oracle holds a distribution for, in canonical order; ``query`` returns
+a distribution for each of them and ``None`` for every other form) and
+``known_nodes()``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ class TabularOracle:
             return None
         total = sum(per.values())
         return {e: c / total for e, c in per.items()}
+
+    def forms(self) -> tuple[MaskedHyperedge, ...]:
+        return tuple(self._counts)
 
     def known_nodes(self) -> tuple[str, ...]:
         seen: set[str] = set()
@@ -124,7 +130,7 @@ class ExactOracle:
         for e in hypergraph.edge_set:
             for form, p in strategy.support(e):
                 support_map.setdefault(form, []).append((e, p))
-        self._support_map = {m: sorted(v) for m, v in support_map.items()}
+        self._support_map = {m: sorted(support_map[m]) for m in sorted(support_map)}
 
     def query(self, masked: MaskedHyperedge) -> dict[Hyperedge, float] | None:
         entries = self._support_map.get(masked)
@@ -133,6 +139,9 @@ class ExactOracle:
         raw = {e: self.hypergraph.weight(e) * p for e, p in entries}
         total = sum(raw.values())
         return {e: v / total for e, v in raw.items()}
+
+    def forms(self) -> tuple[MaskedHyperedge, ...]:
+        return tuple(self._support_map)
 
     def known_nodes(self) -> tuple[str, ...]:
         return self.hypergraph.nodes

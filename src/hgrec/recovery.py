@@ -1,10 +1,12 @@
 """Hypergraph estimation: plug-in counts from datasets and two-phase recovery from oracles.
 
 The oracle path first keeps every candidate hyperedge the oracle assigns
-positive belief to under at least one of its masked forms (checked over the
-whole support, deterministically), then propagates relative weights outward
-from a seed edge per share-a-mask component via breadth-first search, and
-finally normalizes globally.
+positive belief to under at least one of its masked forms. It finds them as a
+join: each form in the oracle's own table is read once, every completion with
+positive belief whose support contains that form is believed, and the
+candidates are filtered by that set, so no candidate is probed form by form.
+It then propagates relative weights outward from a seed edge per share-a-mask
+component via breadth-first search, and finally normalizes globally.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,16 +44,30 @@ def recover_from_dataset(d: Dataset) -> WeightedHypergraph:
     return WeightedHypergraph({e: c / n for e, c in counts.items()}, normalized=True)
 
 
-def _expand_candidates(oracle, candidates) -> tuple[Hyperedge, ...]:
+def _expand_candidates(candidates) -> tuple[Hyperedge, ...] | None:
+    """The sorted distinct candidates of an explicit list; ``None`` for ``ALL_PAIRS``."""
     if isinstance(candidates, str):
         if candidates != ALL_PAIRS:
             raise ValueError(f"unknown candidate set {candidates!r}")
-        nodes = oracle.known_nodes()
-        return tuple(Hyperedge(pair) for pair in combinations(nodes, 2))
+        return None
     expanded = tuple(sorted(set(candidates)))
     if not expanded:
         raise NothingRecovered("empty candidate set")
     return expanded
+
+
+def _believed(oracle, strategy: MaskingStrategy, query_cache) -> set[Hyperedge]:
+    """Completions with positive belief under some form of their own support.
+
+    Reads each of ``oracle.forms()`` once and stores the answer in ``query_cache``.
+    """
+    believed: set[Hyperedge] = set()
+    for form in oracle.forms():
+        dist = query_cache[form] = oracle.query(form)
+        for e, belief in dist.items():
+            if belief > 0.0 and e not in believed and any(f == form for f, _ in strategy.support(e)):
+                believed.add(e)
+    return believed
 
 
 def _positive_belief(query_cache, oracle, form: MaskedHyperedge, e: Hyperedge) -> float:
@@ -147,21 +162,24 @@ def recover_from_oracle(
     """Two-phase estimation from a masked-modeling oracle.
 
     Phase 1 keeps each candidate with positive belief under some masked form in
-    its support. Phase 2 runs breadth-first relative-weight propagation per
-    share-a-mask component (seeded at the component's smallest edge with scale
-    1) and normalizes globally. Returns the estimate and whether the kept
-    edges formed a single component.
+    its support. It reads each form the oracle holds once and collects the
+    completions believed under a form of their own support; ``ALL_PAIRS``
+    keeps the believed 2-node edges over the oracle's known nodes, sorted, and
+    an explicit list keeps its believed members in sorted order. Its cost
+    follows the oracle's form table, not the n(n-1)/2 pairs of ``ALL_PAIRS``.
+    Phase 2 runs breadth-first relative-weight propagation per share-a-mask
+    component (seeded at the component's smallest edge with scale 1), reusing
+    phase 1's answers, and normalizes globally. Returns the estimate and
+    whether the kept edges formed a single component.
     """
-    cand = _expand_candidates(oracle, candidates)
+    cand = _expand_candidates(candidates)
     cache: dict = {}
-    kept = [
-        e
-        for e in cand
-        if any(
-            _positive_belief(cache, oracle, form, e) > 0.0
-            for form, _ in strategy.support(e)
-        )
-    ]
+    believed = _believed(oracle, strategy, cache)
+    if cand is None:
+        nodes = set(oracle.known_nodes())
+        kept = sorted(e for e in believed if len(e) == 2 and nodes.issuperset(e.nodes))
+    else:
+        kept = [e for e in cand if e in believed]
     if not kept:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 

@@ -65,6 +65,28 @@ def test_exact_oracle_recover(tmp_path):
     assert dissimilarity(load_hypergraph(rec), truth) <= 1e-9
 
 
+def test_recover_candidate_file_matches_all_pairs(tmp_path):
+    g, by_pairs, by_file = tmp_path / "g.hg", tmp_path / "pairs.hg", tmp_path / "file.hg"
+    assert run("gen", "--structure", "star", "--n", 6, "--w-min", 1, "--w-max", 10,
+               "--seed", 1, "-o", g) == 0
+    lines = [" ".join(e.nodes) for e in load_hypergraph(g).edge_set]
+    cands = tmp_path / "cands.txt"
+    cands.write_text("\n".join(["1 2", *lines, "", "3 5", "2 4"]) + "\n", encoding="utf-8")
+    assert run("recover", "--exact-from", g, "--candidates", "pairs", "-o", by_pairs) == 0
+    assert run("recover", "--exact-from", g, "--candidates", cands, "-o", by_file) == 0
+    assert by_file.read_bytes() == by_pairs.read_bytes()
+
+
+def test_recover_bad_candidate_line_names_it(tmp_path, capsys):
+    g, cands = tmp_path / "g.hg", tmp_path / "cands.txt"
+    assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
+    cands.write_text("0 1\n0 2\n3\n", encoding="utf-8")
+    code = run("recover", "--exact-from", g, "--candidates", cands, "-o", tmp_path / "rec.hg")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")

@@ -85,6 +85,18 @@ def test_query_distributions_normalized():
             assert visible in e
 
 
+def test_forms_are_the_answered_forms_in_canonical_order():
+    h = assign_weights(star(5), 1.0, 10.0, seed=2)
+    supported = {f for e in h.edge_set for f, _ in STRATEGY.support(e)}
+    trained = train_tabular(sample_mm_dataset(h, 60, 1, STRATEGY, seed=4))
+    for oracle, expected in ((ExactOracle(h, STRATEGY), supported), (trained, set(trained.counts))):
+        forms = oracle.forms()
+        assert list(forms) == sorted(expected)
+        assert all(oracle.query(f) for f in forms)
+    assert ExactOracle(h, STRATEGY).query(MaskedHyperedge(["1", "2"], 1)) is None
+    assert TabularOracle().forms() == ()
+
+
 # -- relative weights -----------------------------------------------------------------
 
 def test_relative_weight_derived():

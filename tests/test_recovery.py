@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from hgrec import (
     NodeRelabeling,
     TabularOracle,
     WeightedHypergraph,
+    MetaGraph,
     bf_weight_estimation,
     dissimilarity,
     edge,
@@ -21,11 +23,14 @@ from hgrec import (
     recover_from_dataset,
     recover_from_oracle,
     recovery_report,
+    sample_mm_dataset,
     train_tabular,
     uniform_single_mask,
 )
+from hgrec.core import encode
 from hgrec.errors import EmptyDataset, NothingRecovered, NotABijection, UndefinedRatio
 from hgrec.generators import assign_weights, star
+from hgrec.recovery import _positive_belief
 from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
 
 STRATEGY = uniform_single_mask()
@@ -119,6 +124,94 @@ def test_geometric_mean_matches_on_exact_oracle():
     first, _ = recover_from_oracle(oracle, ALL_PAIRS, STRATEGY)
     geo, _ = recover_from_oracle(oracle, ALL_PAIRS, STRATEGY, ratio_aggregation="geometric_mean")
     assert dissimilarity(first, geo) <= 1e-9
+
+
+def probe_recover_from_oracle(oracle, candidates, strategy, *, ratio_aggregation="first"):
+    """Reference: recovery whose phase 1 builds every candidate and probes each of its forms."""
+    if isinstance(candidates, str):
+        if candidates != ALL_PAIRS:
+            raise ValueError(f"unknown candidate set {candidates!r}")
+        nodes = oracle.known_nodes()
+        cand = tuple(Hyperedge(pair) for pair in combinations(nodes, 2))
+    else:
+        cand = tuple(sorted(set(candidates)))
+        if not cand:
+            raise NothingRecovered("empty candidate set")
+    cache: dict = {}
+    kept = [
+        e
+        for e in cand
+        if any(
+            _positive_belief(cache, oracle, form, e) > 0.0
+            for form, _ in strategy.support(e)
+        )
+    ]
+    if not kept:
+        raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
+
+    components = MetaGraph.over(kept, strategy).components()
+    w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}
+    for comp in components:
+        seed = comp[0]
+        w_tilde[seed] = 1.0
+        bf_weight_estimation(
+            seed,
+            comp,
+            oracle,
+            strategy,
+            w_tilde,
+            ratio_aggregation=ratio_aggregation,
+            _query_cache=cache,
+        )
+    total = sum(w_tilde.values())
+    recovered = WeightedHypergraph(
+        {e: w / total for e, w in w_tilde.items()}, normalized=True
+    )
+    return recovered, len(components) == 1
+
+
+def recovery_outcome(recover, *args, **kwargs):
+    """The encoded estimate and connected flag, or the error's type and message."""
+    try:
+        recovered, connected = recover(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return encode(recovered), connected
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_phase1_join_matches_per_candidate_probes(data):
+    edges = data.draw(EDGE_LISTS)
+    weights = data.draw(st.lists(st.integers(1, 9), min_size=len(edges), max_size=len(edges)))
+    truth = normalize(WeightedHypergraph(dict(zip(edges, map(float, weights)))))
+    # The oracle's masking may differ from the one recovery assumes, so some
+    # completions are believed only under forms outside their recovery support.
+    oracle_strategy = data.draw(st.sampled_from([STRATEGY, HideOneOrTwo()]))
+    strategy = data.draw(st.sampled_from([STRATEGY, HideOneOrTwo()]))
+    if data.draw(st.booleans()):
+        oracle = ExactOracle(truth, oracle_strategy)
+    else:
+        n_outer = data.draw(st.integers(1, 40))
+        k_inner = data.draw(st.integers(1, 2))
+        seed = data.draw(st.integers(0, 2**16))
+        oracle = train_tabular(sample_mm_dataset(truth, n_outer, k_inner, oracle_strategy, seed))
+    candidates = data.draw(
+        st.one_of(
+            st.just(ALL_PAIRS),
+            st.just([]),
+            # Mixed sizes, some the oracle never saw, plus some of the truth's edges.
+            st.tuples(EDGE_LISTS, st.lists(st.sampled_from(edges))).map(lambda t: t[0] + t[1]),
+        )
+    )
+    aggregation = data.draw(st.sampled_from(["first", "geometric_mean"]))
+    expected = recovery_outcome(
+        probe_recover_from_oracle, oracle, candidates, strategy, ratio_aggregation=aggregation
+    )
+    actual = recovery_outcome(
+        recover_from_oracle, oracle, candidates, strategy, ratio_aggregation=aggregation
+    )
+    assert actual == expected
 
 
 # -- breadth-first weight propagation ------------------------------------------------------
