@@ -13,6 +13,7 @@ from hgrec import (
     NodeRelabeling,
     SimpleGraph,
     WeightedHypergraph,
+    align_exact,
     align_wl_anchored,
     build_meta_graph,
     edge,
@@ -153,3 +154,69 @@ def test_wl_refine_frucht_colorings():
         "0": 0, "1": 1, "10": 2, "11": 3, "2": 4, "3": 5,
         "4": 6, "5": 7, "6": 8, "7": 9, "8": 10, "9": 11,
     }
+
+
+def random_mixed(rng, n, m):
+    """``m`` distinct hyperedges of 2 to 4 of ``n`` nodes, weights 1 to 4, normalized.
+
+    Redrawn until every node is covered, so two draws with the same ``n`` have
+    the same node count; the few weight values make many equal-cost mappings.
+    """
+    nodes = [f"v{i}" for i in range(n)]
+    while True:
+        edges = {edge(*rng.sample(nodes, rng.randint(2, 4))) for _ in range(m)}
+        if len({v for e in edges for v in e}) == n:
+            return normalize(WeightedHypergraph({e: float(rng.randint(1, 4)) for e in sorted(edges)}))
+
+
+# sha256 of format_alignment(align_exact(h1, h2)); `#cost` is printed with .17g.
+EXACT_ALIGNMENT_PINS = {
+    "relabeled0": "288200e3b461dc233c4ef719f8b80e9467a54c690350755891a893460f48174a",
+    "relabeled1": "77eede5d3779495d25c220f930720a6c06117f8017a50a3522598177e0629549",
+    "different0": "85edd9dc9bf51a324d1e954df7adc8baeb579461bd09a780f727e0d026d1181a",
+    "different1": "0ca7a0cf8c3756a2d4d0bba3aa8fe19e885d3f69835fc44558c926611d8634a2",
+    "mixed0": "20c594ac1333e7efa33cb560a486ce0f23986952246df564afe4ab6bad83781b",
+    "mixed1": "2cb0a76c6564d3f61d554f2ebe35c7f2e6b1625dacdf9dbabb1021f630d244ea",
+    "mixed2": "84d730706eec878667f734b43d014f2b3c93f92a92fc5b33f1e460e1866e777c",
+    "mixed_relabeled": "d0e9c3006ee757393f2c7f9156d37b3809ab89c0c7f72d849c1cec5334cf128d",
+    "cubic_relabeled": "855dc9598aef8fc2ec4a7ee37abefba12f9d130f3815d578b7ce1bea2b664a0b",
+    "cubic_different": "c378844a5f567b9d8ffe30d8e03f7cc34f54c34668c61299eac882913cb76420",
+    "star_chain": "1003fa224ac9aeed686197181ac8e1c18f0e2a85ec6dab7ca531f40d3b0fdca4",
+    "mixed_small0": "abd42260bce0a568fce2cd5fc4cba29cde4d1d981c6d93c747b1f58536b9b89d",
+    "mixed_small1": "856cf3f66d363892b8c777aceebd2435741ba9186560988f6ce5686446e2e7ef",
+    "mixed_small2": "4b40bf7cf7c96144acefdaf8bd9926a057a062a8f11b35c780ee1adec2a921bf",
+    "mixed_small3": "bc7b24aa5dce0e82c7a20f7589d499ea1ae0597ea0f1def28d303c68dad2795d",
+}
+
+
+def exact_alignment_cases():
+    rng = random.Random(41)
+    cases = {}
+    for i in range(2):
+        h = GeneratorSpec("wcgnm", 8, 0.4, 1.0, 10.0, 50 + i).build()
+        cases[f"relabeled{i}"] = (h, shuffled(h, 60 + i))
+    for i in range(2):
+        cases[f"different{i}"] = (
+            GeneratorSpec("wcgnm", 7, 0.5, 1.0, 10.0, 70 + 2 * i).build(),
+            GeneratorSpec("wcgnm", 7, 0.5, 1.0, 10.0, 71 + 2 * i).build(),
+        )
+    for i in range(3):
+        h = random_mixed(rng, 7, 6 + i)
+        cases[f"mixed{i}"] = (h, random_mixed(rng, 7, 5 + 2 * i))
+    h = random_mixed(rng, 7, 7)
+    cases["mixed_relabeled"] = (h, shuffled(h, 80))
+    cube = random_cubic(rng, 8)
+    cases["cubic_relabeled"] = (cube, shuffled(cube, 81))
+    cases["cubic_different"] = (cube, random_cubic(rng, 8))
+    cases["star_chain"] = (normalize(star(8)), normalize(chain(8)))
+    for i in range(4):
+        cases[f"mixed_small{i}"] = (random_mixed(rng, 5, 3 + i), random_mixed(rng, 5, 6 - i))
+    return cases
+
+
+def test_exact_alignment_bytes():
+    got = {
+        label: sha(format_alignment(align_exact(h1, h2)).encode("utf-8"))
+        for label, (h1, h2) in exact_alignment_cases().items()
+    }
+    assert got == EXACT_ALIGNMENT_PINS
