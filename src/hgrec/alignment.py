@@ -19,10 +19,14 @@ route is deterministic.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import permutations
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .core import (
     Hyperedge,
@@ -80,6 +84,22 @@ class AnchorSet:
         return cls()
 
 
+#: Positions permuted within one block of :func:`align_exact`'s scan: 8! rows.
+_BLOCK = 8
+
+
+@lru_cache(maxsize=None)
+def _lex_permutations(k: int) -> np.ndarray:
+    """Every permutation of ``range(k)`` as a read-only ``(k, k!)`` array.
+
+    Column ``j`` is the ``j``-th permutation in lexicographic order.
+    """
+    table = np.array(list(permutations(range(k))), dtype=np.int64)
+    table = np.ascontiguousarray(table.reshape(math.factorial(k), k).T)
+    table.flags.writeable = False
+    return table
+
+
 def align_exact(
     h1: WeightedHypergraph, h2: WeightedHypergraph, max_nodes: int = 8
 ) -> Alignment:
@@ -87,6 +107,13 @@ def align_exact(
 
     Among minimizers the lexicographically smallest mapping (by sorted pair
     list) is returned. Cost grows as n!, hence the ``max_nodes`` cap.
+
+    Each edge of ``h2`` is keyed by the bitmask of its node indices, and its
+    weight sits in a dense table of ``2**n`` entries. The bijections are
+    scanned as numpy columns, in blocks of at most 8! that fix the images of
+    the first ``n - 8`` nodes, in lexicographic order. For every bijection the
+    per-edge terms are added in ``h1``'s edge order, so each cost is the same
+    float the one-bijection-at-a-time sum gives, and the first minimum wins.
     """
     v1, v2 = h1.nodes, h2.nodes
     if len(v1) != len(v2):
@@ -94,33 +121,49 @@ def align_exact(
     if len(v1) > max_nodes:
         raise TooLarge(f"{len(v1)} nodes exceeds max_nodes={max_nodes}")
     n = len(v1)
+    weights2 = h2.edges
     idx2 = {v: i for i, v in enumerate(v2)}
-    edges1 = [
-        (tuple(i for i, v in enumerate(v1) if v in e), w) for e, w in h1.edges.items()
-    ]
-    w2 = {tuple(sorted(idx2[v] for v in e)): w for e, w in h2.edges.items()}
-    total2 = sum(w2.values())
+    table = np.zeros(1 << n)
+    present = np.zeros(1 << n, dtype=bool)
+    for e, w in weights2.items():
+        key = sum(1 << idx2[v] for v in e)
+        table[key] = w
+        present[key] = True
+    total2 = sum(weights2.values())
+    idx1 = {v: i for i, v in enumerate(v1)}
+    edges1 = [([idx1[v] for v in e], w) for e, w in h1.edges.items()]
+    m1, m2 = len(edges1), len(weights2)
 
-    best_cost = float("inf")
-    best_perm: tuple[int, ...] | None = None
-    m1, m2 = len(edges1), len(w2)
-    for perm in permutations(range(n)):
-        acc = 0.0
-        hit = 0.0
-        hits = 0
+    fixed = max(n - _BLOCK, 0)
+    tail = _lex_permutations(n - fixed)
+    rows = tail.shape[1]
+    best_cost = math.inf
+    best_perm: tuple[int, ...] = ()
+    for prefix in permutations(range(n), fixed):
+        rest = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.int64)
+        # perms[i, j]: the h2 index that h1's node i maps to under bijection j.
+        perms = np.empty((n, rows), dtype=np.int64)
+        perms[:fixed] = np.array(prefix, dtype=np.int64).reshape(fixed, 1)
+        perms[fixed:] = rest[tail]
+        bits = 1 << perms
+        acc = np.zeros(rows)
+        hit = np.zeros(rows)
+        hits = np.zeros(rows, dtype=np.int64)
         for nodes_idx, w in edges1:
-            key = tuple(sorted(perm[i] for i in nodes_idx))
-            wb = w2.get(key, 0.0)
-            acc += abs(w - wb)
+            key = reduce(np.bitwise_or, (bits[i] for i in nodes_idx))
+            wb = table[key]
+            acc += np.abs(w - wb)
             hit += wb
-            hits += key in w2
-        if hits == m1 == m2:
-            cost = acc  # every edge matched: the unmatched remainder is exactly zero
+            hits += present[key]
+        if m1 == m2:
+            # every edge matched: the unmatched remainder is exactly zero
+            cost = np.where(hits == m1, acc, acc + (total2 - hit))
         else:
             cost = acc + (total2 - hit)
-        if cost < best_cost:
-            best_cost = cost
-            best_perm = perm
+        j = int(np.argmin(cost))
+        if cost[j] < best_cost:
+            best_cost = float(cost[j])
+            best_perm = tuple(perms[:, j].tolist())
     mapping = NodeRelabeling({v1[i]: v2[best_perm[i]] for i in range(n)})
     return Alignment(mapping=mapping, cost=best_cost)
 

@@ -4,6 +4,8 @@ import sys
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgrec import (
     Alignment,
@@ -36,7 +38,7 @@ from hgrec.errors import (
     TooLarge,
 )
 from hgrec.generators import chain, frucht, star
-from conftest import random_connected_graph, random_relabeling
+from conftest import EDGE_LISTS, random_connected_graph, random_relabeling
 
 
 def simple(h):
@@ -107,6 +109,112 @@ def test_align_exact_invariant_under_relabeling():
     base = align_exact(h1, h2).cost
     phi = random_relabeling(rng, h1, prefix="w")
     assert align_exact(relabel(h1, phi), h2).cost == pytest.approx(base, abs=1e-12)
+
+
+def loop_align_exact(h1, h2, max_nodes=8):
+    """Reference: the one-bijection-at-a-time scan that the vectorized scan replaced."""
+    v1, v2 = h1.nodes, h2.nodes
+    if len(v1) != len(v2):
+        raise SizeMismatch(f"node counts differ: {len(v1)} vs {len(v2)}")
+    if len(v1) > max_nodes:
+        raise TooLarge(f"{len(v1)} nodes exceeds max_nodes={max_nodes}")
+    n = len(v1)
+    idx2 = {v: i for i, v in enumerate(v2)}
+    edges1 = [
+        (tuple(i for i, v in enumerate(v1) if v in e), w) for e, w in h1.edges.items()
+    ]
+    w2 = {tuple(sorted(idx2[v] for v in e)): w for e, w in h2.edges.items()}
+    total2 = sum(w2.values())
+
+    best_cost = float("inf")
+    best_perm: tuple[int, ...] | None = None
+    m1, m2 = len(edges1), len(w2)
+    for perm in permutations(range(n)):
+        acc = 0.0
+        hit = 0.0
+        hits = 0
+        for nodes_idx, w in edges1:
+            key = tuple(sorted(perm[i] for i in nodes_idx))
+            wb = w2.get(key, 0.0)
+            acc += abs(w - wb)
+            hit += wb
+            hits += key in w2
+        if hits == m1 == m2:
+            cost = acc  # every edge matched: the unmatched remainder is exactly zero
+        else:
+            cost = acc + (total2 - hit)
+        if cost < best_cost:
+            best_cost = cost
+            best_perm = perm
+    mapping = NodeRelabeling({v1[i]: v2[best_perm[i]] for i in range(n)})
+    return Alignment(mapping=mapping, cost=best_cost)
+
+
+def exact_outcome(align, h1, h2, max_nodes):
+    try:
+        return format_alignment(align(h1, h2, max_nodes=max_nodes))
+    except (SizeMismatch, TooLarge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def exact_alignment_inputs(draw):
+    """Pairs on up to 7 nodes: relabeled, reweighted, edited or unrelated, with few weights."""
+    weights = st.sampled_from([1.0, 2.0, 3.0, 0.5])
+    edges1 = draw(EDGE_LISTS)
+    h1 = WeightedHypergraph({e: draw(weights) for e in edges1})
+    kind = draw(st.sampled_from(["relabel", "reweight", "edit", "unrelated"]))
+    if kind == "unrelated":
+        edges2 = draw(EDGE_LISTS)
+    elif kind == "edit":
+        # Drop some edges and add some over the same nodes, so m1 != m2 at equal n.
+        dropped = draw(st.sets(st.sampled_from(edges1), max_size=2))
+        kept = [e for e in edges1 if e not in dropped]
+        extra = st.sets(st.sampled_from(h1.nodes), min_size=2, max_size=4).map(Hyperedge)
+        edges2 = kept + [e for e in draw(st.lists(extra, max_size=4)) if e not in kept]
+        edges2 = list(dict.fromkeys(edges2)) or edges1
+    else:
+        edges2 = edges1
+    if kind == "relabel":
+        h2 = h1
+    else:
+        h2 = WeightedHypergraph({e: draw(weights) for e in edges2})
+    targets = draw(st.permutations([f"y{i}" for i in range(h2.n)]))
+    h2 = relabel(h2, NodeRelabeling(dict(zip(h2.nodes, targets))))
+    if draw(st.booleans()):
+        # Normalized weights are not dyadic, so a reordered sum rounds differently.
+        h1, h2 = normalize(h1), normalize(h2)
+    return h1, h2, draw(st.one_of(st.just(8), st.integers(0, 7)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_alignment_inputs())
+def test_align_exact_matches_loop(case):
+    h1, h2, max_nodes = case
+    expected = exact_outcome(loop_align_exact, h1, h2, max_nodes)
+    assert exact_outcome(align_exact, h1, h2, max_nodes) == expected
+
+
+def test_align_exact_scans_past_the_first_block():
+    # A 9-node path with distinct weights: the relabeling is the only zero-cost
+    # bijection. Above 8 nodes the scan fixes the image of v1[0] per block of
+    # 8!; "0" maps to "y5", so that bijection lies in the sixth block.
+    h1 = WeightedHypergraph({edge(str(i), str(i + 1)): float(i + 1) for i in range(8)})
+    phi = NodeRelabeling({str(i): f"y{(i + 5) % 9}" for i in range(9)})
+    h2 = relabel(h1, phi)
+    a = align_exact(h1, h2, max_nodes=9)
+    assert a.cost == 0.0
+    assert relabel(h1, a.mapping) == h2
+    assert a.mapping.pairs[0] == ("0", "y5")
+
+
+def test_align_exact_tiebreak_across_blocks():
+    # The 18 automorphisms of a 9-cycle map node "0" anywhere, so every block
+    # holds a zero-cost bijection; the identity, in the first block, must win.
+    cycle = normalize(WeightedHypergraph({edge(str(i), str((i + 1) % 9)): 1.0 for i in range(9)}))
+    a = align_exact(cycle, cycle, max_nodes=9)
+    assert a.cost == 0.0
+    assert a.mapping.pairs == tuple((v, v) for v in cycle.nodes)
 
 
 # -- hyperedge-identifier alignment ---------------------------------------------------

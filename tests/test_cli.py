@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from hgrec import NodeRelabeling, WeightedHypergraph, edge, relabel
+from hgrec.alignment import parse_node_mapping
 from hgrec.cli import main
-from hgrec.core import load_hypergraph
+from hgrec.core import load_hypergraph, save_hypergraph
 from hgrec.kgeval import prompt_key, render_prompt
 from hgrec.sweep import load_csv
 from conftest import KG_RESPONSE, KG_TSV
@@ -178,6 +180,22 @@ def test_align_methods(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[-1].startswith("#cost ")
     assert len(lines) == 13  # 12 node pairs + cost
+
+
+def test_align_exact_above_eight_nodes(tmp_path, capsys):
+    h1, h2, out = tmp_path / "a.hg", tmp_path / "b.hg", tmp_path / "al.txt"
+    # A path with distinct weights: the relabeling is the only zero-cost bijection.
+    g = WeightedHypergraph({edge(str(i), str(i + 1)): float(i + 1) for i in range(8)})
+    phi = NodeRelabeling({str(i): f"y{(i + 5) % 9}" for i in range(9)})
+    save_hypergraph(g, h1)
+    save_hypergraph(relabel(g, phi), h2)
+    assert run("align", "--h1", h1, "--h2", h2, "--method", "exact", "-o", out) == 1
+    assert "max_nodes=8" in capsys.readouterr().err
+    assert run("align", "--h1", h1, "--h2", h2, "--method", "exact", "--max-nodes", 9,
+               "-o", out) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.endswith("#cost 0\n")
+    assert parse_node_mapping(text).pairs == phi.pairs
 
 
 def test_align_non_isomorphic_exits_1(tmp_path, capsys):
