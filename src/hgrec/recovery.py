@@ -92,6 +92,7 @@ def bf_weight_estimation(
     *,
     ratio_aggregation: str = "first",
     _query_cache: dict | None = None,
+    _meta_graph: MetaGraph | None = None,
 ) -> dict[Hyperedge, float]:
     """Propagate relative weights from ``e_init`` over the share-a-mask relation.
 
@@ -106,10 +107,13 @@ def bf_weight_estimation(
         raise ValueError(f"ratio_aggregation must be one of {RATIO_AGGREGATIONS}")
     if w_tilde.get(e_init, 0.0) != 1.0:
         raise ValueError("w_tilde[e_init] must be 1.0 before propagation")
-    mg = MetaGraph.over(kept_edges, strategy)
+    # A caller that already built the incidence over a superset of whole
+    # components passes it: the owners of a form and the walk are the same.
+    mg = _meta_graph if _meta_graph is not None else MetaGraph.over(kept_edges, strategy)
     cache = _query_cache if _query_cache is not None else {}
-    # Per form, the owners still unweighted; pruned whenever the form is read.
-    pending = {f: list(owners) for f, owners in mg.owners.items()}
+    # Per form, the owners still unweighted; filled on the form's first read
+    # and pruned whenever the form is read again.
+    pending: dict[MaskedHyperedge, list[Hyperedge]] = {}
 
     queue = [e_init]
     head = 0
@@ -118,7 +122,9 @@ def bf_weight_estimation(
         head += 1
         shared: dict[Hyperedge, list[MaskedHyperedge]] = {}
         for form in mg.forms[e]:
-            unweighted = [u for u in pending[form] if w_tilde.get(u, 0.0) <= 0.0]
+            unweighted = [
+                u for u in pending.get(form, mg.owners[form]) if w_tilde.get(u, 0.0) <= 0.0
+            ]
             pending[form] = unweighted
             for nb in unweighted:
                 if nb != e:
@@ -183,7 +189,8 @@ def recover_from_oracle(
     if not kept:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 
-    components = MetaGraph.over(kept, strategy).components()
+    mg = MetaGraph.over(kept, strategy)
+    components = mg.components()
     w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}
     for comp in components:
         seed = comp[0]
@@ -196,6 +203,7 @@ def recover_from_oracle(
             w_tilde,
             ratio_aggregation=ratio_aggregation,
             _query_cache=cache,
+            _meta_graph=mg,
         )
     total = sum(w_tilde.values())
     recovered = WeightedHypergraph(
