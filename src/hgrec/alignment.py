@@ -3,7 +3,9 @@
 Four routes, cheapest applicable first:
 
 * :func:`align_exact` minimizes the weighted dissimilarity over all node
-  bijections (small inputs only).
+  bijections (small inputs only), scanning them as numpy columns: edges are
+  keyed by the bitmask of their node indices into a dense weight table, and
+  the bijections come in blocks of at most 8! in lexicographic order.
 * :func:`align_by_hyperedge_ids` uses a known edge correspondence: each node is
   labeled by the descending tuple of its incident edge identifiers and the two
   sorted label sequences are matched positionally.
@@ -23,7 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -90,12 +92,15 @@ _BLOCK = 8
 
 @lru_cache(maxsize=None)
 def _lex_permutations(k: int) -> np.ndarray:
-    """Every permutation of ``range(k)`` as a read-only ``(k, k!)`` array.
+    """Every permutation of ``range(k)`` as a read-only ``(k, k!)`` uint8 array.
 
-    Column ``j`` is the ``j``-th permutation in lexicographic order.
+    Column ``j`` is the ``j``-th permutation in lexicographic order. Built
+    without a list of tuples and stored as uint8, the cached 8! table takes
+    322 KB, not the 2.6 MB of int64.
     """
-    table = np.array(list(permutations(range(k))), dtype=np.int64)
-    table = np.ascontiguousarray(table.reshape(math.factorial(k), k).T)
+    count = math.factorial(k)
+    flat = np.fromiter(chain.from_iterable(permutations(range(k))), np.uint8, k * count)
+    table = np.ascontiguousarray(flat.reshape(count, k).T)
     table.flags.writeable = False
     return table
 
@@ -109,11 +114,12 @@ def align_exact(
     list) is returned. Cost grows as n!, hence the ``max_nodes`` cap.
 
     Each edge of ``h2`` is keyed by the bitmask of its node indices, and its
-    weight sits in a dense table of ``2**n`` entries. The bijections are
-    scanned as numpy columns, in blocks of at most 8! that fix the images of
-    the first ``n - 8`` nodes, in lexicographic order. For every bijection the
-    per-edge terms are added in ``h1``'s edge order, so each cost is the same
-    float the one-bijection-at-a-time sum gives, and the first minimum wins.
+    weight sits in a dense table of ``2**n`` entries, zero where no edge is.
+    The bijections are scanned as numpy columns, in blocks of at most 8! that
+    fix the images of the first ``n - 8`` nodes, in lexicographic order. For
+    every bijection the per-edge terms are added in ``h1``'s edge order, so
+    each cost is the same float the one-bijection-at-a-time sum gives, and the
+    first minimum wins.
     """
     v1, v2 = h1.nodes, h2.nodes
     if len(v1) != len(v2):
@@ -124,11 +130,8 @@ def align_exact(
     weights2 = h2.edges
     idx2 = {v: i for i, v in enumerate(v2)}
     table = np.zeros(1 << n)
-    present = np.zeros(1 << n, dtype=bool)
     for e, w in weights2.items():
-        key = sum(1 << idx2[v] for v in e)
-        table[key] = w
-        present[key] = True
+        table[sum(1 << idx2[v] for v in e)] = w
     total2 = sum(weights2.values())
     idx1 = {v: i for i, v in enumerate(v1)}
     edges1 = [([idx1[v] for v in e], w) for e, w in h1.edges.items()]
@@ -140,12 +143,11 @@ def align_exact(
     best_cost = math.inf
     best_perm: tuple[int, ...] = ()
     for prefix in permutations(range(n), fixed):
-        rest = np.array(sorted(set(range(n)).difference(prefix)), dtype=np.int64)
-        # perms[i, j]: the h2 index that h1's node i maps to under bijection j.
-        perms = np.empty((n, rows), dtype=np.int64)
-        perms[:fixed] = np.array(prefix, dtype=np.int64).reshape(fixed, 1)
-        perms[fixed:] = rest[tail]
-        bits = 1 << perms
+        rest = sorted(set(range(n)).difference(prefix))
+        # bits[i, j]: the bit of the h2 node that h1's node i maps to under bijection j.
+        bits = np.empty((n, rows), dtype=np.int64)
+        bits[:fixed] = np.array([1 << p for p in prefix], dtype=np.int64).reshape(fixed, 1)
+        bits[fixed:] = np.array([1 << r for r in rest], dtype=np.int64)[tail]
         acc = np.zeros(rows)
         hit = np.zeros(rows)
         hits = np.zeros(rows, dtype=np.int64)
@@ -154,7 +156,7 @@ def align_exact(
             wb = table[key]
             acc += np.abs(w - wb)
             hit += wb
-            hits += present[key]
+            hits += wb > 0.0  # every edge weight is positive
         if m1 == m2:
             # every edge matched: the unmatched remainder is exactly zero
             cost = np.where(hits == m1, acc, acc + (total2 - hit))
@@ -163,7 +165,7 @@ def align_exact(
         j = int(np.argmin(cost))
         if cost[j] < best_cost:
             best_cost = float(cost[j])
-            best_perm = tuple(perms[:, j].tolist())
+            best_perm = prefix + tuple(rest[t] for t in tail[:, j].tolist())
     mapping = NodeRelabeling({v1[i]: v2[best_perm[i]] for i in range(n)})
     return Alignment(mapping=mapping, cost=best_cost)
 
