@@ -171,8 +171,8 @@ def exact_alignment_inputs(draw):
         dropped = draw(st.sets(st.sampled_from(edges1), max_size=2))
         kept = [e for e in edges1 if e not in dropped]
         extra = st.sets(st.sampled_from(h1.nodes), min_size=2, max_size=4).map(Hyperedge)
-        edges2 = kept + [e for e in draw(st.lists(extra, max_size=4)) if e not in kept]
-        edges2 = list(dict.fromkeys(edges2)) or edges1
+        added = draw(st.lists(extra, max_size=4, unique=True))
+        edges2 = kept + [e for e in added if e not in kept] or edges1
     else:
         edges2 = edges1
     if kind == "relabel":
