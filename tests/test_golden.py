@@ -10,6 +10,7 @@ import io
 import random
 
 from hgrec import (
+    AnchorSet,
     NodeRelabeling,
     SimpleGraph,
     WeightedHypergraph,
@@ -220,3 +221,128 @@ def test_exact_alignment_bytes():
         for label, (h1, h2) in exact_alignment_cases().items()
     }
     assert got == EXACT_ALIGNMENT_PINS
+
+
+# -- seeded family of anchored searches and colorings ---------------------------------
+
+
+def relabeled(h, rng):
+    """``h`` with its node names permuted among themselves, and the permutation."""
+    nodes = list(h.nodes)
+    perm = nodes[:]
+    rng.shuffle(perm)
+    phi = NodeRelabeling(dict(zip(nodes, perm)))
+    return relabel(h, phi), phi
+
+
+def circulant(n, jumps):
+    """The unit-weight circulant graph C_n(jumps), normalized."""
+    pairs = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}
+    return normalize(WeightedHypergraph({edge(str(a), str(b)): 1.0 for a, b in pairs}))
+
+
+def anchor_variants(rng, h, phi):
+    """No anchors, right and wrong node anchors, right and wrong edge anchors."""
+    nodes, edges = h.nodes, h.edge_set
+    v, w = rng.sample(nodes, 2)
+    e, f = rng.sample(edges, 2)
+    u = rng.choice(nodes)
+    return {
+        "none": AnchorSet(),
+        "node": AnchorSet(node_pairs=((v, phi[v]),)),
+        "node2": AnchorSet(node_pairs=((v, phi[v]), (u, phi[u])) if u != v else ((v, phi[v]),)),
+        "wrong_node": AnchorSet(node_pairs=((v, phi[w]),)),
+        "edge": AnchorSet(edge_pairs=((e, phi.apply_edge(e)),)),
+        "wrong_edge": AnchorSet(edge_pairs=((e, phi.apply_edge(f)),)),
+    }
+
+
+def search_outcome(h1, h2, anchors):
+    """``format_alignment`` plus ``backtracks``, ``None``, or the error's type and message."""
+    try:
+        a = align_wl_anchored(h1, h2, anchors)
+    except Exception as exc:  # the pin records the failure, whichever it is
+        return f"{type(exc).__name__}: {exc}\n"
+    if a is None:
+        return "None\n"
+    return f"{format_alignment(a)}#backtracks {a.backtracks}\n"
+
+
+def search_family():
+    """(label, h1, h2, anchors) for 783 seeded ``align_wl_anchored`` cases."""
+    rng = random.Random(20261018)
+    cases = []
+    for i in range(40):
+        h = random_cubic(rng, rng.choice(range(8, 21, 2)))
+        h2, phi = relabeled(h, rng)
+        for kind, anchors in anchor_variants(rng, h, phi).items():
+            cases.append((f"cubic{i}-{kind}", h, h2, anchors))
+        cases.append((f"cubic{i}-other", h, random_cubic(rng, len(h.nodes)), AnchorSet()))
+    for i, (n, jumps) in enumerate(
+        (n, jumps)
+        for n in range(6, 17)
+        for jumps in ((1,), (1, 2), (1, 3), (2, 3), (1, n // 2))
+        if max(jumps) < n - max(jumps)
+    ):
+        h = circulant(n, jumps)
+        h2, phi = relabeled(h, rng)
+        for kind, anchors in anchor_variants(rng, h, phi).items():
+            if kind in ("none", "node", "wrong_node"):
+                cases.append((f"circ{n}{jumps}-{kind}", h, h2, anchors))
+    for n in range(7, 17):
+        pair = (circulant(n, (1, 2)), circulant(n, (1, 3)))
+        if len(pair[0].edges) == len(pair[1].edges):
+            cases.append((f"circ{n}-12-13", pair[0], relabeled(pair[1], rng)[0], AnchorSet()))
+    for i in range(50):
+        n = rng.randint(5, 9)
+        h = random_mixed(rng, n, rng.randint(n - 2, 2 * n))
+        h2, phi = relabeled(h, rng)
+        for kind, anchors in anchor_variants(rng, h, phi).items():
+            cases.append((f"mixed{i}-{kind}", h, h2, anchors))
+        other = random_mixed(rng, n, len(h.edges))
+        cases.append((f"mixed{i}-other", h, other, AnchorSet()))
+    h = normalize(star(7))
+    cases.append(("sizes", h, normalize(star(8)), AnchorSet()))
+    cases.append(("unknown", h, h, AnchorSet(node_pairs=(("0", "x"),))))
+    return cases
+
+
+SEARCH_FAMILY_DIGEST = "94db87f6219fa321b9ec5ecac44d60bc3685f291f3f61312135cae7509b36141"
+
+
+def test_wl_ir_seeded_family_bytes():
+    cases = search_family()
+    assert len(cases) == 783
+    text = "".join(f"{label}\n{search_outcome(h1, h2, anchors)}" for label, h1, h2, anchors in cases)
+    assert sha(text.encode("utf-8")) == SEARCH_FAMILY_DIGEST
+
+
+def wl_family():
+    """(graph, initial coloring or None) for 200 seeded random graphs."""
+    rng = random.Random(1018)
+    cases = []
+    for i in range(200):
+        n = rng.randint(2, 24)
+        vertices = [f"u{j}" for j in range(n)]
+        p = rng.choice((0.1, 0.2, 0.3, 0.5))
+        g = SimpleGraph(
+            vertices, [(a, b) for k, a in enumerate(vertices) for b in vertices[k + 1:] if rng.random() < p]
+        )
+        initial = None
+        if i % 2:
+            k = rng.randint(1, 3)
+            initial = {v: rng.randrange(k) for v in vertices}
+            initial[vertices[0]] = 0
+            initial = {v: sorted(set(initial.values())).index(c) for v, c in initial.items()}
+        cases.append((g, initial))
+    return cases
+
+
+WL_FAMILY_DIGEST = "c572af074a32b59572290f8d39c3470cbe42b6da7b2cea2a83687634033f5d8f"
+
+
+def test_wl_refine_seeded_family_bytes():
+    text = "".join(
+        repr(sorted(wl_refine(g, initial).items())) + "\n" for g, initial in wl_family()
+    )
+    assert sha(text.encode("utf-8")) == WL_FAMILY_DIGEST
