@@ -22,7 +22,7 @@ route is deterministic.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, permutations
@@ -229,24 +229,230 @@ def align_by_hyperedge_ids(
 # -- color refinement -----------------------------------------------------------
 
 
-def _refine(adjs, colorings):
-    """Refine the colorings of one or more graphs, with shared color ids, to a fixpoint.
+class _Partition:
+    """An ordered partition of integer vertices, refined in place, with an undo trail.
 
-    A vertex's new color is the rank of its (own color, sorted neighbor colors)
-    signature among the sorted signatures of all sides. Refinement stops when
-    the number of color classes stops growing.
+    The vertices of one graph, or of two graphs numbered one after the other
+    (the first ``side1`` belong to the first graph), share one sequence of
+    cells. A cell's label is its offset: the number of vertices in the cells
+    before it. Offsets order the cells as plain refinement's color ids (the
+    ranks of the classes) do, and an order-preserving relabeling does not
+    change how sorted tuples of neighbor labels compare, so the cells split
+    and sort exactly as those colors would.
+
+    :meth:`refine` runs synchronous rounds that examine only the cells holding
+    a touched vertex. A touched vertex gets its own tuple; the members not
+    touched had equal tuples when the cell last formed and no neighbor of
+    theirs has changed label since, so one of them stands for all. A cell
+    whose tuples differ is replaced in place by its children in tuple order;
+    the vertices whose label changed touch their neighbors for the next
+    round, and the partition is stable when a round splits nothing.
+
+    Each change is appended to ``trail`` and :meth:`undo` rolls back to an
+    earlier trail length, so a search frame stores one integer.
     """
-    count = len(set().union(*(c.values() for c in colorings)))
-    while True:
-        sigs = [
-            {v: (c[v], tuple(sorted(c[u] for u in nbrs))) for v, nbrs in adj.items()}
-            for adj, c in zip(adjs, colorings)
-        ]
-        ids = {s: i for i, s in enumerate(sorted(set().union(*(sig.values() for sig in sigs))))}
-        colorings = [{v: ids[s] for v, s in sig.items()} for sig in sigs]
-        if len(ids) == count:
-            return colorings
-        count = len(ids)
+
+    def __init__(self, adj: list[list[int]], colors: list, side1: int):
+        self.adj = adj
+        self.side1 = side1
+        self.cell_of = [0] * len(adj)
+        self.members: list[set[int]] = []
+        self.label: list[int] = []
+        #: The number of first-graph vertices in each cell.
+        self.size1: list[int] = []
+        #: The cells with more than one first-graph vertex.
+        self.open: set[int] = set()
+        self.trail: list[tuple] = []
+        groups: dict = {}
+        for v, color in enumerate(colors):
+            groups.setdefault(color, []).append(v)
+        offset = 0
+        for color in sorted(groups):
+            self._new_cell(groups[color], offset)
+            offset += len(groups[color])
+        #: Cell ids in order: ``cells[r]`` is the class of color id ``r``.
+        self.cells = list(range(len(self.members)))
+        self.refine(range(len(adj)))
+        self.trail.clear()
+
+    def _new_cell(self, vertices, label: int) -> int:
+        c = len(self.members)
+        self.members.append(set(vertices))
+        self.label.append(label)
+        self.size1.append(sum(v < self.side1 for v in vertices))
+        for v in vertices:
+            self.cell_of[v] = c
+        self._reopen(c)
+        return c
+
+    def _drop_newest(self, count: int) -> None:
+        for c in range(len(self.members) - count, len(self.members)):
+            self.open.discard(c)
+        del self.members[-count:], self.label[-count:], self.size1[-count:]
+
+    def _reopen(self, c: int) -> None:
+        if self.size1[c] > 1:
+            self.open.add(c)
+        else:
+            self.open.discard(c)
+
+    def balanced(self, c: int) -> bool:
+        """Whether cell ``c`` holds as many vertices of each graph."""
+        return 2 * self.size1[c] == len(self.members[c])
+
+    def refine(self, touched: Iterable[int]) -> bool:
+        """Refine to the stable partition; ``touched`` are the vertices whose tuple may have moved.
+
+        Returns whether every cell split on the way is balanced.
+        """
+        adj, cell_of, label, members = self.adj, self.cell_of, self.label, self.members
+        balanced = True
+        touched = set(touched)
+        while touched:
+            by_cell: dict[int, list[int]] = {}
+            for v in touched:
+                by_cell.setdefault(cell_of[v], []).append(v)
+            splits = []
+            for c, vs in by_cell.items():
+                cell = members[c]
+                if len(cell) == 1:
+                    continue
+                groups: dict[tuple, list[int]] = {}
+                for v in vs:
+                    key = tuple(sorted([label[cell_of[u]] for u in adj[v]]))
+                    groups.setdefault(key, []).append(v)
+                stay = None
+                if len(vs) < len(cell):
+                    rep = next(v for v in cell if v not in touched)
+                    stay = tuple(sorted([label[cell_of[u]] for u in adj[rep]]))
+                    groups.setdefault(stay, [])
+                if len(groups) > 1:
+                    splits.append((c, groups, stay))
+            touched = set()
+            for c, groups, stay in splits:
+                balanced &= self._split(c, groups, stay, touched)
+        return balanced
+
+    def _split(self, c: int, groups: dict, stay, touched: set[int]) -> bool:
+        """Replace cell ``c`` by one child per tuple, in tuple order.
+
+        The untouched members, or else the largest group, keep ``c``'s id and
+        set. Adds the neighbors of every vertex whose label changed to
+        ``touched`` and returns whether all children are balanced.
+        """
+        adj, label, members = self.adj, self.label, self.members
+        keys = sorted(groups)
+        if stay is None:
+            stay = max(keys, key=lambda k: len(groups[k]))
+        old = label[c]
+        pos = bisect_left(self.cells, old, key=label.__getitem__)
+        children = []
+        for key in keys:
+            if key == stay:
+                children.append(c)
+                continue
+            child = self._new_cell(groups[key], old)
+            members[c].difference_update(groups[key])
+            self.size1[c] -= self.size1[child]
+            children.append(child)
+        self._reopen(c)
+        offset = old
+        for child in children:
+            if offset != old:
+                label[child] = offset
+                for v in members[child]:
+                    touched.update(adj[v])
+            offset += len(members[child])
+        self.cells[pos:pos + 1] = children
+        self.trail.append(("split", pos, len(children), c, old))
+        return all(self.balanced(child) for child in children)
+
+    def individualize(self, v1: int, v2: int, color: int) -> bool:
+        """Give the pair ``(v1, v2)`` color id ``color``, then refine.
+
+        As with plain color ids, a ``color`` below the number of cells puts
+        the pair into the cell of that rank, and a larger one into a new last
+        cell. Returns whether every cell split on the way is balanced.
+        """
+        cells, label, members, size1 = self.cells, self.label, self.members, self.size1
+        source = self.cell_of[v1]
+        joins = color < len(cells)
+        pair = (v1, v2)
+        i = bisect_left(cells, label[source], key=label.__getitem__)
+        members[source].difference_update(pair)
+        size1[source] -= 1
+        self._reopen(source)
+        # The offsets of the cells between the source and the destination move by the pair.
+        if not joins:
+            lo, hi, shift = i + 1, len(cells), -2
+        elif i < color:
+            lo, hi, shift = i + 1, color + 1, -2
+        else:
+            lo, hi, shift = color + 1, i + 1, 2
+        for c in cells[lo:hi]:
+            label[c] += shift
+        if joins:
+            dest = cells[color]
+            members[dest].update(pair)
+            size1[dest] += 1
+            self.cell_of[v1] = self.cell_of[v2] = dest
+            self._reopen(dest)
+        else:
+            dest = self._new_cell(pair, len(self.adj) - 2)
+            cells.append(dest)
+        self.trail.append(("move", v1, v2, source, dest, lo, hi, shift, joins))
+        return self.refine({v1, v2, *self.adj[v1], *self.adj[v2]})
+
+    def undo(self, mark: int) -> None:
+        """Roll back every change after the trail was ``mark`` records long."""
+        cells, label, members, size1, cell_of = (
+            self.cells, self.label, self.members, self.size1, self.cell_of
+        )
+        while len(self.trail) > mark:
+            record = self.trail.pop()
+            if record[0] == "split":
+                _, pos, count, c, old = record
+                for child in cells[pos:pos + count]:
+                    if child != c:
+                        for v in members[child]:
+                            cell_of[v] = c
+                        members[c] |= members[child]
+                        size1[c] += size1[child]
+                cells[pos:pos + count] = [c]
+                label[c] = old
+                self._drop_newest(count - 1)
+                self._reopen(c)
+            else:
+                _, v1, v2, source, dest, lo, hi, shift, joins = record
+                pair = (v1, v2)
+                if joins:
+                    members[dest].difference_update(pair)
+                    size1[dest] -= 1
+                    self._reopen(dest)
+                else:
+                    cells.pop()
+                    self._drop_newest(1)
+                for c in cells[lo:hi]:
+                    label[c] -= shift
+                members[source].update(pair)
+                size1[source] += 1
+                cell_of[v1] = cell_of[v2] = source
+                self._reopen(source)
+
+
+def _number(adjs, colorings):
+    """Integer vertices for one or more graphs: each side's sorted vertices, side after side.
+
+    Returns the adjacency lists, the colors and each side's sorted vertices.
+    """
+    adj: list[list[int]] = []
+    colors: list = []
+    keys = [sorted(side) for side in adjs]
+    for side_keys, side, coloring in zip(keys, adjs, colorings):
+        index = {v: len(adj) + i for i, v in enumerate(side_keys)}
+        adj += [[index[u] for u in side[v]] for v in side_keys]
+        colors += [coloring[v] for v in side_keys]
+    return adj, colors, keys
 
 
 def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[str, int]:
@@ -263,9 +469,10 @@ def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[
         used = set(colors.values())
         if used != set(range(len(used))):
             raise ValueError("initial colors must be dense from 0")
-    [refined] = _refine([{v: g.neighbors(v) for v in order}], [colors])
+    adj, color_list, _ = _number([{v: g.neighbors(v) for v in order}], [colors])
+    part = _Partition(adj, color_list, len(adj))
     ids: dict[int, int] = {}
-    return {v: ids.setdefault(refined[v], len(ids)) for v in order}
+    return {v: ids.setdefault(part.cell_of[i], len(ids)) for i, v in enumerate(order)}
 
 
 def color_classes(coloring: Mapping[str, int]) -> tuple[tuple[str, ...], ...]:
@@ -309,13 +516,9 @@ def _incidence(h: WeightedHypergraph, buckets: dict[float, int]):
     return {v: tuple(sorted(nb)) for v, nb in adj.items()}, init
 
 
-def _leaf_alignment(h1, h2, colors1, colors2, backtracks: int) -> Alignment | None:
-    """The alignment a discrete coloring pairs up, if it maps ``h1`` onto ``h2``.
-
-    The coloring is balanced, so each color names one vertex per side.
-    """
-    partner = {c: v for v, c in colors2.items()}
-    pairs = [(v[1], partner[c]) for v, c in colors1.items() if v[0] == "n"]
+def _leaf_alignment(h1, h2, pairs, backtracks: int) -> Alignment | None:
+    """The alignment that the matched incidence vertices ``pairs`` give, if it maps ``h1`` onto ``h2``."""
+    pairs = [(v[1], w) for v, w in pairs if v[0] == "n"]
     if any(w[0] != "n" for _, w in pairs):
         return None
     phi = NodeRelabeling({v: w[1] for v, w in pairs})
@@ -328,38 +531,52 @@ def _leaf_alignment(h1, h2, colors1, colors2, backtracks: int) -> Alignment | No
     return Alignment(mapping=phi, cost=dissimilarity(mapped, h2), backtracks=backtracks)
 
 
-def _ir_search(adjs, colorings, next_color: int, h1, h2) -> Alignment | None:
+def _ir_search(part: _Partition, next_color: int, h1, h2, keys) -> Alignment | None:
     """Depth-first individualization-refinement over an explicit stack.
 
-    Each frame holds the refined colorings of one search node, the side-1
-    vertex it individualizes and an iterator over the side-2 candidates not
-    yet tried. The pair drawn from the frame at depth d gets color
-    ``next_color + d``.
+    ``part`` is the ordered partition of both incidence graphs, refined;
+    ``keys`` are each side's sorted incidence vertices. After each
+    individualization :meth:`_Partition.refine` examines only the cells next
+    to what moved. A frame is the trail length of one search node's
+    partition, the side-1 vertex it individualizes and an iterator over the
+    side-2 candidates not yet tried; returning to a frame undoes the trail
+    down to that length, so no frame copies a coloring. The search branches
+    on the class with the fewest vertices per side, the lowest color id among
+    those.
+
+    The pair drawn from the frame at depth d gets color id ``next_color + d``.
+    Below the class count that id is the rank of an existing class, which the
+    pair then joins rather than getting a class of its own. The collision is
+    kept on purpose: a fresh color would change ``backtracks`` and some
+    mappings, and the outputs are pinned byte for byte.
     """
+    side1 = part.side1
+    keys1, keys2 = keys
     stack = []
     tried = 0
+    balanced = all(part.balanced(c) for c in part.cells)
     while True:
-        colors1, colors2 = _refine(adjs, colorings)
-        sizes = Counter(colors1.values())
-        if sizes == Counter(colors2.values()):
-            open_colors = [(size, c) for c, size in sizes.items() if size > 1]
-            if open_colors:
-                _, target = min(open_colors)
-                v1 = min(v for v, c in colors1.items() if c == target)
-                candidates = iter(sorted(v for v, c in colors2.items() if c == target))
-                stack.append(((colors1, colors2), v1, candidates))
+        if balanced:
+            if part.open:
+                target = min(part.open, key=lambda c: (part.size1[c], part.label[c]))
+                cell = sorted(part.members[target])  # side-1 vertices first
+                candidates = iter(cell[part.size1[target]:])
+                stack.append((len(part.trail), cell[0], candidates))
             else:
                 # Each frame's latest candidate leads here; every other one tried failed.
-                found = _leaf_alignment(h1, h2, colors1, colors2, tried - len(stack))
+                pairs = (sorted(part.members[c]) for c in part.cells)
+                found = _leaf_alignment(
+                    h1, h2, [(keys1[a], keys2[b - side1]) for a, b in pairs], tried - len(stack)
+                )
                 if found is not None:
                     return found
         while stack and (v2 := next(stack[-1][2], None)) is None:
             stack.pop()
         if not stack:
             return None
-        (colors1, colors2), v1, _ = stack[-1]
-        color = next_color + len(stack) - 1
-        colorings = ({**colors1, v1: color}, {**colors2, v2: color})
+        mark, v1, _ = stack[-1]
+        part.undo(mark)
+        balanced = part.individualize(v1, v2, next_color + len(stack) - 1)
         tried += 1
 
 
@@ -395,22 +612,25 @@ def align_wl_anchored(
         if vb not in adj2:
             raise InconsistentAnchors(f"anchor {vb[1]!r} does not exist in the second hypergraph")
 
-    adjs = (adj1, adj2)
-    if anchor_vertices:
-        base1, base2 = _refine(adjs, (colors1, colors2))
-        for va, vb in anchor_vertices:
-            if base1[va] != base2[vb]:
+    adj, colors, keys = _number((adj1, adj2), (colors1, colors2))
+    side1 = len(keys[0])
+    index1 = {v: i for i, v in enumerate(keys[0])}
+    index2 = {v: side1 + i for i, v in enumerate(keys[1])}
+    anchor_pairs = [(index1[va], index2[vb]) for va, vb in anchor_vertices]
+    if anchor_pairs:
+        base = _Partition(adj, colors, side1)
+        for (va, vb), (a, b) in zip(anchor_vertices, anchor_pairs):
+            if base.cell_of[a] != base.cell_of[b]:
                 raise InconsistentAnchors(
                     f"anchor pair ({va[1]!r}, {vb[1]!r}) has mismatched refined colors"
                 )
 
     next_color = len(ids)
-    for va, vb in anchor_vertices:
-        colors1[va] = next_color
-        colors2[vb] = next_color
+    for a, b in anchor_pairs:
+        colors[a] = colors[b] = next_color
         next_color += 1
 
-    return _ir_search(adjs, (colors1, colors2), next_color, h1, h2)
+    return _ir_search(_Partition(adj, colors, side1), next_color, h1, h2, keys)
 
 
 def fuse_datasets(d1: Dataset, d2: Dataset, phi_star: NodeRelabeling) -> Dataset:

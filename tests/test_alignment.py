@@ -1,6 +1,7 @@
 import inspect
 import random
 import sys
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -27,6 +28,7 @@ from hgrec import (
     relabel,
     wl_refine,
 )
+from hgrec import alignment
 from hgrec.alignment import format_alignment, parse_anchor_file, parse_edge_pairs, parse_node_mapping
 from hgrec.errors import (
     AmbiguousLabels,
@@ -37,7 +39,7 @@ from hgrec.errors import (
     SizeMismatch,
     TooLarge,
 )
-from hgrec.generators import chain, frucht, star
+from hgrec.generators import GeneratorSpec, chain, frucht, star
 from conftest import EDGE_LISTS, random_connected_graph, random_relabeling
 
 
@@ -444,6 +446,236 @@ def test_ir_search_depth_does_not_use_the_call_stack():
         sys.setrecursionlimit(limit)
     assert a is not None and a.cost == 0.0
     assert relabel(h1, a.mapping) == h2
+
+
+def test_ir_aligns_star_1200():
+    # Before the incremental partition this input took 20-26 s: every one of the
+    # 1,198 individualizations refined both whole incidence graphs again.
+    h1 = GeneratorSpec("star", 1200, None, 1.0, 10.0, 12).build()
+    h2 = relabel(h1, random_relabeling(random.Random(12), h1))
+    a = align_wl_anchored(h1, h2)
+    assert a is not None and a.cost == 0.0 and a.backtracks == 0
+    assert relabel(h1, a.mapping) == h2
+
+
+# -- the partition against plain refinement and the old search ----------------------------
+#
+# ``_refine`` and ``_ir_search`` below are the whole-graph refinement and the
+# dict-snapshot search that ``alignment._Partition`` replaced, kept verbatim as
+# the reference; ``_leaf_alignment`` adapts their colorings to the shared leaf check.
+
+
+def _refine(adjs, colorings):
+    """Refine the colorings of one or more graphs, with shared color ids, to a fixpoint.
+
+    A vertex's new color is the rank of its (own color, sorted neighbor colors)
+    signature among the sorted signatures of all sides. Refinement stops when
+    the number of color classes stops growing.
+    """
+    count = len(set().union(*(c.values() for c in colorings)))
+    while True:
+        sigs = [
+            {v: (c[v], tuple(sorted(c[u] for u in nbrs))) for v, nbrs in adj.items()}
+            for adj, c in zip(adjs, colorings)
+        ]
+        ids = {s: i for i, s in enumerate(sorted(set().union(*(sig.values() for sig in sigs))))}
+        colorings = [{v: ids[s] for v, s in sig.items()} for sig in sigs]
+        if len(ids) == count:
+            return colorings
+        count = len(ids)
+
+
+def _leaf_alignment(h1, h2, colors1, colors2, backtracks):
+    partner = {c: v for v, c in colors2.items()}
+    pairs = [(v, partner[c]) for v, c in colors1.items()]
+    return alignment._leaf_alignment(h1, h2, pairs, backtracks)
+
+
+def _ir_search(adjs, colorings, next_color: int, h1, h2) -> Alignment | None:
+    """Depth-first individualization-refinement over an explicit stack.
+
+    Each frame holds the refined colorings of one search node, the side-1
+    vertex it individualizes and an iterator over the side-2 candidates not
+    yet tried. The pair drawn from the frame at depth d gets color
+    ``next_color + d``.
+    """
+    stack = []
+    tried = 0
+    while True:
+        colors1, colors2 = _refine(adjs, colorings)
+        sizes = Counter(colors1.values())
+        if sizes == Counter(colors2.values()):
+            open_colors = [(size, c) for c, size in sizes.items() if size > 1]
+            if open_colors:
+                _, target = min(open_colors)
+                v1 = min(v for v, c in colors1.items() if c == target)
+                candidates = iter(sorted(v for v, c in colors2.items() if c == target))
+                stack.append(((colors1, colors2), v1, candidates))
+            else:
+                # Each frame's latest candidate leads here; every other one tried failed.
+                found = _leaf_alignment(h1, h2, colors1, colors2, tried - len(stack))
+                if found is not None:
+                    return found
+        while stack and (v2 := next(stack[-1][2], None)) is None:
+            stack.pop()
+        if not stack:
+            return None
+        (colors1, colors2), v1, _ = stack[-1]
+        color = next_color + len(stack) - 1
+        colorings = ({**colors1, v1: color}, {**colors2, v2: color})
+        tried += 1
+
+
+def reference_align(h1, h2, anchors):
+    """``align_wl_anchored`` as it ran on ``_refine`` and ``_ir_search``."""
+    if h1.n != h2.n:
+        raise SizeMismatch(f"node counts differ: {h1.n} vs {h2.n}")
+    buckets = alignment._weight_buckets(h1, h2)
+    adj1, init1 = alignment._incidence(h1, buckets)
+    adj2, init2 = alignment._incidence(h2, buckets)
+    ids = {k: i for i, k in enumerate(sorted(set(init1.values()) | set(init2.values())))}
+    colors1 = {v: ids[k] for v, k in init1.items()}
+    colors2 = {v: ids[k] for v, k in init2.items()}
+    anchor_vertices = [(("n", a), ("n", b)) for a, b in anchors.node_pairs]
+    anchor_vertices += [(("e", ea.key), ("e", eb.key)) for ea, eb in anchors.edge_pairs]
+    for va, vb in anchor_vertices:
+        if va not in adj1:
+            raise InconsistentAnchors(f"anchor {va[1]!r} does not exist in the first hypergraph")
+        if vb not in adj2:
+            raise InconsistentAnchors(f"anchor {vb[1]!r} does not exist in the second hypergraph")
+    adjs = (adj1, adj2)
+    if anchor_vertices:
+        base1, base2 = _refine(adjs, (colors1, colors2))
+        for va, vb in anchor_vertices:
+            if base1[va] != base2[vb]:
+                raise InconsistentAnchors(
+                    f"anchor pair ({va[1]!r}, {vb[1]!r}) has mismatched refined colors"
+                )
+    next_color = len(ids)
+    for va, vb in anchor_vertices:
+        colors1[va] = next_color
+        colors2[vb] = next_color
+        next_color += 1
+    return _ir_search(adjs, (colors1, colors2), next_color, h1, h2)
+
+
+def search_outcome(align, h1, h2, anchors):
+    try:
+        a = align(h1, h2, anchors)
+    except (SizeMismatch, InconsistentAnchors) as exc:
+        return type(exc).__name__, str(exc)
+    return None if a is None else (format_alignment(a), a.backtracks)
+
+
+@st.composite
+def search_inputs(draw):
+    """Pairs on up to 7 nodes, relabeled or unrelated, with no, right or wrong anchors."""
+    weights = st.sampled_from([1.0, 2.0])
+    h1 = WeightedHypergraph({e: draw(weights) for e in draw(EDGE_LISTS)})
+    if draw(st.booleans()):
+        h2 = h1
+    else:
+        h2 = WeightedHypergraph({e: draw(weights) for e in draw(EDGE_LISTS)})
+    targets = draw(st.permutations([f"y{i}" for i in range(h2.n)]))
+    phi = NodeRelabeling(dict(zip(h2.nodes, targets)))
+    h2 = relabel(h2, phi)
+    kind = draw(st.sampled_from(["none", "node", "edge"]))
+    if kind == "node":
+        pairs = draw(st.lists(st.tuples(st.sampled_from(h1.nodes), st.sampled_from(h2.nodes)),
+                              max_size=2, unique_by=(lambda p: p[0], lambda p: p[1])))
+        anchors = AnchorSet(node_pairs=tuple(pairs))
+    elif kind == "edge":
+        e1, e2 = draw(st.sampled_from(h1.edge_set)), draw(st.sampled_from(h2.edge_set))
+        anchors = AnchorSet(edge_pairs=((e1, e2),))
+    else:
+        anchors = AnchorSet()
+    return h1, h2, anchors
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_inputs())
+def test_anchored_search_matches_reference(case):
+    h1, h2, anchors = case
+    assert search_outcome(align_wl_anchored, h1, h2, anchors) == search_outcome(
+        reference_align, h1, h2, anchors
+    )
+
+
+@st.composite
+def partition_inputs(draw):
+    """One or two random graphs on up to 9 vertices, each with colors 0 to 2."""
+    sides = []
+    for size in (draw(st.integers(1, 9)), draw(st.integers(0, 9))):
+        vertices = [f"v{i}" for i in range(size)]
+        pairs = draw(st.sets(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+                             .filter(lambda p: p[0] < p[1]))) if size > 1 else set()
+        adj = {v: [] for v in vertices}
+        for a, b in sorted(pairs):
+            adj[a].append(b)
+            adj[b].append(a)
+        sides.append((adj, {v: draw(st.integers(0, 2)) for v in vertices}))
+    if not sides[1][0]:
+        del sides[1]
+    return [adj for adj, _ in sides], [colors for _, colors in sides], draw(st.randoms())
+
+
+def check_partition(part):
+    """Labels are offsets, and the per-cell records agree with the members."""
+    offset = 0
+    for c in part.cells:
+        assert part.label[c] == offset
+        assert all(part.cell_of[v] == c for v in part.members[c])
+        assert part.size1[c] == sum(v < part.side1 for v in part.members[c])
+        offset += len(part.members[c])
+    assert offset == len(part.adj)
+    assert sorted(part.cells) == list(range(len(part.members)))
+    assert part.open == {c for c in part.cells if part.size1[c] > 1}
+
+
+def partition_colors(part, keys):
+    """Each side's color ids, read as the rank of a vertex's cell."""
+    rank = {c: r for r, c in enumerate(part.cells)}
+    start, colorings = 0, []
+    for side_keys in keys:
+        colorings.append({v: rank[part.cell_of[start + i]] for i, v in enumerate(side_keys)})
+        start += len(side_keys)
+    return colorings
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_inputs())
+def test_partition_matches_plain_refinement(case):
+    adjs, colorings, rnd = case
+    adj, colors, keys = alignment._number(adjs, colorings)
+    side1 = len(keys[0])
+    part = alignment._Partition(adj, colors, side1)
+    expected = _refine(adjs, colorings)
+    check_partition(part)
+    assert partition_colors(part, keys) == expected
+    if len(keys) == 1:
+        return
+    # Individualize pairs from cells with two or more first-graph vertices, with
+    # colors that fall inside and past the class count, then undo step by step.
+    history = []
+    for _ in range(4):
+        cells = [c for c in part.cells if part.size1[c] > 1 and len(part.members[c]) > part.size1[c]]
+        if not cells:
+            break
+        c = rnd.choice(cells)
+        cell = sorted(part.members[c])  # first-graph vertices first
+        v1, v2 = rnd.choice(cell[:part.size1[c]]), rnd.choice(cell[part.size1[c]:])
+        color = rnd.randrange(len(part.cells) + 2)
+        history.append((len(part.trail), expected))
+        part.individualize(v1, v2, color)
+        colors1, colors2 = expected
+        k1, k2 = keys[0][v1], keys[1][v2 - side1]
+        expected = _refine(adjs, ({**colors1, k1: color}, {**colors2, k2: color}))
+        check_partition(part)
+        assert partition_colors(part, keys) == expected
+    for mark, before in reversed(history):
+        part.undo(mark)
+        check_partition(part)
+        assert partition_colors(part, keys) == before
 
 
 def test_anchor_set_rejects_duplicates():
