@@ -35,6 +35,7 @@ from .core import (
     NodeRelabeling,
     SimpleGraph,
     WeightedHypergraph,
+    check_token,
     dissimilarity,
     relabel,
 )
@@ -43,6 +44,7 @@ from .errors import (
     InconsistentAnchors,
     NotABijection,
     NotAnIsomorphism,
+    ParseError,
     SizeMismatch,
     TooLarge,
 )
@@ -649,17 +651,31 @@ def format_alignment(a: Alignment) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(text: str):
+    """(1-based line number, line, fields) for each line that is neither blank nor a `#` comment."""
+    for num, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield num, line, line.split()
+
+
+def _edge_key(num: int, key: str) -> Hyperedge:
+    try:
+        return Hyperedge.from_key(key)
+    except ValueError as exc:
+        raise ParseError(num, str(exc)) from None
+
+
 def parse_node_mapping(text: str) -> NodeRelabeling:
     """Read `<v1> <v2>` lines, ignoring blanks and `#` comments."""
     pairs = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for num, line, parts in _fields(text):
         if len(parts) != 2:
-            raise ValueError(f"expected '<v1> <v2>', got {line!r}")
-        pairs.append((parts[0], parts[1]))
+            raise ParseError(num, f"expected '<v1> <v2>', got {line!r}")
+        try:
+            pairs.append((check_token(parts[0]), check_token(parts[1])))
+        except ValueError as exc:
+            raise ParseError(num, str(exc)) from None
     return NodeRelabeling(pairs)
 
 
@@ -667,29 +683,21 @@ def parse_anchor_file(text: str) -> AnchorSet:
     """Read `node <v1> <v2>` and `edge <e1-key> <e2-key>` lines."""
     node_pairs = []
     edge_pairs = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for num, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] not in ("node", "edge"):
-            raise ValueError(f"expected 'node <v1> <v2>' or 'edge <e1> <e2>', got {line!r}")
+            raise ParseError(num, f"expected 'node <v1> <v2>' or 'edge <e1> <e2>', got {line!r}")
         if parts[0] == "node":
             node_pairs.append((parts[1], parts[2]))
         else:
-            edge_pairs.append((Hyperedge.from_key(parts[1]), Hyperedge.from_key(parts[2])))
+            edge_pairs.append((_edge_key(num, parts[1]), _edge_key(num, parts[2])))
     return AnchorSet(tuple(node_pairs), tuple(edge_pairs))
 
 
 def parse_edge_pairs(text: str) -> tuple[tuple[Hyperedge, Hyperedge], ...]:
     """Read `<e1-key> <e2-key>` lines, ignoring blanks and `#` comments."""
     pairs = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for num, line, parts in _fields(text):
         if len(parts) != 2:
-            raise ValueError(f"expected '<e1-key> <e2-key>', got {line!r}")
-        pairs.append((Hyperedge.from_key(parts[0]), Hyperedge.from_key(parts[1])))
+            raise ParseError(num, f"expected '<e1-key> <e2-key>', got {line!r}")
+        pairs.append((_edge_key(num, parts[0]), _edge_key(num, parts[1])))
     return tuple(pairs)

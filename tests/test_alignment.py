@@ -36,6 +36,7 @@ from hgrec.errors import (
     IncompleteMapping,
     NotABijection,
     NotAnIsomorphism,
+    ParseError,
     SizeMismatch,
     TooLarge,
 )
@@ -676,6 +677,19 @@ def test_partition_matches_plain_refinement(case):
         part.undo(mark)
         check_partition(part)
         assert partition_colors(part, keys) == before
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (parse_node_mapping, "a x\nb\n", 2),
+    (parse_node_mapping, "a x\nb y+z\n", 2),
+    (parse_anchor_file, "node a x\nedge a+b c\n", 2),
+    (parse_anchor_file, "# anchors\nnode a\n", 2),
+    (parse_edge_pairs, "\n# pairs\na+b x\n", 3),
+])
+def test_alignment_readers_name_the_line(parse, text, line):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line_number == line
 
 
 def test_anchor_set_rejects_duplicates():

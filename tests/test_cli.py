@@ -89,6 +89,32 @@ def test_recover_bad_candidate_line_names_it(tmp_path, capsys):
     assert err.startswith("error:") and "line 3" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, text, line", [
+    ("--anchors", "node 0 1\nedge 0+1\n", 2),
+    ("--anchors", "# anchors\n\nedge 0+1 1\n", 3),
+    ("--edge-pairs", "0+1 0+1\n0+2 0+2+\n", 2),
+    ("--relabel", "0 0\n1\n", 2),
+    ("--mapping", "# phi\n0 0\n1 1+2\n", 3),
+])
+def test_alignment_text_errors_name_the_line(tmp_path, capsys, flag, text, line):
+    g, d, bad = tmp_path / "g.hg", tmp_path / "d.ds", tmp_path / "bad.txt"
+    assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
+    bad.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    if flag == "--relabel":
+        argv = ("report", "--truth", g, "--rec", g, "--relabel", bad, "-o", out)
+    elif flag == "--mapping":
+        assert run("sample", "--hypergraph", g, "-n", 10, "--seed", 1, "-o", d) == 0
+        argv = ("fuse", "--d1", d, "--d2", d, "--mapping", bad, "-o", out)
+    else:
+        method = "wl-ir" if flag == "--anchors" else "ids"
+        argv = ("align", "--h1", g, "--h2", g, "--method", method, flag, bad, "-o", out)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError:") and f"line {line}:" in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
