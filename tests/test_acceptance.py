@@ -7,6 +7,7 @@ All randomness is seeded, so results are identical run to run.
 import math
 import random
 import time
+from functools import lru_cache
 from itertools import permutations
 from pathlib import Path
 
@@ -245,6 +246,14 @@ def test_criterion_7_meta_graph_facts():
 # -- criterion 8: alignment suite -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def all_permutations(n: int) -> np.ndarray:
+    """Every permutation of ``range(n)``, one per row, built once per ``n`` (read-only)."""
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms
+
+
 def perm_scan_cost(h1, h2) -> float:
     """Independent reference: dense-matrix cost scan over every bijection."""
     v1, v2 = h1.nodes, h2.nodes
@@ -255,7 +264,7 @@ def perm_scan_cost(h1, h2) -> float:
     for e, w in h2.edges.items():
         a, b = idx2[e.nodes[0]], idx2[e.nodes[1]]
         w2[a, b] = w2[b, a] = w
-    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    perms = all_permutations(n)
     cost = np.zeros(len(perms))
     mapped = np.zeros(len(perms))
     for e, w in h1.edges.items():
