@@ -262,8 +262,6 @@ class _Partition:
         self.label: list[int] = []
         #: The number of first-graph vertices in each cell.
         self.size1: list[int] = []
-        #: The cells with more than one first-graph vertex.
-        self.open: set[int] = set()
         self.trail: list[tuple] = []
         groups: dict = {}
         for v, color in enumerate(colors):
@@ -284,19 +282,10 @@ class _Partition:
         self.size1.append(sum(v < self.side1 for v in vertices))
         for v in vertices:
             self.cell_of[v] = c
-        self._reopen(c)
         return c
 
     def _drop_newest(self, count: int) -> None:
-        for c in range(len(self.members) - count, len(self.members)):
-            self.open.discard(c)
         del self.members[-count:], self.label[-count:], self.size1[-count:]
-
-    def _reopen(self, c: int) -> None:
-        if self.size1[c] > 1:
-            self.open.add(c)
-        else:
-            self.open.discard(c)
 
     def balanced(self, c: int) -> bool:
         """Whether cell ``c`` holds as many vertices of each graph."""
@@ -357,7 +346,6 @@ class _Partition:
             members[c].difference_update(groups[key])
             self.size1[c] -= self.size1[child]
             children.append(child)
-        self._reopen(c)
         offset = old
         for child in children:
             if offset != old:
@@ -383,7 +371,6 @@ class _Partition:
         i = bisect_left(cells, label[source], key=label.__getitem__)
         members[source].difference_update(pair)
         size1[source] -= 1
-        self._reopen(source)
         # The offsets of the cells between the source and the destination move by the pair.
         if not joins:
             lo, hi, shift = i + 1, len(cells), -2
@@ -398,7 +385,6 @@ class _Partition:
             members[dest].update(pair)
             size1[dest] += 1
             self.cell_of[v1] = self.cell_of[v2] = dest
-            self._reopen(dest)
         else:
             dest = self._new_cell(pair, len(self.adj) - 2)
             cells.append(dest)
@@ -423,14 +409,12 @@ class _Partition:
                 cells[pos:pos + count] = [c]
                 label[c] = old
                 self._drop_newest(count - 1)
-                self._reopen(c)
             else:
                 _, v1, v2, source, dest, lo, hi, shift, joins = record
                 pair = (v1, v2)
                 if joins:
                     members[dest].difference_update(pair)
                     size1[dest] -= 1
-                    self._reopen(dest)
                 else:
                     cells.pop()
                     self._drop_newest(1)
@@ -439,7 +423,6 @@ class _Partition:
                 members[source].update(pair)
                 size1[source] += 1
                 cell_of[v1] = cell_of[v2] = source
-                self._reopen(source)
 
 
 def _number(adjs, colorings):
@@ -559,8 +542,9 @@ def _ir_search(part: _Partition, next_color: int, h1, h2, keys) -> Alignment | N
     balanced = all(part.balanced(c) for c in part.cells)
     while True:
         if balanced:
-            if part.open:
-                target = min(part.open, key=lambda c: (part.size1[c], part.label[c]))
+            sizes = [(part.size1[c], part.label[c], c) for c in part.cells if part.size1[c] > 1]
+            if sizes:
+                *_, target = min(sizes)
                 cell = sorted(part.members[target])  # side-1 vertices first
                 candidates = iter(cell[part.size1[target]:])
                 stack.append((len(part.trail), cell[0], candidates))

@@ -630,7 +630,6 @@ def check_partition(part):
         offset += len(part.members[c])
     assert offset == len(part.adj)
     assert sorted(part.cells) == list(range(len(part.members)))
-    assert part.open == {c for c in part.cells if part.size1[c] > 1}
 
 
 def partition_colors(part, keys):
