@@ -593,7 +593,7 @@ def search_inputs(draw):
     return h1, h2, anchors
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(search_inputs())
 def test_anchored_search_matches_reference(case):
     h1, h2, anchors = case
@@ -642,7 +642,7 @@ def partition_colors(part, keys):
     return colorings
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(partition_inputs())
 def test_partition_matches_plain_refinement(case):
     adjs, colorings, rnd = case
