@@ -651,29 +651,46 @@ def _edge_key(num: int, key: str) -> Hyperedge:
 
 
 def parse_node_mapping(text: str) -> NodeRelabeling:
-    """Read `<v1> <v2>` lines, ignoring blanks and `#` comments."""
-    pairs = []
+    """Read `<v1> <v2>` lines, ignoring blanks and `#` comments; a pair may repeat exactly."""
+    forward: dict[str, str] = {}
+    backward: dict[str, str] = {}
     for num, line, parts in _fields(text):
         if len(parts) != 2:
             raise ParseError(num, f"expected '<v1> <v2>', got {line!r}")
         try:
-            pairs.append((check_token(parts[0]), check_token(parts[1])))
+            src, dst = check_token(parts[0]), check_token(parts[1])
         except ValueError as exc:
             raise ParseError(num, str(exc)) from None
-    return NodeRelabeling(pairs)
+        if forward.setdefault(src, dst) != dst:
+            raise NotABijection(
+                f"line {num}: node {src!r} mapped to both {forward[src]!r} and {dst!r}"
+            )
+        if backward.setdefault(dst, src) != src:
+            raise NotABijection(
+                f"line {num}: nodes {backward[dst]!r} and {src!r} both mapped to {dst!r}"
+            )
+    return NodeRelabeling(forward)
 
 
 def parse_anchor_file(text: str) -> AnchorSet:
     """Read `node <v1> <v2>` and `edge <e1-key> <e2-key>` lines."""
     node_pairs = []
     edge_pairs = []
+    seen: set[tuple] = set()
     for num, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] not in ("node", "edge"):
             raise ParseError(num, f"expected 'node <v1> <v2>' or 'edge <e1> <e2>', got {line!r}")
-        if parts[0] == "node":
-            node_pairs.append((parts[1], parts[2]))
+        kind = parts[0]
+        if kind == "node":
+            pair = (parts[1], parts[2])
+            node_pairs.append(pair)
         else:
-            edge_pairs.append((_edge_key(num, parts[1]), _edge_key(num, parts[2])))
+            pair = (_edge_key(num, parts[1]), _edge_key(num, parts[2]))
+            edge_pairs.append(pair)
+        for side in (0, 1):
+            if (kind, side, pair[side]) in seen:
+                raise NotABijection(f"line {num}: {kind} {parts[1 + side]!r} is anchored twice")
+            seen.add((kind, side, pair[side]))
     return AnchorSet(tuple(node_pairs), tuple(edge_pairs))
 
 

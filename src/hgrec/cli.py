@@ -123,6 +123,8 @@ def _cmd_align(args) -> int:
     if args.method == "exact":
         alignment = align_exact(h1, h2, max_nodes=args.max_nodes)
     elif args.method == "ids":
+        if args.edge_pairs is None:
+            raise ValueError("--method ids needs --edge-pairs")
         pairs = parse_edge_pairs(Path(args.edge_pairs).read_text(encoding="utf-8"))
         alignment = align_by_hyperedge_ids(h1, h2, pairs)
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -38,52 +39,27 @@ def check_token(token: str) -> str:
     return token
 
 
-class Hyperedge:
-    """An unordered relation between >= 2 distinct nodes, stored as a sorted tuple."""
+class Hyperedge(tuple):
+    """An unordered relation between >= 2 distinct nodes; equal to the tuple of its sorted tokens."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ()
 
-    def __init__(self, nodes: Iterable[str]):
-        tokens = tuple(sorted({check_token(t) for t in nodes}))
+    def __new__(cls, nodes: Iterable[str]):
+        tokens = sorted({check_token(t) for t in nodes})
         if len(tokens) < 2:
             raise ValueError("a hyperedge needs at least 2 distinct nodes")
-        self.nodes = tokens
+        return tuple.__new__(cls, tokens)
+
+    nodes = property(itemgetter(slice(None)), doc="The sorted node tokens as a plain tuple.")
 
     @property
     def key(self) -> str:
         """Canonical text key: tokens joined by '+'."""
-        return "+".join(self.nodes)
+        return "+".join(self)
 
     @classmethod
     def from_key(cls, key: str) -> "Hyperedge":
         return cls(key.split("+"))
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.nodes)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.nodes
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Hyperedge) and self.nodes == other.nodes
-
-    def __lt__(self, other: "Hyperedge") -> bool:
-        return self.nodes < other.nodes
-
-    def __le__(self, other: "Hyperedge") -> bool:
-        return self.nodes <= other.nodes
-
-    def __gt__(self, other: "Hyperedge") -> bool:
-        return self.nodes > other.nodes
-
-    def __ge__(self, other: "Hyperedge") -> bool:
-        return self.nodes >= other.nodes
-
-    def __hash__(self) -> int:
-        return hash(self.nodes)
 
     def __repr__(self) -> str:
         return f"Hyperedge({self.key!r})"
@@ -125,13 +101,6 @@ class WeightedHypergraph:
         if normalized and abs(sum(self._edges.values()) - 1.0) > NORMALIZATION_TOL:
             raise ValueError("normalized flag set but weights do not sum to 1")
         self.normalized = bool(normalized)
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[Iterable[str], float]], *, normalized: bool = False
-    ) -> "WeightedHypergraph":
-        """Build from ``(tokens, weight)`` pairs."""
-        return cls([(Hyperedge(tokens), w) for tokens, w in pairs], normalized=normalized)
 
     @property
     def edges(self) -> dict[Hyperedge, float]:

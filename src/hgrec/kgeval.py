@@ -246,9 +246,6 @@ class EvalResult:
         }
         return json.dumps(doc, indent=2) + "\n"
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8", newline="\n")
-
 
 def evaluate_response(
     truth: SimpleGraph, entities: list[str], response_text: str

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping
 
 from .core import (
@@ -233,9 +232,6 @@ class RecoveryReport:
             },
         }
         return json.dumps(doc, indent=2) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8", newline="\n")
 
 
 def recovery_report(

@@ -11,6 +11,7 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -23,26 +24,28 @@ from .rng import AliasSampler, rng_stream
 PROB_TOL = 1e-12
 
 
-class MaskedHyperedge:
-    """A hyperedge with some nodes hidden: the visible node set plus a mask count."""
+class MaskedHyperedge(tuple):
+    """A hyperedge with some nodes hidden: the tuple ``(visible tokens, masked_count)``."""
 
-    __slots__ = ("visible", "masked_count")
+    __slots__ = ()
 
-    def __init__(self, visible: Iterable[str], masked_count: int):
+    def __new__(cls, visible: Iterable[str], masked_count: int):
         tokens = tuple(sorted({check_token(t) for t in visible}))
         count = int(masked_count)
         if count < 1:
             raise ValueError(f"masked_count must be >= 1, got {masked_count}")
-        self.visible = tokens
-        self.masked_count = count
+        return tuple.__new__(cls, (tokens, count))
 
     @classmethod
     def _of_checked(cls, visible: tuple[str, ...], masked_count: int) -> "MaskedHyperedge":
         """A form over checked, sorted, distinct tokens, such as a slice of ``Hyperedge.nodes``."""
-        self = cls.__new__(cls)
-        self.visible = visible
-        self.masked_count = masked_count
-        return self
+        return tuple.__new__(cls, (visible, masked_count))
+
+    visible = property(itemgetter(0))
+    masked_count = property(itemgetter(1))
+
+    def __getnewargs__(self) -> tuple[tuple[str, ...], int]:
+        return tuple(self)
 
     @property
     def key(self) -> str:
@@ -61,19 +64,6 @@ class MaskedHyperedge:
             len(e) == len(self.visible) + self.masked_count
             and set(self.visible) <= set(e.nodes)
         )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MaskedHyperedge)
-            and self.visible == other.visible
-            and self.masked_count == other.masked_count
-        )
-
-    def __lt__(self, other: "MaskedHyperedge") -> bool:
-        return (self.visible, self.masked_count) < (other.visible, other.masked_count)
-
-    def __hash__(self) -> int:
-        return hash((self.visible, self.masked_count))
 
     def __repr__(self) -> str:
         return f"MaskedHyperedge({self.key!r})"

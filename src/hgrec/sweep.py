@@ -289,18 +289,30 @@ def fit_scaling(rows: Iterable[Mapping], x_field: str, y_field: str) -> tuple[fl
     """Least-squares slope and intercept of log(mean y per x) against log(x).
 
     Rows with a non-"ok" status or an empty y value are skipped; the remaining
-    y values are averaged per distinct x before fitting.
+    y values are averaged per distinct x before fitting. A missing column or a
+    value that is not a number raises ``InvalidForLogFit`` naming the row
+    (counted from 1) and column.
     """
+
+    def number(num: int, row: Mapping, field: str) -> float:
+        try:
+            return float(row[field])
+        except (TypeError, ValueError):
+            raise InvalidForLogFit(
+                f"row {num}: {field} value {row[field]!r} is not a number"
+            ) from None
+
     groups: dict[float, list[float]] = {}
-    for row in rows:
+    for num, row in enumerate(rows, start=1):
         status = row.get("status", "ok")
         if status not in ("", "ok"):
             continue
-        y_raw = row.get(y_field, "")
-        if y_raw == "" or y_raw is None:
+        for field in (x_field, y_field):
+            if field not in row:
+                raise InvalidForLogFit(f"row {num}: no {field!r} column")
+        if row[y_field] == "" or row[y_field] is None:
             continue
-        x = float(row[x_field])
-        groups.setdefault(x, []).append(float(y_raw))
+        groups.setdefault(number(num, row, x_field), []).append(number(num, row, y_field))
     if len(groups) < 3:
         raise InvalidForLogFit(f"need >= 3 distinct {x_field} values, got {len(groups)}")
     xs = np.array(sorted(groups))

@@ -691,6 +691,23 @@ def test_alignment_readers_name_the_line(parse, text, line):
     assert exc.value.line_number == line
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_node_mapping, "a x\nb y\na z\n", "line 3: node 'a' mapped to both 'x' and 'z'"),
+    (parse_node_mapping, "# phi\na x\nb x\n", "line 3: nodes 'a' and 'b' both mapped to 'x'"),
+    (parse_anchor_file, "node a x\nnode a y\n", "line 2: node 'a' is anchored twice"),
+    (parse_anchor_file, "node a x\n\nnode b x\n", "line 3: node 'x' is anchored twice"),
+    (parse_anchor_file, "edge a+b c+d\nedge b+a e+f\n", "line 2: edge 'b+a' is anchored twice"),
+])
+def test_alignment_readers_name_the_repeated_line(parse, text, message):
+    with pytest.raises(NotABijection) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_node_mapping_accepts_an_exact_repeat():
+    assert parse_node_mapping("a x\nb y\na x\n").pairs == (("a", "x"), ("b", "y"))
+
+
 def test_anchor_set_rejects_duplicates():
     with pytest.raises(NotABijection):
         AnchorSet(node_pairs=(("a", "x"), ("a", "y")))

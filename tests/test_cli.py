@@ -115,6 +115,33 @@ def test_alignment_text_errors_name_the_line(tmp_path, capsys, flag, text, line)
     assert err.startswith("error: ParseError:") and f"line {line}:" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, text, line", [
+    ("--anchors", "node 0 1\nnode 0 2\n", 2),
+    ("--relabel", "0 0\n1 1\n2 1\n", 3),
+])
+def test_alignment_text_repeats_name_the_line(tmp_path, capsys, flag, text, line):
+    g, bad = tmp_path / "g.hg", tmp_path / "bad.txt"
+    assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
+    bad.write_text(text, encoding="utf-8")
+    if flag == "--relabel":
+        argv = ("report", "--truth", g, "--rec", g, "--relabel", bad)
+    else:
+        argv = ("align", "--h1", g, "--h2", g, "--method", "wl-ir", "--anchors", bad)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: NotABijection: line {line}:") and err.count("\n") == 1
+
+
+def test_align_ids_without_edge_pairs_exits_1(tmp_path, capsys):
+    g = tmp_path / "g.hg"
+    assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
+    capsys.readouterr()
+    assert run("align", "--h1", g, "--h2", g, "--method", "ids") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--edge-pairs" in err and err.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
@@ -273,6 +300,18 @@ def test_sweep_and_fit(tmp_path, capsys):
     assert run("fit", "--csv", out, "--x-field", "N", "--y-field", "d_plugin") == 0
     doc = json.loads(capsys.readouterr().out)
     assert -1.0 < doc["slope"] < 0.0
+
+
+@pytest.mark.parametrize("table, x_field, message", [
+    ("N,d\n10,1\n", "nope", "row 1: no 'nope' column"),
+    ("N,d\n10,1\n100,abc\n", "N", "row 2: d value 'abc' is not a number"),
+])
+def test_fit_bad_csv_exits_1(tmp_path, capsys, table, x_field, message):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(table, encoding="utf-8")
+    assert run("fit", "--csv", rows, "--x-field", x_field, "--y-field", "d") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: InvalidForLogFit: {message}\n"
 
 
 def test_kg_pipeline(tmp_path, capsys):

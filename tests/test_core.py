@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -69,6 +71,30 @@ def test_check_token_matches_per_character_rules(token):
 
 def test_hyperedge_ordering_is_lexicographic():
     assert edge("a", "b") < edge("a", "c") < edge("b", "c")
+
+
+def test_hyperedge_is_its_node_tuple():
+    e = edge("c", "a", "b")
+    assert hash(e) == hash(e.nodes) and e == ("a", "b", "c")
+    assert type(e.nodes) is tuple and len(e) == 3 and "b" in e and list(e) == ["a", "b", "c"]
+
+
+def test_hyperedge_survives_pickle_and_deepcopy():
+    e = edge("b", "a")
+    for twin in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert type(twin) is Hyperedge and twin == e and hash(twin) == hash(e)
+
+
+def test_hyperedge_nodes_are_read_only():
+    e = edge("a", "b")
+    with pytest.raises(AttributeError):
+        e.nodes = ("z",)
+    assert e.nodes == ("a", "b")
+
+
+def test_weighted_hypergraph_rejects_plain_tuples():
+    with pytest.raises(TypeError):
+        WeightedHypergraph({("a", "b"): 1.0})
 
 
 # -- normalize ------------------------------------------------------------------

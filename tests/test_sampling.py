@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -42,6 +44,16 @@ def test_masked_key_round_trip():
     assert m.key == "a+b|2"
     assert MaskedHyperedge.from_key("a+b|2") == m
     assert MaskedHyperedge.from_key("|1") == MaskedHyperedge([], 1)
+
+
+def test_masked_form_is_a_tuple_that_survives_pickle_and_deepcopy():
+    m = MaskedHyperedge(["b", "a"], 2)
+    assert hash(m) == hash((m.visible, m.masked_count)) and m == (("a", "b"), 2)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert type(twin) is MaskedHyperedge and twin == m and hash(twin) == hash(m)
+        assert twin.visible == ("a", "b") and twin.masked_count == 2
+    with pytest.raises(AttributeError):
+        m.masked_count = 1
 
 
 def test_masked_compatibility():

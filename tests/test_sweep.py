@@ -214,3 +214,15 @@ def test_fit_rejects_nonpositive():
     rows = [{"N": n, "d": 0.0} for n in (1, 2, 3)]
     with pytest.raises(InvalidForLogFit):
         fit_scaling(rows, "N", "d")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{"N": 10}], "row 1: no 'd' column"),
+    ([{"N": 10, "d": 1.0}, {"d": 1.0}], "row 2: no 'N' column"),
+    ([{"N": 10, "d": 1.0}, {"N": 100, "d": "abc"}], "row 2: d value 'abc' is not a number"),
+    ([{"N": None, "d": 1.0}], "row 1: N value None is not a number"),
+])
+def test_fit_names_missing_columns_and_bad_values(rows, message):
+    with pytest.raises(InvalidForLogFit) as exc:
+        fit_scaling(rows, "N", "d")
+    assert str(exc.value) == message
