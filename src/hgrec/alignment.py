@@ -620,9 +620,15 @@ def align_wl_anchored(
 
 
 def fuse_datasets(d1: Dataset, d2: Dataset, phi_star: NodeRelabeling) -> Dataset:
-    """Relabel every sample of ``d1`` through the alignment and append ``d2``."""
-    mapped = tuple(phi_star.apply_edge(e) for e in d1.samples)
-    return Dataset(mapped + d2.samples)
+    """Relabel every sample of ``d1`` through the alignment and append ``d2``.
+
+    Each edge that occurs is relabeled once, in order of first occurrence;
+    an edge that never occurs needs no mapping.
+    """
+    used, first, inverse = np.unique(d1.ids, return_index=True, return_inverse=True)
+    mapped = {i: phi_star.apply_edge(d1.table[i]) for i in d1.ids[np.sort(first)].tolist()}
+    table = [mapped[i] for i in used.tolist()] + list(d2.table)
+    return Dataset._from_columns(table, np.concatenate([inverse, d2.ids + len(used)]).astype(np.int32))
 
 
 # -- text formats -----------------------------------------------------------------
@@ -673,9 +679,8 @@ def parse_node_mapping(text: str) -> NodeRelabeling:
 
 
 def parse_anchor_file(text: str) -> AnchorSet:
-    """Read `node <v1> <v2>` and `edge <e1-key> <e2-key>` lines."""
-    node_pairs = []
-    edge_pairs = []
+    """Read `node <v1> <v2>` and `edge <e1-key> <e2-key>` lines; a pair may repeat exactly."""
+    pairs: dict[str, dict[tuple, None]] = {"node": {}, "edge": {}}
     seen: set[tuple] = set()
     for num, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] not in ("node", "edge"):
@@ -683,15 +688,16 @@ def parse_anchor_file(text: str) -> AnchorSet:
         kind = parts[0]
         if kind == "node":
             pair = (parts[1], parts[2])
-            node_pairs.append(pair)
         else:
             pair = (_edge_key(num, parts[1]), _edge_key(num, parts[2]))
-            edge_pairs.append(pair)
+        if pair in pairs[kind]:
+            continue
         for side in (0, 1):
             if (kind, side, pair[side]) in seen:
                 raise NotABijection(f"line {num}: {kind} {parts[1 + side]!r} is anchored twice")
             seen.add((kind, side, pair[side]))
-    return AnchorSet(tuple(node_pairs), tuple(edge_pairs))
+        pairs[kind][pair] = None
+    return AnchorSet(tuple(pairs["node"]), tuple(pairs["edge"]))
 
 
 def parse_edge_pairs(text: str) -> tuple[tuple[Hyperedge, Hyperedge], ...]:

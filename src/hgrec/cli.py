@@ -29,7 +29,7 @@ from .alignment import (
 from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
 from .core import load_hypergraph, save_hypergraph
 from .errors import HgrecError
-from .generators import GeneratorSpec
+from .generators import STRUCTURES, GeneratorSpec
 from .kgeval import (
     EndpointConfig,
     SubgraphSpec,
@@ -42,7 +42,7 @@ from .kgeval import (
     replay_completion,
 )
 from .oracle import TabularOracle, train_tabular
-from .recovery import ALL_PAIRS, recover_from_dataset, recover_from_oracle, recovery_report
+from .recovery import ALL_PAIRS, RATIO_AGGREGATIONS, recover_from_dataset, recover_from_oracle, recovery_report
 from .sampling import Dataset, MMDataset, make_masking_strategy, sample_dataset, sample_mm_dataset
 from .sweep import SweepConfig, fit_scaling, load_csv, run_sweep, save_csv
 
@@ -118,6 +118,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    if args.edge_pairs is not None and args.method != "ids":
+        raise ValueError("--edge-pairs is read only by --method ids")
+    if args.anchors is not None and args.method != "wl-ir":
+        raise ValueError("--anchors is read only by --method wl-ir")
     h1 = load_hypergraph(args.h1)
     h2 = load_hypergraph(args.h2)
     if args.method == "exact":
@@ -129,7 +133,7 @@ def _cmd_align(args) -> int:
         alignment = align_by_hyperedge_ids(h1, h2, pairs)
     else:
         anchors = AnchorSet.empty()
-        if args.anchors:
+        if args.anchors is not None:
             anchors = parse_anchor_file(Path(args.anchors).read_text(encoding="utf-8"))
         alignment = align_wl_anchored(h1, h2, anchors)
         if alignment is None:
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", parents=[common], help="generate a weighted benchmark hypergraph (.hg)")
-    p.add_argument("--structure", required=True, choices=("star", "x", "chain", "wcgnm", "frucht"))
+    p.add_argument("--structure", required=True, choices=STRUCTURES)
     p.add_argument("--n", type=int, default=0, help="node count (ignored for frucht)")
     p.add_argument("--p", type=float, default=None, help="edge density (wcgnm only)")
     p.add_argument("--w-min", type=float, default=1.0)
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--exact-from", help="hypergraph file for an exact population oracle")
     p.add_argument("--candidates", default="pairs", help="'pairs' or a candidate edge file")
     p.add_argument("--mask", default="uniform1")
-    p.add_argument("--aggregation", default="first", choices=("first", "geometric_mean"))
+    p.add_argument("--aggregation", default="first", choices=RATIO_AGGREGATIONS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_recover)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .core import Hyperedge, WeightedHypergraph
 from .errors import NotNormalized, NotShared, UndefinedRatio
 from .sampling import MaskedHyperedge, MaskingStrategy, MMDataset
@@ -110,11 +108,8 @@ class TabularOracle:
 def train_tabular(data: MMDataset) -> TabularOracle:
     """Accumulate (masked form, completion) counts; empty datasets are allowed."""
     counts: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
-    per_pair = np.bincount(data.ids, minlength=len(data.pairs)).tolist()
-    for (full, masked), c in zip(data.pairs, per_pair):
-        if c:
-            per = counts.setdefault(masked, {})
-            per[full] = per.get(full, 0) + c
+    for (full, masked), c in data.counts().items():
+        counts.setdefault(masked, {})[full] = c
     return TabularOracle(counts)
 
 

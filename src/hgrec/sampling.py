@@ -8,10 +8,9 @@ hyperedge draws and ``"mm-mask"`` for the per-record mask choices.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -124,92 +123,111 @@ def make_masking_strategy(kind: str) -> MaskingStrategy:
 # -- datasets -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An i.i.d. sequence of hyperedge samples."""
+class _Records:
+    """Records stored by columns and written one text line each.
 
-    samples: tuple[Hyperedge, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-    def counts(self) -> dict[Hyperedge, int]:
-        return dict(Counter(self.samples))
-
-    def __iter__(self) -> Iterator[Hyperedge]:
-        return iter(self.samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def encode(self) -> str:
-        return "".join(" ".join(e.nodes) + "\n" for e in self.samples)
-
-    @classmethod
-    def decode(cls, text: str) -> "Dataset":
-        samples = []
-        for num, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
-            try:
-                samples.append(Hyperedge(line.split()))
-            except ValueError as exc:
-                raise ParseError(num, str(exc)) from None
-        return cls(tuple(samples))
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.encode(), encoding="utf-8", newline="\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Dataset":
-        return cls.decode(Path(path).read_text(encoding="utf-8"))
-
-
-class MMDataset:
-    """Masked-modeling records: N outer hyperedge draws x K masked variants each.
-
-    Stored by columns: ``pairs`` holds each distinct ``(hyperedge, masked
-    form)`` record once and ``ids`` (``int32``, one per record, in record
-    order) indexes into it, so a repeated record costs one array slot.
-    ``records`` is built from them on first read.
+    ``table`` holds each distinct record once and ``ids`` (read-only ``int32``,
+    one per record, in order) indexes into it. A table built from columns may
+    also repeat a record or hold one that never occurs. ``records`` is built
+    from the columns on first read.
     """
 
-    def __init__(
-        self,
-        records: Iterable[tuple[Hyperedge, MaskedHyperedge]],
-        n_outer: int,
-        k_inner: int,
-    ):
-        index: dict[tuple[Hyperedge, MaskedHyperedge], int] = {}
+    def __init__(self, records: Iterable, *args, **kwargs):
+        index: dict = {}
         ids = [index.setdefault(r, len(index)) for r in records]
-        self._set(tuple(index), np.array(ids, dtype=np.int32), n_outer, k_inner)
+        self._set(tuple(index), np.array(ids, dtype=np.int32), *args, **kwargs)
 
     @classmethod
-    def _from_columns(cls, pairs, ids: np.ndarray, n_outer: int, k_inner: int) -> "MMDataset":
-        """A dataset over a ready pair table; ``pairs`` may repeat a record."""
+    def _from_columns(cls, table, ids: np.ndarray, *args):
+        """A dataset over a ready table and ``int32`` ids; ``args`` are the subclass's own fields."""
         self = cls.__new__(cls)
-        self._set(tuple(pairs), ids, n_outer, k_inner)
+        self._set(tuple(table), ids, *args)
         return self
 
-    def _set(self, pairs, ids, n_outer, k_inner) -> None:
-        if len(ids) != n_outer * k_inner:
-            raise ValueError(f"expected {n_outer}x{k_inner} records, got {len(ids)}")
+    def _set(self, table: tuple, ids: np.ndarray) -> None:
         ids.flags.writeable = False
-        self.pairs: tuple[tuple[Hyperedge, MaskedHyperedge], ...] = pairs
-        self.ids: np.ndarray = ids
-        self.n_outer = n_outer
-        self.k_inner = k_inner
+        self.table = table
+        self.ids = ids
 
     @cached_property
-    def records(self) -> tuple[tuple[Hyperedge, MaskedHyperedge], ...]:
-        return tuple(map(self.pairs.__getitem__, self.ids.tolist()))
+    def records(self) -> tuple:
+        return tuple(map(self.table.__getitem__, self.ids.tolist()))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def __iter__(self):
         return iter(self.records)
+
+    def counts(self) -> dict:
+        """Occurrences of each record that occurs, in table order; repeated table entries add up."""
+        counts: dict = {}
+        for record, c in zip(self.table, np.bincount(self.ids, minlength=len(self.table)).tolist()):
+            if c:
+                counts[record] = counts.get(record, 0) + c
+        return counts
+
+    def _encode_lines(self, line) -> str:
+        """The text of every record: each table entry is formatted once by ``line``."""
+        lines = np.array([line(r) for r in self.table], dtype=object)
+        return "".join(lines[self.ids].tolist())
+
+    @staticmethod
+    def _decode_lines(text: str, parse) -> tuple[list, np.ndarray]:
+        """(table, ids) of the non-blank lines of ``text``; ``parse`` reads each distinct line once.
+
+        A ``ValueError`` from ``parse`` becomes a ``ParseError`` at the line's first occurrence.
+        """
+        lines = text.split("\n")
+        code = dict.fromkeys(lines, -1)  # distinct line -> index into table; blank lines stay -1
+        table = []
+        for line in code:
+            if line.strip():
+                try:
+                    table.append(parse(line))
+                except ValueError as exc:
+                    raise ParseError(lines.index(line) + 1, str(exc)) from None
+                code[line] = len(table) - 1
+        ids = np.fromiter(map(code.__getitem__, lines), dtype=np.int32, count=len(lines))
+        return table, ids[ids >= 0]
+
+    def save(self, path: str | Path) -> None:
+        Path(path).write_text(self.encode(), encoding="utf-8", newline="\n")
+
+    @classmethod
+    def load(cls, path: str | Path, *args, **kwargs):
+        """``decode`` the text of a file; the other arguments go to ``decode``."""
+        return cls.decode(Path(path).read_text(encoding="utf-8"), *args, **kwargs)
+
+
+class Dataset(_Records):
+    """An i.i.d. sequence of hyperedge samples."""
+
+    samples = property(attrgetter("records"))
+    n = property(len)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.samples == other.samples
+
+    def encode(self) -> str:
+        return self._encode_lines(lambda e: " ".join(e) + "\n")
+
+    @classmethod
+    def decode(cls, text: str) -> "Dataset":
+        return cls._from_columns(*cls._decode_lines(text, lambda line: Hyperedge(line.split())))
+
+
+class MMDataset(_Records):
+    """``MMDataset(records, N, K)``: N outer hyperedge draws x K ``(hyperedge, masked form)`` records each."""
+
+    def _set(self, table, ids, n_outer: int, k_inner: int) -> None:
+        if len(ids) != n_outer * k_inner:
+            raise ValueError(f"expected {n_outer}x{k_inner} records, got {len(ids)}")
+        super()._set(table, ids)
+        self.n_outer = n_outer
+        self.k_inner = k_inner
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MMDataset):
@@ -218,48 +236,22 @@ class MMDataset:
 
     def outer_dataset(self) -> Dataset:
         """The N outer hyperedge draws, one per group of K records."""
-        return Dataset(tuple(self.pairs[i][0] for i in self.ids[:: self.k_inner].tolist()))
+        return Dataset._from_columns([full for full, _ in self.table], self.ids[:: self.k_inner])
 
     def encode(self) -> str:
-        lines = np.array(
-            [
-                " ".join(full.nodes) + "\t" + " ".join(masked.visible + ("_",) * masked.masked_count) + "\n"
-                for full, masked in self.pairs
-            ],
-            dtype=object,
+        return self._encode_lines(
+            lambda r: " ".join(r[0]) + "\t" + " ".join(r[1].visible + ("_",) * r[1].masked_count) + "\n"
         )
-        return "".join(lines[self.ids].tolist())
 
     @classmethod
     def decode(cls, text: str, n_outer: int | None = None, k_inner: int | None = None) -> "MMDataset":
-        """Parse .mm lines; without N and K the records are treated as N groups of K=1.
-
-        Each distinct line is parsed and checked once; its repeats share the record.
-        """
+        """Parse .mm lines; without N and K the records are treated as N groups of K=1."""
         if (n_outer is None) != (k_inner is None):
             raise ValueError(f"N and K must be given together, got N={n_outer}, K={k_inner}")
-        lines = text.split("\n")
-        code = dict.fromkeys(lines, -1)  # distinct line -> index into pairs; blank lines stay -1
-        pairs = []
-        for line in code:
-            if line.strip():
-                try:
-                    pairs.append(_decode_record(line))
-                except ValueError as exc:
-                    raise ParseError(lines.index(line) + 1, str(exc)) from None
-                code[line] = len(pairs) - 1
-        ids = np.fromiter(map(code.__getitem__, lines), dtype=np.int32, count=len(lines))
-        ids = ids[ids >= 0]
+        table, ids = cls._decode_lines(text, _decode_record)
         if n_outer is None:
             n_outer, k_inner = len(ids), 1
-        return cls._from_columns(pairs, ids, n_outer, k_inner)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.encode(), encoding="utf-8", newline="\n")
-
-    @classmethod
-    def load(cls, path: str | Path, n_outer: int | None = None, k_inner: int | None = None) -> "MMDataset":
-        return cls.decode(Path(path).read_text(encoding="utf-8"), n_outer, k_inner)
+        return cls._from_columns(table, ids, n_outer, k_inner)
 
 
 def _decode_record(line: str) -> tuple[Hyperedge, MaskedHyperedge]:
@@ -287,7 +279,7 @@ def sample_dataset(h: WeightedHypergraph, n_samples: int, seed: int) -> Dataset:
     edges = h.edge_set
     sampler = AliasSampler([h.weight(e) for e in edges])
     idx = sampler.draw(rng_stream(seed, "sample-dataset"), n_samples)
-    return Dataset(tuple(edges[i] for i in idx))
+    return Dataset._from_columns(edges, idx.astype(np.int32))
 
 
 def sample_mm_dataset(
@@ -307,7 +299,7 @@ def sample_mm_dataset(
     outer = sampler.draw(rng_stream(seed, "mm-outer"), n_outer)
     u = rng_stream(seed, "mm-mask").random((n_outer, k_inner))
 
-    pairs: list[tuple[Hyperedge, MaskedHyperedge]] = []
+    table: list[tuple[Hyperedge, MaskedHyperedge]] = []
     ids = np.empty((n_outer, k_inner), dtype=np.int32)
     order = np.argsort(outer, kind="stable")
     drawn, starts = np.unique(outer[order], return_index=True)
@@ -316,9 +308,9 @@ def sample_mm_dataset(
         support = strategy.support(e)
         cdf = np.cumsum([p for _, p in support])
         picks = np.searchsorted(cdf, u[rows], side="right")
-        ids[rows] = len(pairs) + np.minimum(picks, len(support) - 1)
-        pairs.extend((e, f) for f, _ in support)
-    return MMDataset._from_columns(pairs, ids.ravel(), n_outer, k_inner)
+        ids[rows] = len(table) + np.minimum(picks, len(support) - 1)
+        table.extend((e, f) for f, _ in support)
+    return MMDataset._from_columns(table, ids.ravel(), n_outer, k_inner)
 
 
 # -- the share-a-mask relation over hyperedges -----------------------------------

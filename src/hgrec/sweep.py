@@ -193,13 +193,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _run_cell(cfg_doc: dict, cell: tuple[int, int, int, int]) -> dict:
-    cfg = SweepConfig.from_dict(cfg_doc)
+def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int]) -> dict:
     inst_idx, n_idx, k_idx, seed_idx = cell
     inst = cfg.instances[inst_idx]
     n_samples = cfg.n_grid[n_idx]
     k_inner = cfg.k_grid[k_idx]
-    master = cfg.master_seed()
     mask64 = (1 << 64) - 1
 
     row = {c: "" for c in CSV_COLUMNS}
@@ -215,7 +213,7 @@ def _run_cell(cfg_doc: dict, cell: tuple[int, int, int, int]) -> dict:
     )
     start = time.perf_counter()
     try:
-        weight_seed = derive_seed(master & mask64, "sweep-weights", inst_idx, seed_idx) & mask64
+        weight_seed = derive_seed(master, "sweep-weights", inst_idx, seed_idx) & mask64
         truth = GeneratorSpec(
             structure=inst.structure,
             n=inst.n,
@@ -236,7 +234,7 @@ def _run_cell(cfg_doc: dict, cell: tuple[int, int, int, int]) -> dict:
             C_pi=big_c_pi,
         )
 
-        mm_seed = derive_seed(master & mask64, "sweep-mm", inst_idx, n_idx, k_idx, seed_idx) & mask64
+        mm_seed = derive_seed(master, "sweep-mm", inst_idx, n_idx, k_idx, seed_idx) & mask64
         mm = sample_mm_dataset(truth, n_samples, k_inner, strategy, mm_seed)
 
         plugin = recover_from_dataset(mm.outer_dataset())
@@ -259,12 +257,12 @@ def _run_cell(cfg_doc: dict, cell: tuple[int, int, int, int]) -> dict:
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
     """All cell rows in deterministic order; ``jobs > 1`` runs cells in parallel."""
-    doc = cfg.to_dict()
+    master = cfg.master_seed()
     cells = cfg.cells()
     if jobs <= 1:
-        return [_run_cell(doc, cell) for cell in cells]
+        return [_run_cell(cfg, master, cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, [doc] * len(cells), cells))
+        return list(pool.map(_run_cell, [cfg] * len(cells), [master] * len(cells), cells))
 
 
 def rows_to_csv(rows: Iterable[Mapping]) -> str:

@@ -26,6 +26,7 @@ from hgrec import (
     normalize,
     recover_from_dataset,
     relabel,
+    sample_dataset,
     wl_refine,
 )
 from hgrec import alignment
@@ -708,6 +709,32 @@ def test_node_mapping_accepts_an_exact_repeat():
     assert parse_node_mapping("a x\nb y\na x\n").pairs == (("a", "x"), ("b", "y"))
 
 
+def test_anchor_file_accepts_an_exact_repeat():
+    anchors = parse_anchor_file("node a x\nedge a+b x+y\nnode a x\nedge b+a y+x\nnode b y\n")
+    assert anchors.node_pairs == (("a", "x"), ("b", "y"))
+    assert anchors.edge_pairs == ((edge("a", "b"), edge("x", "y")),)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("node a x\nnode a x\nnode a y\n", "line 3: node 'a' is anchored twice"),
+    ("edge a+b x+y\nedge a+b x+y\n\nedge c+d x+y\n", "line 4: edge 'x+y' is anchored twice"),
+])
+def test_anchor_file_conflicting_repeat_names_the_line(text, message):
+    with pytest.raises(NotABijection) as exc:
+        parse_anchor_file(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a+b\n", "line 1: expected '<e1-key> <e2-key>', got 'a+b'"),
+    ("# pairs\na+b x+y\na+c x+z b+c\n", "line 3: expected '<e1-key> <e2-key>', got 'a+c x+z b+c'"),
+])
+def test_edge_pairs_need_two_fields(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_edge_pairs(text)
+    assert str(exc.value) == message
+
+
 def test_anchor_set_rejects_duplicates():
     with pytest.raises(NotABijection):
         AnchorSet(node_pairs=(("a", "x"), ("a", "y")))
@@ -742,6 +769,24 @@ def test_fuse_incomplete_mapping():
     d1 = Dataset((edge("a", "b"),))
     with pytest.raises(IncompleteMapping):
         fuse_datasets(d1, Dataset(()), NodeRelabeling({"a": "x"}))
+
+
+def test_fuse_skips_undrawn_edges_and_relabels_drawn_ones_once():
+    h = normalize(WeightedHypergraph({edge("a", "b"): 1.0, edge("a", "c"): 1.0, edge("c", "d"): 1e-9}))
+    d1 = sample_dataset(h, 50, seed=3)
+    assert edge("c", "d") in d1.table and edge("c", "d") not in d1.samples
+    phi = NodeRelabeling({"a": "x", "b": "y", "c": "z"})  # no image for d
+    d2 = Dataset((edge("x", "y"), edge("q", "r")))
+    fused = fuse_datasets(d1, d2, phi)
+    assert fused == Dataset(tuple(phi.apply_edge(e) for e in d1.samples) + d2.samples)
+    assert fused.counts() == {edge("x", "y"): d1.counts()[edge("a", "b")] + 1,
+                              edge("x", "z"): d1.counts()[edge("a", "c")], edge("q", "r"): 1}
+
+
+def test_fuse_names_the_first_unmapped_node_of_the_samples():
+    d1 = Dataset((edge("a", "b"), edge("c", "d"), edge("a", "e")))
+    with pytest.raises(IncompleteMapping, match="'c'"):
+        fuse_datasets(d1, Dataset(()), NodeRelabeling({"a": "x", "b": "y"}))
 
 
 # -- text helpers ---------------------------------------------------------------------------

@@ -142,6 +142,47 @@ def test_align_ids_without_edge_pairs_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "--edge-pairs" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("method, flag", [
+    ("wl-ir", "--edge-pairs"),
+    ("exact", "--edge-pairs"),
+    ("exact", "--anchors"),
+    ("ids", "--anchors"),
+])
+def test_align_rejects_the_input_flag_of_another_method(tmp_path, capsys, method, flag):
+    g, junk, pairs = tmp_path / "g.hg", tmp_path / "junk.txt", tmp_path / "pairs.txt"
+    assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
+    junk.write_text("nonsense file\n", encoding="utf-8")
+    pairs.write_text("0+1 0+1\n0+2 0+2\n0+3 0+3\n", encoding="utf-8")
+    extra = ("--edge-pairs", pairs) if method == "ids" else ()
+    capsys.readouterr()
+    assert run("align", "--h1", g, "--h2", g, "--method", method, flag, junk, *extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ValueError:") and flag in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_align_anchors_accept_an_exact_repeat(tmp_path, capsys):
+    g, anchors, out = tmp_path / "g.hg", tmp_path / "anchors.txt", tmp_path / "al.txt"
+    assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
+    anchors.write_text("node 1 1\nnode 1 1\nedge 0+2 0+2\nedge 2+0 0+2\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("align", "--h1", g, "--h2", g, "--method", "wl-ir", "--anchors", anchors, "-o", out) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8") == "0 0\n1 1\n2 2\n3 3\n#cost 0\n"
+
+
+def test_align_ids_writes_the_alignment(tmp_path):
+    h1, h2, pairs, out = (tmp_path / name for name in ("a.hg", "b.hg", "pairs.txt", "al.txt"))
+    g = WeightedHypergraph({edge("a", "b"): 1.0, edge("b", "c"): 2.0, edge("c", "d"): 3.0})
+    phi = NodeRelabeling({"a": "w", "b": "x", "c": "y", "d": "z"})
+    save_hypergraph(g, h1)
+    save_hypergraph(relabel(g, phi), h2)
+    pairs.write_text("a+b w+x\nb+c x+y\nc+d y+z\n", encoding="utf-8")
+    assert run("align", "--h1", h1, "--h2", h2, "--method", "ids", "--edge-pairs", pairs, "-o", out) == 0
+    assert out.read_text(encoding="utf-8") == "a w\nb x\nc y\nd z\n#cost 0\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")

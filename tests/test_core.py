@@ -283,6 +283,18 @@ def test_normalized_flag_after_edges_rejected():
         decode("#hg v1\nedge a b 1.0\n#normalized\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("#hg v1\nnode a b 1\n", "line 2: unknown directive 'node'"),
+    ("#hg v1\nedge a b 0\n", "line 2: weight must be a positive finite real, got 0"),
+    ("#hg v1\nedge a b 1\n\nedge a c -1.5\n", "line 4: weight must be a positive finite real, got -1.5"),
+    ("#hg v1\n#normalized\nedge a b|c 1\n", "line 3: node token uses a reserved character: 'b|c'"),
+])
+def test_decode_names_the_line_of_a_bad_edge(text, message):
+    with pytest.raises(ParseError) as err:
+        decode(text)
+    assert str(err.value) == message
+
+
 @given(hypergraphs())
 def test_round_trip_random(h):
     back = decode(encode(h))

@@ -62,6 +62,19 @@ def test_ingest_nonpositive_weight(tmp_path):
         ingest_edge_list(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a\tb\t0.5\n \tb\t0.5\n", "line 2: empty entity name"),
+    ("a\t\t0.5\n", "line 1: empty entity name"),
+    ("a\tb\t0.5\n\nc\td\theavy\n", "line 3: bad weight 'heavy'"),
+])
+def test_ingest_names_the_line_of_a_bad_field(tmp_path, text, message):
+    path = tmp_path / "bad.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        ingest_edge_list(path)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
 def test_ingest_non_finite_weight(tmp_path, weight):
     path = tmp_path / "bad.tsv"

@@ -184,6 +184,18 @@ def test_oracle_rejects_keys_with_one_canonical_form(counts, repeated):
         TabularOracle.from_json('{"format": "hgrec-oracle-v1", "counts": ' + counts + "}")
 
 
+@pytest.mark.parametrize("counts, message", [
+    ('{"a|1": {"a+b": 0}}', "counts must be positive, got 0 for a+b"),
+    ('{"a|1": {"a+b": 2, "a+c": -3}}', "counts must be positive, got -3 for a+c"),
+    ('{"a|1": {"b+c": 2}}', "'a|1' is not a masked form of 'b+c'"),
+    ('{"a|1": {"a+b+c": 2}}', "'a|1' is not a masked form of 'a+b+c'"),
+])
+def test_oracle_rejects_counts_it_cannot_hold(counts, message):
+    with pytest.raises(ValueError) as err:
+        TabularOracle.from_json('{"format": "hgrec-oracle-v1", "counts": ' + counts + "}")
+    assert str(err.value) == message
+
+
 # -- consistency with the exact oracle ------------------------------------------------------
 
 def test_tabular_converges_to_exact():

@@ -175,6 +175,38 @@ def test_ds_round_trip(tmp_path):
     assert Dataset.load(path).samples == d.samples
 
 
+@pytest.mark.parametrize("n_samples, seed", [(1, 0), (30, 9), (500, 11)])
+def test_sample_dataset_matches_per_sample_reference(n_samples, seed):
+    h = normalize(WeightedHypergraph({e: float(1 + i % 4) for i, e in enumerate(star(6).edge_set)}))
+    idx = AliasSampler([h.weight(e) for e in h.edge_set]).draw(rng_stream(seed, "sample-dataset"), n_samples)
+    expected = tuple(h.edge_set[i] for i in idx)
+    d = sample_dataset(h, n_samples, seed)
+    assert d.samples == tuple(d) == expected and d.n == len(d) == n_samples
+    assert d.encode() == "".join(" ".join(e.nodes) + "\n" for e in expected)
+    assert d.counts() == dict(Counter(expected))
+    assert d == Dataset(expected) == Dataset.decode(d.encode())
+
+
+def test_dataset_table_may_repeat_or_hold_unused_edges():
+    ab, ac, bc = edge("a", "b"), edge("a", "c"), edge("b", "c")
+    d = Dataset._from_columns([ab, ac, ab, bc], np.array([0, 2, 1, 0], dtype=np.int32))
+    assert d.samples == (ab, ab, ac, ab) and d == Dataset((ab, ab, ac, ab))
+    assert d.counts() == {ab: 3, ac: 1}
+    assert d.encode() == "a b\na b\na c\na b\n"
+    assert not d.ids.flags.writeable
+    with pytest.raises(TypeError):
+        hash(d)
+
+
+def test_ds_decode_shares_repeated_lines_and_names_the_first_bad_one():
+    d = Dataset.decode("1 0\n0  1\n\n0 1\n2 0\n")
+    assert d.samples == (edge("0", "1"),) * 3 + (edge("0", "2"),)
+    assert d.counts() == {edge("0", "1"): 3, edge("0", "2"): 1}
+    assert d.encode() == "0 1\n0 1\n0 1\n0 2\n"
+    with pytest.raises(ParseError, match=r"^line 3: "):
+        Dataset.decode("0 1\n\n0 0\n0 1\n0 0\n0 1+2\n")
+
+
 def test_mm_round_trip(tmp_path):
     h = normalize(star(5))
     mm = sample_mm_dataset(h, 10, 2, STRATEGY, seed=10)
