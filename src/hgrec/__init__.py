@@ -33,7 +33,7 @@ from .sampling import (
     strategy_constants,
     uniform_single_mask,
 )
-from .oracle import ExactOracle, TabularOracle, relative_weight, train_tabular
+from .oracle import ExactOracle, TabularOracle, train_tabular
 from .recovery import (
     ALL_PAIRS,
     RecoveryReport,

@@ -649,9 +649,10 @@ def _fields(text: str):
             yield num, line, line.split()
 
 
-def _edge_key(num: int, key: str) -> Hyperedge:
+def _parsed(num: int, parse, token: str):
+    """``parse(token)``, with its ``ValueError`` raised as a ``ParseError`` on line ``num``."""
     try:
-        return Hyperedge.from_key(key)
+        return parse(token)
     except ValueError as exc:
         raise ParseError(num, str(exc)) from None
 
@@ -663,10 +664,7 @@ def parse_node_mapping(text: str) -> NodeRelabeling:
     for num, line, parts in _fields(text):
         if len(parts) != 2:
             raise ParseError(num, f"expected '<v1> <v2>', got {line!r}")
-        try:
-            src, dst = check_token(parts[0]), check_token(parts[1])
-        except ValueError as exc:
-            raise ParseError(num, str(exc)) from None
+        src, dst = (_parsed(num, check_token, token) for token in parts)
         if forward.setdefault(src, dst) != dst:
             raise NotABijection(
                 f"line {num}: node {src!r} mapped to both {forward[src]!r} and {dst!r}"
@@ -685,18 +683,16 @@ def parse_anchor_file(text: str) -> AnchorSet:
     for num, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] not in ("node", "edge"):
             raise ParseError(num, f"expected 'node <v1> <v2>' or 'edge <e1> <e2>', got {line!r}")
-        kind = parts[0]
-        if kind == "node":
-            pair = (parts[1], parts[2])
-        else:
-            pair = (_edge_key(num, parts[1]), _edge_key(num, parts[2]))
-        if pair in pairs[kind]:
+        tag = parts[0]
+        parse = check_token if tag == "node" else Hyperedge.from_key
+        pair = tuple(_parsed(num, parse, token) for token in parts[1:])
+        if pair in pairs[tag]:
             continue
         for side in (0, 1):
-            if (kind, side, pair[side]) in seen:
-                raise NotABijection(f"line {num}: {kind} {parts[1 + side]!r} is anchored twice")
-            seen.add((kind, side, pair[side]))
-        pairs[kind][pair] = None
+            if (tag, side, pair[side]) in seen:
+                raise NotABijection(f"line {num}: {tag} {parts[1 + side]!r} is anchored twice")
+            seen.add((tag, side, pair[side]))
+        pairs[tag][pair] = None
     return AnchorSet(tuple(pairs["node"]), tuple(pairs["edge"]))
 
 
@@ -706,5 +702,5 @@ def parse_edge_pairs(text: str) -> tuple[tuple[Hyperedge, Hyperedge], ...]:
     for num, line, parts in _fields(text):
         if len(parts) != 2:
             raise ParseError(num, f"expected '<e1-key> <e2-key>', got {line!r}")
-        pairs.append((_edge_key(num, parts[0]), _edge_key(num, parts[1])))
+        pairs.append(tuple(_parsed(num, Hyperedge.from_key, key) for key in parts))
     return tuple(pairs)

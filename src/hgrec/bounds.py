@@ -24,16 +24,16 @@ class BoundsInput:
     delta: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.kappa < 1:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
+        if not 1 <= self.m < math.inf:
+            raise ValueError(f"m must be finite and >= 1, got {self.m}")
+        if not 1 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
+        if not 1 <= self.L < math.inf:
+            raise ValueError(f"L must be finite and >= 1, got {self.L}")
         if not 0 < self.c_pi <= 1:
             raise ValueError(f"c_pi must lie in (0, 1], got {self.c_pi}")
-        if self.C_pi < 1:
-            raise ValueError(f"C_pi must be >= 1, got {self.C_pi}")
+        if not 1 <= self.C_pi < math.inf:
+            raise ValueError(f"C_pi must be finite and >= 1, got {self.C_pi}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0 < self.delta < 1:
@@ -67,8 +67,8 @@ def lemma_rr_bounds(m0: int, kappa0: float) -> tuple[float, float]:
 
     Returns (floor of the minimum probability, ceiling of the maximum).
     """
-    if m0 < 1:
-        raise ValueError(f"m0 must be >= 1, got {m0}")
-    if kappa0 < 1:
-        raise ValueError(f"kappa0 must be >= 1, got {kappa0}")
+    if not 1 <= m0 < math.inf:
+        raise ValueError(f"m0 must be finite and >= 1, got {m0}")
+    if not 1 <= kappa0 < math.inf:
+        raise ValueError(f"kappa0 must be finite and >= 1, got {kappa0}")
     return 1.0 / (m0 * kappa0), kappa0 / (m0 + kappa0 - 1.0)

@@ -57,10 +57,6 @@ class UndefinedRatio(HgrecError):
     pass
 
 
-class NotShared(HgrecError):
-    pass
-
-
 # -- recovery ----------------------------------------------------------------
 
 class NothingRecovered(HgrecError):

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from .core import Hyperedge, WeightedHypergraph
-from .errors import NotNormalized, NotShared, UndefinedRatio
+from .errors import NotNormalized
 from .sampling import MaskedHyperedge, MaskingStrategy, MMDataset
 
 
@@ -143,32 +143,3 @@ class ExactOracle:
 
     def __repr__(self) -> str:
         return f"ExactOracle({self.hypergraph!r})"
-
-
-def relative_weight(
-    oracle,
-    e1: Hyperedge,
-    e2: Hyperedge,
-    masked: MaskedHyperedge,
-    strategy: MaskingStrategy,
-) -> float:
-    """Estimated weight ratio w(e1)/w(e2) read off a shared masked form.
-
-    The belief ratio is corrected for the masking probabilities:
-    ``M(e1|m) pi(m|e2) / (M(e2|m) pi(m|e1))``.
-    """
-    p1 = strategy.prob(masked, e1)
-    p2 = strategy.prob(masked, e2)
-    if p1 <= 0.0 or p2 <= 0.0:
-        raise NotShared(f"{masked.key!r} is not a shared masked form of both edges")
-    dist = oracle.query(masked)
-    m2 = 0.0 if dist is None else dist.get(e2, 0.0)
-    if m2 <= 0.0:
-        raise UndefinedRatio(f"oracle assigns zero belief to {e2.key!r} given {masked.key!r}")
-    m1 = 0.0 if dist is None else dist.get(e1, 0.0)
-    return belief_ratio(m1, m2, p1, p2)
-
-
-def belief_ratio(m1: float, m2: float, p1: float, p2: float) -> float:
-    """w(e1)/w(e2) from one shared form: beliefs ``m_i = M(e_i|m)``, masking ``p_i = pi(m|e_i)``."""
-    return (m1 * p2) / (m2 * p1)

@@ -25,7 +25,6 @@ from .core import (
     sketch_diff,
 )
 from .errors import EmptyDataset, NothingRecovered, UndefinedRatio
-from .oracle import belief_ratio
 from .sampling import Dataset, MaskedHyperedge, MaskingStrategy, MetaGraph
 
 #: Candidate-set sentinel: enumerate all 2-subsets of the oracle's known nodes.
@@ -95,12 +94,14 @@ def bf_weight_estimation(
 ) -> dict[Hyperedge, float]:
     """Propagate relative weights from ``e_init`` over the share-a-mask relation.
 
-    Each edge is assigned on its first visit. When two edges share several
-    masked forms, ``"first"`` uses the canonically smallest form with positive
-    belief on both sides; ``"geometric_mean"`` averages log-ratios over all
-    such forms. Pairs whose shared forms all lack belief on one side cannot
-    carry a ratio; if that leaves some share-a-mask-reachable edge unassigned,
-    :class:`UndefinedRatio` is raised.
+    The step from ``e`` to a neighbour ``nb`` through a shared form ``m`` is
+    ``M(nb|m) pi(m|e) / (M(e|m) pi(m|nb))``. Each edge is assigned on its
+    first visit. When two edges share several masked forms, ``"first"`` uses
+    the canonically smallest form with positive belief on both sides;
+    ``"geometric_mean"`` averages log-ratios over all such forms. Pairs whose
+    shared forms all lack belief on one side cannot carry a ratio; if that
+    leaves some share-a-mask-reachable edge unassigned, :class:`UndefinedRatio`
+    is raised.
     """
     if ratio_aggregation not in RATIO_AGGREGATIONS:
         raise ValueError(f"ratio_aggregation must be one of {RATIO_AGGREGATIONS}")
@@ -134,7 +135,7 @@ def bf_weight_estimation(
                 m_e = _positive_belief(cache, oracle, form, e)
                 m_nb = _positive_belief(cache, oracle, form, nb)
                 if m_e > 0.0 and m_nb > 0.0:
-                    ratio = belief_ratio(m_nb, m_e, strategy.prob(form, nb), strategy.prob(form, e))
+                    ratio = (m_nb * strategy.prob(form, e)) / (m_e * strategy.prob(form, nb))
                     if ratio_aggregation == "first":
                         ratios = [ratio]
                         break

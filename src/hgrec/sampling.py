@@ -71,8 +71,6 @@ class MaskedHyperedge(tuple):
 class MaskingStrategy(ABC):
     """A conditional distribution over masked forms of each hyperedge."""
 
-    kind: str
-
     @abstractmethod
     def support(self, e: Hyperedge) -> tuple[tuple[MaskedHyperedge, float], ...]:
         """All (masked form, probability) pairs for ``e``, in canonical form order."""
@@ -87,8 +85,6 @@ class MaskingStrategy(ABC):
 
 class UniformSingleMask(MaskingStrategy):
     """Hide exactly one node of the hyperedge, chosen uniformly."""
-
-    kind = "uniform1"
 
     def __init__(self):
         self._cache: dict[Hyperedge, tuple[tuple[MaskedHyperedge, float], ...]] = {}
@@ -332,9 +328,9 @@ class MetaGraph:
 
     @classmethod
     def over(cls, edges: Iterable[Hyperedge], strategy: MaskingStrategy) -> "MetaGraph":
-        """The share-a-mask incidence over ``edges`` under ``strategy``."""
+        """The share-a-mask incidence over ``edges``; forms keep ``strategy.support``'s canonical order."""
         vertices = tuple(sorted(set(edges)))
-        forms = {e: tuple(sorted(f for f, _ in strategy.support(e))) for e in vertices}
+        forms = {e: tuple([f for f, _ in strategy.support(e)]) for e in vertices}
         owners: dict[MaskedHyperedge, list[Hyperedge]] = {}
         for e in vertices:
             for form in forms[e]:
@@ -348,13 +344,6 @@ class MetaGraph:
             e: tuple(sorted({u for f in fs for u in self.owners[f] if u != e}))
             for e, fs in self.forms.items()
         }
-
-    def shared(self, e1: Hyperedge, e2: Hyperedge) -> tuple[MaskedHyperedge, ...]:
-        """Masked forms producible from both edges (canonically sorted)."""
-        if e1 == e2:
-            return ()
-        theirs = set(self.forms.get(e2, ()))
-        return tuple(f for f in self.forms.get(e1, ()) if f in theirs)
 
     def layers(self, start: Hyperedge) -> Iterator[list[Hyperedge]]:
         """Breadth-first layers of edges from ``start``: layer d holds the edges at distance d."""

@@ -26,6 +26,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -256,9 +258,13 @@ def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int]) ->
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
-    """All cell rows in deterministic order; ``jobs > 1`` runs cells in parallel."""
+    """All cell rows in deterministic order; ``jobs > 1`` runs cells in parallel.
+
+    The pool starts every worker at once, so it gets no more than one per cell and per CPU.
+    """
     master = cfg.master_seed()
     cells = cfg.cells()
+    jobs = min(jobs, len(cells), os.cpu_count() or 1)
     if jobs <= 1:
         return [_run_cell(cfg, master, cell) for cell in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -288,17 +294,18 @@ def fit_scaling(rows: Iterable[Mapping], x_field: str, y_field: str) -> tuple[fl
 
     Rows with a non-"ok" status or an empty y value are skipped; the remaining
     y values are averaged per distinct x before fitting. A missing column or a
-    value that is not a number raises ``InvalidForLogFit`` naming the row
+    value that is not a finite number raises ``InvalidForLogFit`` naming the row
     (counted from 1) and column.
     """
 
     def number(num: int, row: Mapping, field: str) -> float:
         try:
-            return float(row[field])
+            value = float(row[field])
         except (TypeError, ValueError):
-            raise InvalidForLogFit(
-                f"row {num}: {field} value {row[field]!r} is not a number"
-            ) from None
+            raise InvalidForLogFit(f"row {num}: {field} value {row[field]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise InvalidForLogFit(f"row {num}: {field} value {row[field]!r} is not finite")
+        return value
 
     groups: dict[float, list[float]] = {}
     for num, row in enumerate(rows, start=1):

@@ -42,8 +42,6 @@ class HideOneOrTwo(MaskingStrategy):
     ``a b c`` and ``a b d`` share ``a b|1``, ``a|2`` and ``b|2``.
     """
 
-    kind = "hide12"
-
     def support(self, e):
         forms = [
             MaskedHyperedge(set(e.nodes) - set(hidden), len(hidden))

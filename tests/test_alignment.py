@@ -167,10 +167,10 @@ def exact_alignment_inputs(draw):
     weights = st.sampled_from([1.0, 2.0, 3.0, 0.5])
     edges1 = draw(EDGE_LISTS)
     h1 = WeightedHypergraph({e: draw(weights) for e in edges1})
-    kind = draw(st.sampled_from(["relabel", "reweight", "edit", "unrelated"]))
-    if kind == "unrelated":
+    change = draw(st.sampled_from(["relabel", "reweight", "edit", "unrelated"]))
+    if change == "unrelated":
         edges2 = draw(EDGE_LISTS)
-    elif kind == "edit":
+    elif change == "edit":
         # Drop some edges and add some over the same nodes, so m1 != m2 at equal n.
         dropped = draw(st.sets(st.sampled_from(edges1), max_size=2))
         kept = [e for e in edges1 if e not in dropped]
@@ -179,7 +179,7 @@ def exact_alignment_inputs(draw):
         edges2 = kept + [e for e in added if e not in kept] or edges1
     else:
         edges2 = edges1
-    if kind == "relabel":
+    if change == "relabel":
         h2 = h1
     else:
         h2 = WeightedHypergraph({e: draw(weights) for e in edges2})
@@ -581,12 +581,12 @@ def search_inputs(draw):
     targets = draw(st.permutations([f"y{i}" for i in range(h2.n)]))
     phi = NodeRelabeling(dict(zip(h2.nodes, targets)))
     h2 = relabel(h2, phi)
-    kind = draw(st.sampled_from(["none", "node", "edge"]))
-    if kind == "node":
+    anchored = draw(st.sampled_from(["none", "node", "edge"]))
+    if anchored == "node":
         pairs = draw(st.lists(st.tuples(st.sampled_from(h1.nodes), st.sampled_from(h2.nodes)),
                               max_size=2, unique_by=(lambda p: p[0], lambda p: p[1])))
         anchors = AnchorSet(node_pairs=tuple(pairs))
-    elif kind == "edge":
+    elif anchored == "edge":
         e1, e2 = draw(st.sampled_from(h1.edge_set)), draw(st.sampled_from(h2.edge_set))
         anchors = AnchorSet(edge_pairs=((e1, e2),))
     else:
@@ -684,6 +684,8 @@ def test_partition_matches_plain_refinement(case):
     (parse_node_mapping, "a x\nb y+z\n", 2),
     (parse_anchor_file, "node a x\nedge a+b c\n", 2),
     (parse_anchor_file, "# anchors\nnode a\n", 2),
+    (parse_anchor_file, "node a x\nnode a+b y\n", 2),
+    (parse_anchor_file, "# anchors\nnode _ 0\n", 2),
     (parse_edge_pairs, "\n# pairs\na+b x\n", 3),
 ])
 def test_alignment_readers_name_the_line(parse, text, line):

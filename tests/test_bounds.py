@@ -90,6 +90,21 @@ def test_lemma_property(m0, kappa0):
     assert np.all(probs.max(axis=1) <= hi + 1e-12)
 
 
+@pytest.mark.parametrize("field", ["m", "kappa", "L", "C_pi"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_bounds_input_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        BoundsInput(**dict(EXAMPLE, **{field: value}))
+
+
+@pytest.mark.parametrize("m0, kappa0, field", [
+    (2, math.inf, "kappa0"), (2, math.nan, "kappa0"), (math.inf, 2, "m0"), (math.nan, 2, "m0"),
+])
+def test_lemma_rejects_non_finite(m0, kappa0, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        lemma_rr_bounds(m0, kappa0)
+
+
 def test_bounds_input_validation():
     bad = dict(EXAMPLE)
     for f, v in [

@@ -92,6 +92,8 @@ def test_recover_bad_candidate_line_names_it(tmp_path, capsys):
 @pytest.mark.parametrize("flag, text, line", [
     ("--anchors", "node 0 1\nedge 0+1\n", 2),
     ("--anchors", "# anchors\n\nedge 0+1 1\n", 3),
+    ("--anchors", "node 0 1\nnode 1+2 2\n", 2),
+    ("--anchors", "node _ 0\n", 1),
     ("--edge-pairs", "0+1 0+1\n0+2 0+2+\n", 2),
     ("--relabel", "0 0\n1\n", 2),
     ("--mapping", "# phi\n0 0\n1 1+2\n", 3),
@@ -328,6 +330,18 @@ def test_bounds_json(tmp_path, capsys):
     assert doc["weight_min_floor"] == pytest.approx(1 / 6)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--kappa", "inf"), ("--kappa", "nan"), ("--C-pi", "inf"), ("--C-pi", "nan"),
+    ("--kappa0", "inf"), ("--kappa0", "nan"),
+])
+def test_bounds_rejects_non_finite(capsys, flag, value):
+    argv = {"--m": 10, "--kappa": 3, "-L": 2, "--c-pi": 0.5, "--C-pi": 2,
+            "--epsilon": 0.1, "--delta": 0.1, "--m0": 2, "--kappa0": 3}
+    argv[flag] = value
+    assert run("bounds", *(part for pair in argv.items() for part in pair)) == 1
+    assert_one_error_line(capsys, f"{flag.lstrip('-').replace('-', '_')} must be finite")
+
+
 def test_sweep_and_fit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -346,6 +360,9 @@ def test_sweep_and_fit(tmp_path, capsys):
 @pytest.mark.parametrize("table, x_field, message", [
     ("N,d\n10,1\n", "nope", "row 1: no 'nope' column"),
     ("N,d\n10,1\n100,abc\n", "N", "row 2: d value 'abc' is not a number"),
+    ("N,d\n10,1\n100,inf\n1000,2\n", "N", "row 2: d value 'inf' is not finite"),
+    ("N,d\n10,1\n100,2\ninf,3\n", "N", "row 3: N value 'inf' is not finite"),
+    ("N,d\nnan,1\n10,1\n100,2\n", "N", "row 1: N value 'nan' is not finite"),
 ])
 def test_fit_bad_csv_exits_1(tmp_path, capsys, table, x_field, message):
     rows = tmp_path / "rows.csv"

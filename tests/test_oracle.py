@@ -8,12 +8,11 @@ from hgrec import (
     TabularOracle,
     WeightedHypergraph,
     edge,
-    relative_weight,
     sample_mm_dataset,
     train_tabular,
     uniform_single_mask,
 )
-from hgrec.errors import NotNormalized, NotShared, UndefinedRatio
+from hgrec.errors import NotNormalized
 from hgrec.generators import assign_weights, star
 
 STRATEGY = uniform_single_mask()
@@ -95,54 +94,6 @@ def test_forms_are_the_answered_forms_in_canonical_order():
         assert all(oracle.query(f) for f in forms)
     assert ExactOracle(h, STRATEGY).query(MaskedHyperedge(["1", "2"], 1)) is None
     assert TabularOracle().forms() == ()
-
-
-# -- relative weights -----------------------------------------------------------------
-
-def test_relative_weight_derived():
-    oracle = ExactOracle(TWO_EDGE, STRATEGY)
-    assert relative_weight(oracle, E_AC, E_AB, MASK_A, STRATEGY) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_relative_weight_same_edge():
-    oracle = ExactOracle(TWO_EDGE, STRATEGY)
-    assert relative_weight(oracle, E_AB, E_AB, MASK_A, STRATEGY) == 1.0
-
-
-def test_relative_weight_equal_weights():
-    h = WeightedHypergraph({E_AB: 0.5, E_AC: 0.5}, normalized=True)
-    oracle = ExactOracle(h, STRATEGY)
-    assert relative_weight(oracle, E_AB, E_AC, MASK_A, STRATEGY) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_relative_weight_reciprocal():
-    oracle = ExactOracle(TWO_EDGE, STRATEGY)
-    fwd = relative_weight(oracle, E_AB, E_AC, MASK_A, STRATEGY)
-    bwd = relative_weight(oracle, E_AC, E_AB, MASK_A, STRATEGY)
-    assert abs(fwd * bwd - 1.0) <= 1e-12
-
-
-def test_relative_weight_cancels_masking():
-    h = assign_weights(star(6), 1.0, 10.0, seed=5)
-    oracle = ExactOracle(h, STRATEGY)
-    hub = MaskedHyperedge(["0"], 1)
-    edges = h.edge_set
-    for e1 in edges:
-        for e2 in edges:
-            got = relative_weight(oracle, e1, e2, hub, STRATEGY)
-            assert abs(got - h.weight(e1) / h.weight(e2)) <= 1e-12
-
-
-def test_relative_weight_not_shared():
-    oracle = ExactOracle(TWO_EDGE, STRATEGY)
-    with pytest.raises(NotShared):
-        relative_weight(oracle, E_AB, E_AC, MaskedHyperedge(["b"], 1), STRATEGY)
-
-
-def test_relative_weight_undefined():
-    oracle = train_tabular(mm_of([(E_AB, MASK_A)]))
-    with pytest.raises(UndefinedRatio):
-        relative_weight(oracle, E_AB, E_AC, MASK_A, STRATEGY)
 
 
 # -- serialization -----------------------------------------------------------------------

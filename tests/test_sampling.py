@@ -321,16 +321,16 @@ def test_meta_graph_star_is_complete():
     mg = build_meta_graph(h, STRATEGY)
     for e in mg.vertices:
         assert len(mg.adjacency[e]) == len(mg.vertices) - 1
-    hub_mask = MaskedHyperedge(["0"], 1)
-    assert hub_mask in mg.shared(edge("0", "1"), edge("0", "2"))
+    assert mg.owners[MaskedHyperedge(["0"], 1)] == mg.vertices
 
 
 def test_meta_graph_chain4_is_path():
     h = normalize(chain(4))
     mg = build_meta_graph(h, STRATEGY)
-    assert mg.shared(edge("0", "1"), edge("1", "2")) == (MaskedHyperedge(["1"], 1),)
-    assert mg.shared(edge("1", "2"), edge("2", "3")) == (MaskedHyperedge(["2"], 1),)
-    assert mg.shared(edge("0", "1"), edge("2", "3")) == ()
+    assert mg.owners[MaskedHyperedge(["1"], 1)] == (edge("0", "1"), edge("1", "2"))
+    assert mg.owners[MaskedHyperedge(["2"], 1)] == (edge("1", "2"), edge("2", "3"))
+    assert mg.owners[MaskedHyperedge(["0"], 1)] == (edge("0", "1"),)
+    assert mg.owners[MaskedHyperedge(["3"], 1)] == (edge("2", "3"),)
 
 
 def test_meta_graph_disjoint():
@@ -403,10 +403,10 @@ def test_meta_graph_matches_brute_force(edges, strategy):
     mg = build_meta_graph(WeightedHypergraph({e: 1.0 for e in edges}), strategy)
     assert mg.vertices == tuple(edges)
     assert mg.adjacency == adjacency
-    for a in edges:
-        for b in edges:
-            expected = tuple(sorted(support[a] & support[b])) if a != b else ()
-            assert mg.shared(a, b) == expected
+    assert mg.forms == {e: tuple(sorted(support[e])) for e in edges}
+    assert mg.owners == {
+        f: tuple(e for e in edges if f in support[e]) for f in set().union(*support.values())
+    }
     assert mg.components() == tuple(comps)
     assert mm_path_length_bound(mg) == length
 

@@ -1,4 +1,6 @@
 import json
+import math
+import os
 
 import pytest
 
@@ -79,6 +81,38 @@ def test_parallel_matches_serial():
     serial = rows_to_csv(run_sweep(cfg, jobs=1))
     parallel = rows_to_csv(run_sweep(cfg, jobs=2))
     assert strip_runtime(serial) == strip_runtime(parallel)
+
+
+def test_pool_size_is_capped_by_cells_and_cpus(monkeypatch):
+    """A pool starts all its workers on the first submit, so ``jobs`` alone must not size it."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("hgrec.sweep.ProcessPoolExecutor", InlinePool)
+    cfg = SweepConfig(
+        instances=(InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),),
+        n_grid=(100, 200),
+        k_grid=(1,),
+        num_seeds=2,
+    )
+    serial = strip_runtime(rows_to_csv(run_sweep(cfg, jobs=1)))
+    for cpus, expected in ((64, [4]), (3, [3]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert strip_runtime(rows_to_csv(run_sweep(cfg, jobs=100_000))) == serial
+        assert sizes == expected
 
 
 def test_config_json_round_trip():
@@ -221,6 +255,8 @@ def test_fit_rejects_nonpositive():
     ([{"N": 10, "d": 1.0}, {"d": 1.0}], "row 2: no 'N' column"),
     ([{"N": 10, "d": 1.0}, {"N": 100, "d": "abc"}], "row 2: d value 'abc' is not a number"),
     ([{"N": None, "d": 1.0}], "row 1: N value None is not a number"),
+    ([{"N": 10, "d": 1.0}, {"N": 100, "d": math.inf}], "row 2: d value inf is not finite"),
+    ([{"N": math.nan, "d": 1.0}], "row 1: N value nan is not finite"),
 ])
 def test_fit_names_missing_columns_and_bad_values(rows, message):
     with pytest.raises(InvalidForLogFit) as exc:
