@@ -47,19 +47,32 @@ def lower_bound_risk(m: int, n_samples: int) -> float:
     return math.sqrt(m / n_samples) / 16.0
 
 
+def _finite(name: str, formula) -> float:
+    """``formula()``, or a ``ValueError`` naming the bound when it overflows, divides by 0 or is not finite."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is out of floating-point range for these inputs")
+    return value
+
+
 def mm_sample_bounds(b: BoundsInput) -> tuple[int, int]:
     """Sufficient (K, N) thresholds for masked-modeling recovery at (epsilon, delta)."""
-    k_min = (
+    k_min = _finite("K_min", lambda: (
         2**14
         * b.m**2
         * b.kappa**2
         * b.L**2
         / (b.c_pi**2 * b.epsilon**2)
         * math.log(6 * b.m * b.C_pi / b.delta)
-    )
-    n_coverage = 2 * b.m * b.kappa / b.c_pi * math.log(3 * b.m * b.C_pi / b.delta)
-    n_accuracy = 8 * b.m / b.epsilon**2 * math.log(6 * b.m / b.delta)
-    return math.ceil(k_min), math.ceil(max(n_coverage, n_accuracy))
+    ))
+    n_min = _finite("N_min", lambda: max(
+        2 * b.m * b.kappa / b.c_pi * math.log(3 * b.m * b.C_pi / b.delta),
+        8 * b.m / b.epsilon**2 * math.log(6 * b.m / b.delta),
+    ))
+    return math.ceil(k_min), math.ceil(n_min)
 
 
 def lemma_rr_bounds(m0: int, kappa0: float) -> tuple[float, float]:
@@ -71,4 +84,7 @@ def lemma_rr_bounds(m0: int, kappa0: float) -> tuple[float, float]:
         raise ValueError(f"m0 must be finite and >= 1, got {m0}")
     if not 1 <= kappa0 < math.inf:
         raise ValueError(f"kappa0 must be finite and >= 1, got {kappa0}")
-    return 1.0 / (m0 * kappa0), kappa0 / (m0 + kappa0 - 1.0)
+    return (
+        _finite("weight_min_floor", lambda: 1.0 / (m0 * kappa0)),
+        _finite("weight_max_ceiling", lambda: kappa0 / (m0 + kappa0 - 1.0)),
+    )

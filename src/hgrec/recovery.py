@@ -54,31 +54,18 @@ def _expand_candidates(candidates) -> tuple[Hyperedge, ...] | None:
     return expanded
 
 
-def _believed(oracle, strategy: MaskingStrategy, query_cache) -> set[Hyperedge]:
+def _believed(oracle, strategy: MaskingStrategy, answers) -> set[Hyperedge]:
     """Completions with positive belief under some form of their own support.
 
-    Reads each of ``oracle.forms()`` once and stores the answer in ``query_cache``.
+    Reads each of ``oracle.forms()`` once and stores the answer in ``answers``.
     """
     believed: set[Hyperedge] = set()
     for form in oracle.forms():
-        dist = query_cache[form] = oracle.query(form)
+        dist = answers[form] = oracle.query(form)
         for e, belief in dist.items():
             if belief > 0.0 and e not in believed and any(f == form for f, _ in strategy.support(e)):
                 believed.add(e)
     return believed
-
-
-def _positive_belief(query_cache, oracle, form: MaskedHyperedge, e: Hyperedge) -> float:
-    dist = query_cache.get(form, _MISSING)
-    if dist is _MISSING:
-        dist = oracle.query(form)
-        query_cache[form] = dist
-    if dist is None:
-        return 0.0
-    return dist.get(e, 0.0)
-
-
-_MISSING = object()
 
 
 def bf_weight_estimation(
@@ -89,19 +76,25 @@ def bf_weight_estimation(
     w_tilde: dict[Hyperedge, float],
     *,
     ratio_aggregation: str = "first",
-    _query_cache: dict | None = None,
+    _answers: dict | None = None,
     _meta_graph: MetaGraph | None = None,
 ) -> dict[Hyperedge, float]:
     """Propagate relative weights from ``e_init`` over the share-a-mask relation.
+
+    ``e_init`` must be the only weighted edge of its share-a-mask component:
+    ``w_tilde[e_init]`` is 1.0 and every other edge of the component is missing
+    from ``w_tilde`` or at most 0. The walk then reaches exactly that component.
 
     The step from ``e`` to a neighbour ``nb`` through a shared form ``m`` is
     ``M(nb|m) pi(m|e) / (M(e|m) pi(m|nb))``. Each edge is assigned on its
     first visit. When two edges share several masked forms, ``"first"`` uses
     the canonically smallest form with positive belief on both sides;
     ``"geometric_mean"`` averages log-ratios over all such forms. Pairs whose
-    shared forms all lack belief on one side cannot carry a ratio; if that
-    leaves some share-a-mask-reachable edge unassigned, :class:`UndefinedRatio`
-    is raised.
+    shared forms all lack belief on one side cannot carry a ratio. An edge is
+    stranded when the walk reads it as a neighbour of a reached edge but it
+    ends without positive weight, because no pair reaching it carries a ratio
+    or its weight underflowed to 0; :class:`UndefinedRatio` names the smallest
+    stranded edge.
     """
     if ratio_aggregation not in RATIO_AGGREGATIONS:
         raise ValueError(f"ratio_aggregation must be one of {RATIO_AGGREGATIONS}")
@@ -110,10 +103,12 @@ def bf_weight_estimation(
     # A caller that already built the incidence over a superset of whole
     # components passes it: the owners of a form and the walk are the same.
     mg = _meta_graph if _meta_graph is not None else MetaGraph.over(kept_edges, strategy)
-    cache = _query_cache if _query_cache is not None else {}
+    # By the oracle contract, no form outside ``oracle.forms()`` has a distribution.
+    answers = _answers if _answers is not None else {f: oracle.query(f) for f in oracle.forms()}
     # Per form, the owners still unweighted; filled on the form's first read
     # and pruned whenever the form is read again.
     pending: dict[MaskedHyperedge, list[Hyperedge]] = {}
+    read: set[Hyperedge] = set()
 
     queue = [e_init]
     head = 0
@@ -129,11 +124,13 @@ def bf_weight_estimation(
             for nb in unweighted:
                 if nb != e:
                     shared.setdefault(nb, []).append(form)
+        read.update(shared)
         for nb in sorted(shared):
             ratios = []
             for form in shared[nb]:
-                m_e = _positive_belief(cache, oracle, form, e)
-                m_nb = _positive_belief(cache, oracle, form, nb)
+                dist = answers.get(form) or {}
+                m_e = dist.get(e, 0.0)
+                m_nb = dist.get(nb, 0.0)
                 if m_e > 0.0 and m_nb > 0.0:
                     ratio = (m_nb * strategy.prob(form, e)) / (m_e * strategy.prob(form, nb))
                     if ratio_aggregation == "first":
@@ -149,10 +146,10 @@ def bf_weight_estimation(
             w_tilde[nb] = step * w_tilde[e]
             queue.append(nb)
 
-    stranded = [e for e in mg.component(e_init) if w_tilde.get(e, 0.0) <= 0.0]
+    stranded = [u for u in read if w_tilde.get(u, 0.0) <= 0.0]
     if stranded:
         raise UndefinedRatio(
-            f"{stranded[0].key} shares masked forms with reached edges but none carries "
+            f"{min(stranded).key} shares masked forms with reached edges but none carries "
             "positive belief on both sides"
         )
     return w_tilde
@@ -174,13 +171,15 @@ def recover_from_oracle(
     an explicit list keeps its believed members in sorted order. Its cost
     follows the oracle's form table, not the n(n-1)/2 pairs of ``ALL_PAIRS``.
     Phase 2 runs breadth-first relative-weight propagation per share-a-mask
-    component (seeded at the component's smallest edge with scale 1), reusing
-    phase 1's answers, and normalizes globally. Returns the estimate and
-    whether the kept edges formed a single component.
+    component, reading only phase 1's answers, and normalizes globally. Each
+    walk is seeded with scale 1 at the smallest kept edge still unweighted:
+    a walk weights its whole component or raises, so that edge is the
+    smallest of a component not yet walked. Returns the estimate and whether
+    the kept edges formed a single component.
     """
     cand = _expand_candidates(candidates)
-    cache: dict = {}
-    believed = _believed(oracle, strategy, cache)
+    answers: dict = {}
+    believed = _believed(oracle, strategy, answers)
     if cand is None:
         nodes = set(oracle.known_nodes())
         kept = sorted(e for e in believed if len(e) == 2 and nodes.issuperset(e.nodes))
@@ -190,26 +189,27 @@ def recover_from_oracle(
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 
     mg = MetaGraph.over(kept, strategy)
-    components = mg.components()
     w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}
-    for comp in components:
-        seed = comp[0]
-        w_tilde[seed] = 1.0
-        bf_weight_estimation(
-            seed,
-            comp,
-            oracle,
-            strategy,
-            w_tilde,
-            ratio_aggregation=ratio_aggregation,
-            _query_cache=cache,
-            _meta_graph=mg,
-        )
+    seeds = 0
+    for seed in mg.vertices:
+        if w_tilde[seed] <= 0.0:
+            seeds += 1
+            w_tilde[seed] = 1.0
+            bf_weight_estimation(
+                seed,
+                kept,
+                oracle,
+                strategy,
+                w_tilde,
+                ratio_aggregation=ratio_aggregation,
+                _answers=answers,
+                _meta_graph=mg,
+            )
     total = sum(w_tilde.values())
     recovered = WeightedHypergraph(
         {e: w / total for e, w in w_tilde.items()}, normalized=True
     )
-    return recovered, len(components) == 1
+    return recovered, seeds == 1
 
 
 @dataclass(frozen=True)

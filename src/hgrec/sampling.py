@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -344,40 +344,6 @@ class MetaGraph:
             e: tuple(sorted({u for f in fs for u in self.owners[f] if u != e}))
             for e, fs in self.forms.items()
         }
-
-    def layers(self, start: Hyperedge) -> Iterator[list[Hyperedge]]:
-        """Breadth-first layers of edges from ``start``: layer d holds the edges at distance d."""
-        seen = {start}
-        seen_forms: set[MaskedHyperedge] = set()
-        layer = [start]
-        while layer:
-            yield layer
-            nxt = []
-            for e in layer:
-                for form in self.forms[e]:
-                    if form in seen_forms:
-                        continue
-                    seen_forms.add(form)
-                    for u in self.owners[form]:
-                        if u not in seen:
-                            seen.add(u)
-                            nxt.append(u)
-            layer = nxt
-
-    def component(self, start: Hyperedge) -> tuple[Hyperedge, ...]:
-        """The sorted connected component containing ``start``."""
-        return tuple(sorted(e for layer in self.layers(start) for e in layer))
-
-    def components(self) -> tuple[tuple[Hyperedge, ...], ...]:
-        """Connected components, each sorted, ordered by smallest member."""
-        seen: set[Hyperedge] = set()
-        comps = []
-        for start in self.vertices:
-            if start not in seen:
-                comp = self.component(start)
-                seen.update(comp)
-                comps.append(comp)
-        return tuple(comps)
 
 
 def build_meta_graph(h: WeightedHypergraph, strategy: MaskingStrategy) -> MetaGraph:

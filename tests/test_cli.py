@@ -342,6 +342,24 @@ def test_bounds_rejects_non_finite(capsys, flag, value):
     assert_one_error_line(capsys, f"{flag.lstrip('-').replace('-', '_')} must be finite")
 
 
+HUGE = "1" + "0" * 400  # parses as an int too large to convert to a float
+
+
+@pytest.mark.parametrize("extra, bound", [
+    (("--kappa", "1e300"), "K_min"),
+    (("--c-pi", "1e-300"), "K_min"),
+    (("--epsilon", "1e-200"), "K_min"),
+    (("--delta", "1e-320"), "K_min"),
+    (("--m", HUGE), "K_min"),
+    (("-L", HUGE), "K_min"),
+    (("--m0", HUGE, "--kappa0", 2), "weight_min_floor"),
+])
+def test_bounds_out_of_float_range(capsys, extra, bound):
+    assert run("bounds", "--m", 10, "--kappa", 3, "-L", 2, "--c-pi", 0.5, "--C-pi", 2,
+               "--epsilon", 0.1, "--delta", 0.1, *extra) == 1
+    assert_one_error_line(capsys, f"{bound} is out of floating-point range")
+
+
 def test_sweep_and_fit(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

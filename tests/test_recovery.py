@@ -15,7 +15,6 @@ from hgrec import (
     NodeRelabeling,
     TabularOracle,
     WeightedHypergraph,
-    MetaGraph,
     bf_weight_estimation,
     dissimilarity,
     edge,
@@ -30,7 +29,6 @@ from hgrec import (
 from hgrec.core import encode
 from hgrec.errors import EmptyDataset, NothingRecovered, NotABijection, UndefinedRatio
 from hgrec.generators import assign_weights, star
-from hgrec.recovery import _positive_belief
 from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
 
 STRATEGY = uniform_single_mask()
@@ -137,31 +135,30 @@ def probe_recover_from_oracle(oracle, candidates, strategy, *, ratio_aggregation
         cand = tuple(sorted(set(candidates)))
         if not cand:
             raise NothingRecovered("empty candidate set")
-    cache: dict = {}
     kept = [
         e
         for e in cand
-        if any(
-            _positive_belief(cache, oracle, form, e) > 0.0
-            for form, _ in strategy.support(e)
-        )
+        if any((oracle.query(form) or {}).get(e, 0.0) > 0.0 for form, _ in strategy.support(e))
     ]
     if not kept:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 
-    components = MetaGraph.over(kept, strategy).components()
+    support = {e: {f for f, _ in strategy.support(e)} for e in kept}
+    components: list[list[Hyperedge]] = []
+    for e in kept:
+        if any(e in comp for comp in components):
+            continue
+        reachable, frontier = {e}, [e]
+        while frontier:
+            frontier = [u for v in frontier for u in kept if support[u] & support[v] and u not in reachable]
+            reachable.update(frontier)
+        components.append(sorted(reachable))
     w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}
     for comp in components:
         seed = comp[0]
         w_tilde[seed] = 1.0
         bf_weight_estimation(
-            seed,
-            comp,
-            oracle,
-            strategy,
-            w_tilde,
-            ratio_aggregation=ratio_aggregation,
-            _query_cache=cache,
+            seed, comp, oracle, strategy, w_tilde, ratio_aggregation=ratio_aggregation
         )
     total = sum(w_tilde.values())
     recovered = WeightedHypergraph(
@@ -293,6 +290,25 @@ def test_bf_stranded_edge_raises():
         bf_weight_estimation(E_AB, [E_AB, E_AC], oracle, STRATEGY, {E_AB: 1.0, E_AC: 0.0})
     with pytest.raises(UndefinedRatio, match=r"a\+c"):
         recover_from_oracle(oracle, ALL_PAIRS, STRATEGY)
+
+
+def test_stranded_edge_is_a_neighbour_of_the_walk():
+    # From 2+4 the walk reads only 4+5, over 4|1, which has no belief for 4+5.
+    # 3+5 is in the same component but shares no form with 2+4.
+    oracle = tabular({"2|1": {"2+4": 2}, "4|1": {"2+4": 1}, "5|1": {"3+5": 2, "4+5": 2}})
+    edges = [Hyperedge.from_key(k) for k in ("2+4", "3+5", "4+5")]
+    with pytest.raises(UndefinedRatio, match=r"^4\+5 shares"):
+        recover_from_oracle(oracle, edges, STRATEGY)
+
+
+def test_weight_that_underflows_to_zero_is_stranded():
+    # Each step scales the weight by about 1e-200, so c+d gets 1e-400 == 0.0.
+    # It must raise rather than start a component of its own.
+    big = 10**200
+    oracle = tabular({"b|1": {"a+b": big, "b+c": 1}, "c|1": {"b+c": big, "c+d": 1}})
+    edges = [edge("a", "b"), E_BC, edge("c", "d")]
+    with pytest.raises(UndefinedRatio, match=r"^c\+d shares"):
+        recover_from_oracle(oracle, edges, STRATEGY)
 
 
 def test_bf_several_shared_forms():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hgrec import (
     Dataset,
+    ExactOracle,
     Hyperedge,
     MaskedHyperedge,
     MMDataset,
@@ -19,6 +20,7 @@ from hgrec import (
     line_graph,
     mm_path_length_bound,
     normalize,
+    recover_from_oracle,
     sample_dataset,
     sample_mm_dataset,
     strategy_constants,
@@ -337,7 +339,10 @@ def test_meta_graph_disjoint():
     h = wh([(("a", "b"), 0.5), (("c", "d"), 0.5)])
     mg = build_meta_graph(h, STRATEGY)
     assert all(not nb for nb in mg.adjacency.values())
-    assert len(mg.components()) == 2
+    _, _, comps, _ = brute_force_meta_graph(mg.vertices, STRATEGY)
+    assert len(comps) == 2
+    oracle = ExactOracle(normalize(h), STRATEGY)
+    assert recover_from_oracle(oracle, mg.vertices, STRATEGY)[1] == (len(comps) == 1)
 
 
 def test_meta_adjacency_symmetric():
@@ -400,14 +405,16 @@ def test_meta_graph_matches_brute_force(edges, strategy):
     edges = sorted(edges)
     support, adjacency, comps, length = brute_force_meta_graph(edges, strategy)
 
-    mg = build_meta_graph(WeightedHypergraph({e: 1.0 for e in edges}), strategy)
+    h = WeightedHypergraph({e: 1.0 for e in edges})
+    mg = build_meta_graph(h, strategy)
     assert mg.vertices == tuple(edges)
     assert mg.adjacency == adjacency
     assert mg.forms == {e: tuple(sorted(support[e])) for e in edges}
     assert mg.owners == {
         f: tuple(e for e in edges if f in support[e]) for f in set().union(*support.values())
     }
-    assert mg.components() == tuple(comps)
+    oracle = ExactOracle(normalize(h), strategy)
+    assert recover_from_oracle(oracle, edges, strategy)[1] == (len(comps) == 1)
     assert mm_path_length_bound(mg) == length
 
 
