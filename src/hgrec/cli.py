@@ -1,9 +1,10 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 1 on a domain error (message on stderr), 2 on usage
-errors. Every subcommand takes ``--seed`` (default 0) and all randomness flows
+errors. The three subcommands that draw, ``gen``, ``sample`` and
+``mm-sample``, take ``--seed`` (default 0), and all their randomness flows
 from it through the documented stream-splitting rule, so reruns are
-byte-reproducible.
+byte-reproducible. No other subcommand accepts ``--seed``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .kgeval import (
     replay_completion,
 )
 from .oracle import TabularOracle, train_tabular
-from .recovery import ALL_PAIRS, RATIO_AGGREGATIONS, recover_from_dataset, recover_from_oracle, recovery_report
+from .recovery import ALL_PAIRS, recover_from_dataset, recover_from_oracle, recovery_report
 from .sampling import Dataset, MMDataset, make_masking_strategy, sample_dataset, sample_mm_dataset
 from .sweep import SweepConfig, fit_scaling, load_csv, run_sweep, save_csv
 
@@ -98,9 +99,7 @@ def _cmd_recover(args) -> int:
         candidates = ALL_PAIRS
     else:
         candidates = Dataset.load(args.candidates).samples
-    recovered, connected = recover_from_oracle(
-        oracle, candidates, strategy, ratio_aggregation=args.aggregation
-    )
+    recovered, connected = recover_from_oracle(oracle, candidates, strategy)
     save_hypergraph(recovered, args.output)
     print(f"meta_connected: {'true' if connected else 'false'}")
     return 0
@@ -271,13 +270,14 @@ def _cmd_kg_eval(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
     common.add_argument(
         "--log-level",
         default="warning",
         choices=("debug", "info", "warning", "error"),
         help="logging verbosity",
     )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
 
     parser = argparse.ArgumentParser(
         prog="hgrec",
@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", parents=[common], help="generate a weighted benchmark hypergraph (.hg)")
+    p = sub.add_parser(
+        "gen", parents=[common, seeded], help="generate a weighted benchmark hypergraph (.hg)"
+    )
     p.add_argument("--structure", required=True, choices=STRUCTURES)
     p.add_argument("--n", type=int, default=0, help="node count (ignored for frucht)")
     p.add_argument("--p", type=float, default=None, help="edge density (wcgnm only)")
@@ -295,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sample", parents=[common], help="draw i.i.d. hyperedge samples (.ds)")
+    p = sub.add_parser("sample", parents=[common, seeded], help="draw i.i.d. hyperedge samples (.ds)")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-n", "--n-samples", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("mm-sample", parents=[common], help="draw masked-modeling records (.mm)")
+    p = sub.add_parser("mm-sample", parents=[common, seeded], help="draw masked-modeling records (.mm)")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-n", "--n-samples", type=int, required=True, help="outer draws N")
     p.add_argument("-k", "--k-inner", type=int, default=1, help="masked variants per draw K")
@@ -320,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--exact-from", help="hypergraph file for an exact population oracle")
     p.add_argument("--candidates", default="pairs", help="'pairs' or a candidate edge file")
     p.add_argument("--mask", default="uniform1")
-    p.add_argument("--aggregation", default="first", choices=RATIO_AGGREGATIONS)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_recover)
 

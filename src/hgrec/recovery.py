@@ -30,8 +30,6 @@ from .sampling import Dataset, MaskedHyperedge, MaskingStrategy, MetaGraph
 #: Candidate-set sentinel: enumerate all 2-subsets of the oracle's known nodes.
 ALL_PAIRS = "all-pairs"
 
-RATIO_AGGREGATIONS = ("first", "geometric_mean")
-
 
 def recover_from_dataset(d: Dataset) -> WeightedHypergraph:
     """Empirical-frequency estimate: distinct samples weighted by their share."""
@@ -75,7 +73,6 @@ def bf_weight_estimation(
     strategy: MaskingStrategy,
     w_tilde: dict[Hyperedge, float],
     *,
-    ratio_aggregation: str = "first",
     _answers: dict | None = None,
     _meta_graph: MetaGraph | None = None,
 ) -> dict[Hyperedge, float]:
@@ -86,18 +83,16 @@ def bf_weight_estimation(
     from ``w_tilde`` or at most 0. The walk then reaches exactly that component.
 
     The step from ``e`` to a neighbour ``nb`` through a shared form ``m`` is
-    ``M(nb|m) pi(m|e) / (M(e|m) pi(m|nb))``. Each edge is assigned on its
-    first visit. When two edges share several masked forms, ``"first"`` uses
-    the canonically smallest form with positive belief on both sides;
-    ``"geometric_mean"`` averages log-ratios over all such forms. Pairs whose
-    shared forms all lack belief on one side cannot carry a ratio. An edge is
-    stranded when the walk reads it as a neighbour of a reached edge but it
-    ends without positive weight, because no pair reaching it carries a ratio
-    or its weight underflowed to 0; :class:`UndefinedRatio` names the smallest
-    stranded edge.
+    ``M(nb|m) pi(m|e) / (M(e|m) pi(m|nb))``, read off the canonically
+    smallest shared form ``m`` with positive belief on both sides; each edge
+    is assigned on its first visit. (Under ``uniform1`` two distinct edges
+    share at most one form; a strategy whose edges share several still uses
+    only that smallest one.) Pairs whose shared forms all lack belief on one
+    side cannot carry a ratio. :class:`UndefinedRatio` names the edge when an
+    assigned weight leaves the positive float range (0.0 or inf), or else the
+    smallest stranded edge: one the walk reads as a neighbour of a reached
+    edge but that no carrying pair reaches.
     """
-    if ratio_aggregation not in RATIO_AGGREGATIONS:
-        raise ValueError(f"ratio_aggregation must be one of {RATIO_AGGREGATIONS}")
     if w_tilde.get(e_init, 0.0) != 1.0:
         raise ValueError("w_tilde[e_init] must be 1.0 before propagation")
     # A caller that already built the incidence over a superset of whole
@@ -126,24 +121,20 @@ def bf_weight_estimation(
                     shared.setdefault(nb, []).append(form)
         read.update(shared)
         for nb in sorted(shared):
-            ratios = []
             for form in shared[nb]:
                 dist = answers.get(form) or {}
                 m_e = dist.get(e, 0.0)
                 m_nb = dist.get(nb, 0.0)
                 if m_e > 0.0 and m_nb > 0.0:
-                    ratio = (m_nb * strategy.prob(form, e)) / (m_e * strategy.prob(form, nb))
-                    if ratio_aggregation == "first":
-                        ratios = [ratio]
-                        break
-                    ratios.append(ratio)
-            if not ratios:
-                continue  # uncarryable pair; another path may still reach nb
-            if len(ratios) == 1:
-                step = ratios[0]
+                    break
             else:
-                step = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-            w_tilde[nb] = step * w_tilde[e]
+                continue  # uncarryable pair; another path may still reach nb
+            ratio = (m_nb * strategy.prob(form, e)) / (m_e * strategy.prob(form, nb))
+            w = w_tilde[nb] = ratio * w_tilde[e]
+            if not 0.0 < w < math.inf:
+                raise UndefinedRatio(
+                    f"{nb.key} gets weight {w!r} relative to {e_init.key}, outside the float range"
+                )
             queue.append(nb)
 
     stranded = [u for u in read if w_tilde.get(u, 0.0) <= 0.0]
@@ -156,11 +147,7 @@ def bf_weight_estimation(
 
 
 def recover_from_oracle(
-    oracle,
-    candidates,
-    strategy: MaskingStrategy,
-    *,
-    ratio_aggregation: str = "first",
+    oracle, candidates, strategy: MaskingStrategy
 ) -> tuple[WeightedHypergraph, bool]:
     """Two-phase estimation from a masked-modeling oracle.
 
@@ -174,8 +161,9 @@ def recover_from_oracle(
     component, reading only phase 1's answers, and normalizes globally. Each
     walk is seeded with scale 1 at the smallest kept edge still unweighted:
     a walk weights its whole component or raises, so that edge is the
-    smallest of a component not yet walked. Returns the estimate and whether
-    the kept edges formed a single component.
+    smallest of a component not yet walked. Raises :class:`UndefinedRatio`
+    naming an edge when the weights sum to inf or one normalizes to 0.0.
+    Returns the estimate and whether the kept edges formed a single component.
     """
     cand = _expand_candidates(candidates)
     answers: dict = {}
@@ -196,20 +184,17 @@ def recover_from_oracle(
             seeds += 1
             w_tilde[seed] = 1.0
             bf_weight_estimation(
-                seed,
-                kept,
-                oracle,
-                strategy,
-                w_tilde,
-                ratio_aggregation=ratio_aggregation,
-                _answers=answers,
-                _meta_graph=mg,
+                seed, kept, oracle, strategy, w_tilde, _answers=answers, _meta_graph=mg
             )
     total = sum(w_tilde.values())
-    recovered = WeightedHypergraph(
-        {e: w / total for e, w in w_tilde.items()}, normalized=True
-    )
-    return recovered, seeds == 1
+    if total == math.inf:
+        big = max(kept, key=w_tilde.get)
+        raise UndefinedRatio(f"{big.key} has the largest weight, and the weights sum to inf")
+    weights = {e: w / total for e, w in w_tilde.items()}
+    if 0.0 in weights.values():
+        zero = min(e for e, w in weights.items() if w == 0.0)
+        raise UndefinedRatio(f"{zero.key} normalizes to weight 0.0, outside the float range")
+    return WeightedHypergraph(weights, normalized=True), seeds == 1
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from hgrec import NodeRelabeling, WeightedHypergraph, edge, relabel
 from hgrec.alignment import parse_node_mapping
-from hgrec.cli import main
+from hgrec.cli import build_parser, main
 from hgrec.core import load_hypergraph, save_hypergraph
 from hgrec.kgeval import prompt_key, render_prompt
 from hgrec.sweep import load_csv
@@ -189,6 +190,53 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
     assert exc.value.code == 2
+
+
+def test_recover_has_no_aggregation_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("recover", "--exact-from", tmp_path / "g.hg", "--aggregation", "first",
+            "-o", tmp_path / "rec.hg")
+    assert exc.value.code == 2
+    assert "--aggregation" in capsys.readouterr().err
+
+
+#: The fewest arguments each subcommand parses with; no file is read at parse time.
+MINIMAL_ARGV = {
+    "gen": ["--structure", "star", "-o", "g.hg"],
+    "sample": ["--hypergraph", "g.hg", "-n", "1", "-o", "d.ds"],
+    "mm-sample": ["--hypergraph", "g.hg", "-n", "1", "-o", "d.mm"],
+    "train": ["--mm-data", "d.mm", "-o", "o.json"],
+    "recover": ["--exact-from", "g.hg", "-o", "rec.hg"],
+    "report": ["--truth", "g.hg", "--rec", "rec.hg"],
+    "align": ["--h1", "a.hg", "--h2", "b.hg", "--method", "exact"],
+    "fuse": ["--d1", "a.ds", "--d2", "b.ds", "--mapping", "map.txt", "-o", "f.ds"],
+    "bounds": ["--m", "10", "--kappa", "3", "-L", "2", "--c-pi", "0.5", "--C-pi", "2",
+               "--epsilon", "0.1", "--delta", "0.1"],
+    "sweep": ["--config", "sweep.json", "-o", "rows.csv"],
+    "fit": ["--csv", "rows.csv"],
+    "kg-ingest": ["--tsv", "kg.tsv"],
+    "kg-extract": ["--kg", "kg.tsv", "--source", "table", "-k", "2", "-d", "3"],
+    "kg-prompt": ["--subgraph", "sub.json"],
+    "kg-parse": ["--response", "resp.txt", "--subgraph", "sub.json"],
+    "kg-chat": ["--prompt-file", "p.txt", "--responses-dir", "r"],
+    "kg-eval": ["--kg", "kg.tsv", "--source", "table", "-k", "2", "-d", "3", "--responses-dir", "r"],
+}
+(SUBCOMMANDS,) = [
+    sorted(a.choices) for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+]
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_seed_only_where_a_draw_reads_it(command, capsys):
+    argv = [command, *MINIMAL_ARGV[command]]
+    assert build_parser().parse_args(argv).command == command
+    if command in ("gen", "sample", "mm-sample"):
+        assert build_parser().parse_args([*argv, "--seed", "1"]).seed == 1
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

@@ -1,10 +1,14 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hgrec
+from hgrec.cli import build_parser
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -20,3 +24,16 @@ def test_readme_library_tour_runs():
     assert done.returncode == 0, done.stderr
     error, missing, spurious = done.stdout.split()
     assert float(error) < 0.05 and missing == spurious == "0"
+
+
+def test_readme_command_lines_parse():
+    """Every ``hgrec`` line of the README's command block parses, so a deleted flag breaks here."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```$", section, re.S | re.M).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("hgrec ")]
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

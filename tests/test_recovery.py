@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations
 
@@ -28,7 +27,7 @@ from hgrec import (
 )
 from hgrec.core import encode
 from hgrec.errors import EmptyDataset, NothingRecovered, NotABijection, UndefinedRatio
-from hgrec.generators import assign_weights, star
+from hgrec.generators import star
 from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
 
 STRATEGY = uniform_single_mask()
@@ -116,15 +115,7 @@ def test_explicit_candidates():
     assert dissimilarity(recovered, STAR4_WEIGHTED) <= 1e-9
 
 
-def test_geometric_mean_matches_on_exact_oracle():
-    h = assign_weights(star(6), 1.0, 10.0, seed=11)
-    oracle = ExactOracle(h, STRATEGY)
-    first, _ = recover_from_oracle(oracle, ALL_PAIRS, STRATEGY)
-    geo, _ = recover_from_oracle(oracle, ALL_PAIRS, STRATEGY, ratio_aggregation="geometric_mean")
-    assert dissimilarity(first, geo) <= 1e-9
-
-
-def probe_recover_from_oracle(oracle, candidates, strategy, *, ratio_aggregation="first"):
+def probe_recover_from_oracle(oracle, candidates, strategy):
     """Reference: recovery whose phase 1 builds every candidate and probes each of its forms."""
     if isinstance(candidates, str):
         if candidates != ALL_PAIRS:
@@ -157,9 +148,7 @@ def probe_recover_from_oracle(oracle, candidates, strategy, *, ratio_aggregation
     for comp in components:
         seed = comp[0]
         w_tilde[seed] = 1.0
-        bf_weight_estimation(
-            seed, comp, oracle, strategy, w_tilde, ratio_aggregation=ratio_aggregation
-        )
+        bf_weight_estimation(seed, comp, oracle, strategy, w_tilde)
     total = sum(w_tilde.values())
     recovered = WeightedHypergraph(
         {e: w / total for e, w in w_tilde.items()}, normalized=True
@@ -201,13 +190,8 @@ def test_phase1_join_matches_per_candidate_probes(data):
             st.tuples(EDGE_LISTS, st.lists(st.sampled_from(edges))).map(lambda t: t[0] + t[1]),
         )
     )
-    aggregation = data.draw(st.sampled_from(["first", "geometric_mean"]))
-    expected = recovery_outcome(
-        probe_recover_from_oracle, oracle, candidates, strategy, ratio_aggregation=aggregation
-    )
-    actual = recovery_outcome(
-        recover_from_oracle, oracle, candidates, strategy, ratio_aggregation=aggregation
-    )
+    expected = recovery_outcome(probe_recover_from_oracle, oracle, candidates, strategy)
+    actual = recovery_outcome(recover_from_oracle, oracle, candidates, strategy)
     assert actual == expected
 
 
@@ -307,8 +291,30 @@ def test_weight_that_underflows_to_zero_is_stranded():
     big = 10**200
     oracle = tabular({"b|1": {"a+b": big, "b+c": 1}, "c|1": {"b+c": big, "c+d": 1}})
     edges = [edge("a", "b"), E_BC, edge("c", "d")]
-    with pytest.raises(UndefinedRatio, match=r"^c\+d shares"):
+    with pytest.raises(UndefinedRatio, match=r"^c\+d gets weight 0\.0 relative to a\+b"):
         recover_from_oracle(oracle, edges, STRATEGY)
+
+
+BIG = 10**200
+
+
+@pytest.mark.parametrize("counts, message", [
+    # c+d's weight relative to a+b underflows to 0.0 during the walk.
+    ({"b|1": {"a+b": BIG, "b+c": 1}, "c|1": {"b+c": BIG, "c+d": 1}},
+     r"^c\+d gets weight 0\.0 relative to a\+b, outside the float range$"),
+    # ... or overflows to inf.
+    ({"b|1": {"a+b": 1, "b+c": BIG}, "c|1": {"b+c": 1, "c+d": BIG}},
+     r"^c\+d gets weight inf relative to a\+b, outside the float range$"),
+    # Each relative weight is finite, but b+c (1e-200) over the total (1e200) is 0.0.
+    ({"a|1": {"a+b": 1, "a+x": BIG}, "b|1": {"a+b": BIG, "b+c": 1}},
+     r"^b\+c normalizes to weight 0\.0, outside the float range$"),
+    # Each relative weight is finite (1e308), but their sum is not.
+    ({"a|1": {"a+b": 1, "a+x": 10**308}, "b|1": {"a+b": 1, "b+c": 10**308}},
+     r"^a\+x has the largest weight, and the weights sum to inf$"),
+], ids=["underflow", "overflow", "normalizes-to-zero", "sum-overflows"])
+def test_float_range_failure_names_the_edge(counts, message):
+    with pytest.raises(UndefinedRatio, match=message):
+        recover_from_oracle(tabular(counts), ALL_PAIRS, STRATEGY)
 
 
 def test_bf_several_shared_forms():
@@ -317,14 +323,22 @@ def test_bf_several_shared_forms():
     abc, abd = edge("a", "b", "c"), edge("a", "b", "d")
     oracle = tabular({"a|2": {"a+b+c": 1}, "a+b|1": {"a+b+c": 1, "a+b+d": 2},
                       "b|2": {"a+b+c": 1, "a+b+d": 8}})
-    expected = {"first": 2.0, "geometric_mean": 4.0}
-    for aggregation, ratio in expected.items():
-        w = {abc: 1.0, abd: 0.0}
-        bf_weight_estimation(abc, [abc, abd], oracle, strategy, w, ratio_aggregation=aggregation)
-        assert w[abd] == pytest.approx(ratio, abs=1e-12), aggregation
+    w = {abc: 1.0, abd: 0.0}
+    bf_weight_estimation(abc, [abc, abd], oracle, strategy, w)
+    assert w[abd] == 2.0
 
 
-def pairwise_bf(e_init, edges, oracle, strategy, w, aggregation):
+@settings(max_examples=200, deadline=None)
+@given(EDGE_LISTS)
+def test_uniform1_edges_share_at_most_one_form(edges):
+    # Why the walk needs only one ratio rule: under uniform1, e1 - {v} == e2 - {u}
+    # with e1 != e2 fixes both hidden nodes, so the shared form is unique.
+    for e1, e2 in combinations(edges, 2):
+        shared = {f for f, _ in STRATEGY.support(e1)} & {f for f, _ in STRATEGY.support(e2)}
+        assert len(shared) <= 1, (e1, e2, shared)
+
+
+def pairwise_bf(e_init, edges, oracle, strategy, w):
     """Reference propagation over the (edge, edge) definition of the share-a-mask relation."""
     support = {e: {f for f, _ in strategy.support(e)} for e in edges}
     queue, head = [e_init], 0
@@ -335,18 +349,13 @@ def pairwise_bf(e_init, edges, oracle, strategy, w, aggregation):
             shared = sorted(support[e] & support[nb])
             if nb == e or not shared or w[nb] > 0.0:
                 continue
-            ratios = []
             for form in shared:
                 dist = oracle.query(form) or {}
                 m_e, m_nb = dist.get(e, 0.0), dist.get(nb, 0.0)
                 if m_e > 0.0 and m_nb > 0.0:
-                    ratios.append((strategy.prob(form, e) * m_nb) / (strategy.prob(form, nb) * m_e))
-                    if aggregation == "first":
-                        break
-            if ratios:
-                step = ratios[0] if len(ratios) == 1 else math.exp(sum(map(math.log, ratios)) / len(ratios))
-                w[nb] = step * w[e]
-                queue.append(nb)
+                    w[nb] = (strategy.prob(form, e) * m_nb) / (strategy.prob(form, nb) * m_e) * w[e]
+                    queue.append(nb)
+                    break
     reachable, frontier = {e_init}, [e_init]
     while frontier:
         frontier = [u for v in frontier for u in edges if support[u] & support[v] and u not in reachable]
@@ -358,7 +367,6 @@ def pairwise_bf(e_init, edges, oracle, strategy, w, aggregation):
 @given(st.data())
 def test_bf_matches_pairwise_definition(data):
     strategy = data.draw(st.sampled_from([STRATEGY, HideOneOrTwo()]))
-    aggregation = data.draw(st.sampled_from(["first", "geometric_mean"]))
     edges = sorted(data.draw(EDGE_LISTS))
     counts: dict = {}
     for e in edges:
@@ -369,12 +377,12 @@ def test_bf_matches_pairwise_definition(data):
     oracle = TabularOracle(counts)
     w = {e: 0.0 for e in edges}
     w[edges[0]] = 1.0
-    expected, stranded = pairwise_bf(edges[0], edges, oracle, strategy, dict(w), aggregation)
+    expected, stranded = pairwise_bf(edges[0], edges, oracle, strategy, dict(w))
     if stranded:
         with pytest.raises(UndefinedRatio):
-            bf_weight_estimation(edges[0], edges, oracle, strategy, w, ratio_aggregation=aggregation)
+            bf_weight_estimation(edges[0], edges, oracle, strategy, w)
     else:
-        bf_weight_estimation(edges[0], edges, oracle, strategy, w, ratio_aggregation=aggregation)
+        bf_weight_estimation(edges[0], edges, oracle, strategy, w)
         assert w == expected
 
 
