@@ -83,10 +83,6 @@ class AnchorSet:
             if len(set(edges)) != len(edges):
                 raise NotABijection("an edge appears twice on one side of the anchors")
 
-    @classmethod
-    def empty(cls) -> "AnchorSet":
-        return cls()
-
 
 #: Positions permuted within one block of :func:`align_exact`'s scan: 8! rows.
 _BLOCK = 8
@@ -219,9 +215,9 @@ def align_by_hyperedge_ids(
     seq2 = sorted(lab2, key=lab2.__getitem__)
     if [lab1[v] for v in seq1] != [lab2[v] for v in seq2]:
         raise NotAnIsomorphism("incidence label sequences differ between the two sides")
+    # Labels are distinct and equal position by position, so each node goes to
+    # the one with the same incident identifiers and every pair is preserved.
     mapping = dict(zip(seq1, seq2))
-    if any(Hyperedge(mapping[v] for v in lefts[j]) != rights[j] for j in range(len(pairs))):
-        raise NotAnIsomorphism("positional matching does not map the paired edges onto each other")
     return Alignment(
         mapping=NodeRelabeling(mapping),
         cost=dissimilarity(relabel(h1, NodeRelabeling(mapping)), h2),
@@ -580,7 +576,7 @@ def align_wl_anchored(
     whose anchor-free refined colors already differ raise
     :class:`InconsistentAnchors`.
     """
-    anchors = anchors or AnchorSet.empty()
+    anchors = anchors or AnchorSet()
     if h1.n != h2.n:
         raise SizeMismatch(f"node counts differ: {h1.n} vs {h2.n}")
     buckets = _weight_buckets(h1, h2)

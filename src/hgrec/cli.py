@@ -131,7 +131,7 @@ def _cmd_align(args) -> int:
         pairs = parse_edge_pairs(Path(args.edge_pairs).read_text(encoding="utf-8"))
         alignment = align_by_hyperedge_ids(h1, h2, pairs)
     else:
-        anchors = AnchorSet.empty()
+        anchors = AnchorSet()
         if args.anchors is not None:
             anchors = parse_anchor_file(Path(args.anchors).read_text(encoding="utf-8"))
         alignment = align_wl_anchored(h1, h2, anchors)

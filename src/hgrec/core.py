@@ -196,10 +196,6 @@ class NodeRelabeling:
         return cls([(v, v) for v in nodes])
 
     @property
-    def domain(self) -> tuple[str, ...]:
-        return tuple(self._map)
-
-    @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(self._map.items())
 
@@ -258,9 +254,6 @@ class SimpleGraph:
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._adj[v]
 
-    def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, a: str, b: str) -> bool:
         return ((a, b) if a < b else (b, a)) in self.edges
 
@@ -268,9 +261,6 @@ class SimpleGraph:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
         return self.vertices == other.vertices and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.m})"

@@ -9,7 +9,9 @@ distance against the extracted subgraph.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -42,9 +44,6 @@ class KnowledgeGraph:
         for x, y in ((a, b), (b, a)):
             current = self.adjacency.setdefault(x, {}).get(y, 0.0)
             self.adjacency[x][y] = max(current, weight)
-
-    def entities(self) -> tuple[str, ...]:
-        return tuple(sorted(self.adjacency))
 
     def most_related(self, entity: str) -> list[tuple[str, float]]:
         """Neighbors by descending weight, ties broken lexicographically."""
@@ -264,9 +263,11 @@ def evaluate_response(
 
 
 def eval_csv_row(source: str, k: int, d: int, model: str, result: EvalResult) -> str:
-    header = "source,k,d,model,score,missing,spurious\n"
-    row = f"{source},{k},{d},{model},{result.score!r},{len(result.missing)},{len(result.spurious)}\n"
-    return header + row
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["source", "k", "d", "model", "score", "missing", "spurious"])
+    writer.writerow([source, k, d, model, repr(result.score), len(result.missing), len(result.spurious)])
+    return out.getvalue()
 
 
 # -- model access -------------------------------------------------------------

@@ -81,14 +81,20 @@ class TabularOracle:
             raise ValueError("oracle 'counts' must map masked forms to objects of counts")
         counts: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
         for mk, per in table.items():
-            masked = MaskedHyperedge.from_key(mk)
+            try:
+                masked = MaskedHyperedge.from_key(mk)
+            except ValueError as exc:
+                raise ValueError(f"masked key {mk!r}: {exc}") from None
             if masked in counts:
                 raise ValueError(f"masked key {mk!r} repeats the form {masked.key!r}")
             completions = counts[masked] = {}
             for ek, c in per.items():
                 if not isinstance(c, int) or isinstance(c, bool):
                     raise ValueError(f"count for {ek!r} given {mk!r} must be an integer, got {c!r}")
-                e = Hyperedge.from_key(ek)
+                try:
+                    e = Hyperedge.from_key(ek)
+                except ValueError as exc:
+                    raise ValueError(f"completion key {ek!r} given {mk!r}: {exc}") from None
                 if e in completions:
                     raise ValueError(f"completion key {ek!r} given {mk!r} repeats the edge {e.key!r}")
                 completions[e] = c

@@ -128,16 +128,16 @@ class _Records:
     from the columns on first read.
     """
 
-    def __init__(self, records: Iterable, *args, **kwargs):
+    def __init__(self, records: Iterable):
         index: dict = {}
         ids = [index.setdefault(r, len(index)) for r in records]
-        self._set(tuple(index), np.array(ids, dtype=np.int32), *args, **kwargs)
+        self._set(tuple(index), np.array(ids, dtype=np.int32))
 
     @classmethod
-    def _from_columns(cls, table, ids: np.ndarray, *args):
-        """A dataset over a ready table and ``int32`` ids; ``args`` are the subclass's own fields."""
+    def _from_columns(cls, table, ids: np.ndarray):
+        """A dataset over a ready table and ``int32`` ids."""
         self = cls.__new__(cls)
-        self._set(tuple(table), ids, *args)
+        self._set(tuple(table), ids)
         return self
 
     def _set(self, table: tuple, ids: np.ndarray) -> None:
@@ -151,6 +151,11 @@ class _Records:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.records == other.records
 
     def __iter__(self):
         return iter(self.records)
@@ -191,9 +196,8 @@ class _Records:
         Path(path).write_text(self.encode(), encoding="utf-8", newline="\n")
 
     @classmethod
-    def load(cls, path: str | Path, *args, **kwargs):
-        """``decode`` the text of a file; the other arguments go to ``decode``."""
-        return cls.decode(Path(path).read_text(encoding="utf-8"), *args, **kwargs)
+    def load(cls, path: str | Path):
+        return cls.decode(Path(path).read_text(encoding="utf-8"))
 
 
 class Dataset(_Records):
@@ -201,11 +205,6 @@ class Dataset(_Records):
 
     samples = property(attrgetter("records"))
     n = property(len)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.samples == other.samples
 
     def encode(self) -> str:
         return self._encode_lines(lambda e: " ".join(e) + "\n")
@@ -216,23 +215,13 @@ class Dataset(_Records):
 
 
 class MMDataset(_Records):
-    """``MMDataset(records, N, K)``: N outer hyperedge draws x K ``(hyperedge, masked form)`` records each."""
+    """A sequence of masked-modeling records ``(hyperedge, masked form)``."""
 
-    def _set(self, table, ids, n_outer: int, k_inner: int) -> None:
-        if len(ids) != n_outer * k_inner:
-            raise ValueError(f"expected {n_outer}x{k_inner} records, got {len(ids)}")
-        super()._set(table, ids)
-        self.n_outer = n_outer
-        self.k_inner = k_inner
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MMDataset):
-            return NotImplemented
-        return (self.n_outer, self.k_inner, self.records) == (other.n_outer, other.k_inner, other.records)
-
-    def outer_dataset(self) -> Dataset:
-        """The N outer hyperedge draws, one per group of K records."""
-        return Dataset._from_columns([full for full, _ in self.table], self.ids[:: self.k_inner])
+    def outer_dataset(self, k_inner: int) -> Dataset:
+        """One outer draw per ``k_inner`` consecutive records, as ``sample_mm_dataset`` writes them."""
+        if k_inner < 1 or len(self) % k_inner:
+            raise ValueError(f"k_inner must be >= 1 and divide the {len(self)} records, got {k_inner}")
+        return Dataset._from_columns([full for full, _ in self.table], self.ids[::k_inner])
 
     def encode(self) -> str:
         return self._encode_lines(
@@ -240,14 +229,8 @@ class MMDataset(_Records):
         )
 
     @classmethod
-    def decode(cls, text: str, n_outer: int | None = None, k_inner: int | None = None) -> "MMDataset":
-        """Parse .mm lines; without N and K the records are treated as N groups of K=1."""
-        if (n_outer is None) != (k_inner is None):
-            raise ValueError(f"N and K must be given together, got N={n_outer}, K={k_inner}")
-        table, ids = cls._decode_lines(text, _decode_record)
-        if n_outer is None:
-            n_outer, k_inner = len(ids), 1
-        return cls._from_columns(table, ids, n_outer, k_inner)
+    def decode(cls, text: str) -> "MMDataset":
+        return cls._from_columns(*cls._decode_lines(text, _decode_record))
 
 
 def _decode_record(line: str) -> tuple[Hyperedge, MaskedHyperedge]:
@@ -285,7 +268,7 @@ def sample_mm_dataset(
     strategy: MaskingStrategy,
     seed: int,
 ) -> MMDataset:
-    """Draw N outer hyperedges, then K masked variants of each, all independently."""
+    """Draw N outer hyperedges, then K masked variants of each; each draw writes K consecutive records."""
     if not h.normalized:
         raise NotNormalized("sample_mm_dataset requires a normalized hypergraph")
     if n_outer < 1 or k_inner < 1:
@@ -306,7 +289,7 @@ def sample_mm_dataset(
         picks = np.searchsorted(cdf, u[rows], side="right")
         ids[rows] = len(table) + np.minimum(picks, len(support) - 1)
         table.extend((e, f) for f, _ in support)
-    return MMDataset._from_columns(table, ids.ravel(), n_outer, k_inner)
+    return MMDataset._from_columns(table, ids.ravel())
 
 
 # -- the share-a-mask relation over hyperedges -----------------------------------

@@ -239,7 +239,7 @@ def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int]) ->
         mm_seed = derive_seed(master, "sweep-mm", inst_idx, n_idx, k_idx, seed_idx) & mask64
         mm = sample_mm_dataset(truth, n_samples, k_inner, strategy, mm_seed)
 
-        plugin = recover_from_dataset(mm.outer_dataset())
+        plugin = recover_from_dataset(mm.outer_dataset(k_inner))
         row["d_plugin"] = _fmt(recovery_report(plugin, truth).weighted_error)
 
         oracle = train_tabular(mm)

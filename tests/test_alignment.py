@@ -267,6 +267,45 @@ def test_ids_incomplete_pairs():
         align_by_hyperedge_ids(h, h, [(h.edge_set[0], h.edge_set[0])])
 
 
+def test_ids_second_side_not_covered():
+    h = WeightedHypergraph({edge("p", "q"): 0.5, edge("q", "r"): 0.5}, normalized=True)
+    for rights in ((edge("p", "q"), edge("p", "q")), (edge("p", "q"), edge("p", "r"))):
+        with pytest.raises(NotABijection, match="second hypergraph"):
+            align_by_hyperedge_ids(h, h, list(zip(h.edge_set, rights)))
+
+
+def test_ids_node_count_mismatch():
+    h1 = WeightedHypergraph({edge("p", "q"): 0.5, edge("q", "r"): 0.5}, normalized=True)
+    h2 = WeightedHypergraph({edge("w", "x"): 0.5, edge("y", "z"): 0.5}, normalized=True)
+    with pytest.raises(SizeMismatch, match="3 vs 4"):
+        align_by_hyperedge_ids(h1, h2, list(zip(h1.edge_set, h2.edge_set)))
+
+
+def test_ids_label_sequences_differ():
+    path = WeightedHypergraph({edge("p", "q"): 1.0, edge("q", "r"): 1.0, edge("r", "s"): 1.0})
+    claw = WeightedHypergraph({edge("c", "x"): 1.0, edge("c", "y"): 1.0, edge("c", "z"): 1.0})
+    with pytest.raises(NotAnIsomorphism, match="label sequences differ"):
+        align_by_hyperedge_ids(path, claw, list(zip(path.edge_set, claw.edge_set)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(EDGE_LISTS, st.randoms(use_true_random=False))
+def test_ids_positional_match_maps_every_pair(edges, rnd):
+    """Equal, unambiguous label sequences always map each left edge onto its partner."""
+    h1 = WeightedHypergraph({e: 1.0 for e in edges})
+    phi = random_relabeling(rnd, h1)
+    h2 = relabel(h1, phi)
+    rights = [phi.apply_edge(e) for e in h1.edge_set]
+    if rnd.random() < 0.5:
+        rnd.shuffle(rights)
+    pairs = list(zip(h1.edge_set, rights))
+    try:
+        a = align_by_hyperedge_ids(h1, h2, pairs)
+    except (AmbiguousLabels, NotAnIsomorphism):
+        return
+    assert all(a.mapping.apply_edge(left) == right for left, right in pairs)
+
+
 def test_ids_detects_non_isomorphism():
     h1 = normalize(star(4))
     h2 = normalize(chain(4))
@@ -408,6 +447,16 @@ def test_ir_edge_anchors():
     e = h1.edge_set[0]
     a = align_wl_anchored(h1, h2, AnchorSet(edge_pairs=((e, phi.apply_edge(e)),)))
     assert a is not None and relabel(h1, a.mapping) == h2
+
+
+def test_ir_rejects_leaves_whose_weights_drift_apart():
+    # Neighbouring weights lie 0.8e-9 apart, under the tolerance, so all three
+    # chain into one bucket; every leaf then pairs weights 1.6e-9 apart.
+    h1 = WeightedHypergraph({edge("x", "y"): 1.0, edge("y", "z"): 1.0 + 0.8e-9})
+    h2 = WeightedHypergraph({edge("a", "b"): 1.0 + 1.6e-9, edge("b", "c"): 1.0 + 1.6e-9})
+    assert set(alignment._weight_buckets(h1, h2).values()) == {0}
+    assert align_wl_anchored(h1, h2) is None
+    assert align_wl_anchored(h1, relabel(h1, NodeRelabeling({"x": "a", "y": "b", "z": "c"}))) is not None
 
 
 def test_ir_sound_against_exact():
@@ -740,6 +789,10 @@ def test_edge_pairs_need_two_fields(text, message):
 def test_anchor_set_rejects_duplicates():
     with pytest.raises(NotABijection):
         AnchorSet(node_pairs=(("a", "x"), ("a", "y")))
+    ab, bc, xy = edge("a", "b"), edge("b", "c"), edge("x", "y")
+    for edge_pairs in (((ab, xy), (ab, edge("y", "z"))), ((ab, xy), (bc, xy))):
+        with pytest.raises(NotABijection, match="an edge appears twice"):
+            AnchorSet(edge_pairs=edge_pairs)
 
 
 # -- dataset fusion ---------------------------------------------------------------------------

@@ -264,6 +264,17 @@ def test_recover_oracle_with_colliding_keys_exits_1(tmp_path, capsys):
     assert err.startswith("error: ValueError:") and "'b+a'" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"a+b|x": {"a+b": 1}}, "masked key 'a+b|x': invalid literal for int()"),
+    ({"a|1": {"a": 1}}, "completion key 'a' given 'a|1': a hyperedge needs at least 2 distinct nodes"),
+])
+def test_recover_oracle_bad_key_names_it(tmp_path, capsys, counts, message):
+    oracle = tmp_path / "o.json"
+    oracle.write_text(json.dumps({"format": "hgrec-oracle-v1", "counts": counts}), encoding="utf-8")
+    assert run("recover", "--oracle", oracle, "-o", tmp_path / "rec.hg") == 1
+    assert_one_error_line(capsys, message)
+
+
 def test_sweep_bad_instance_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

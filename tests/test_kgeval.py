@@ -1,3 +1,4 @@
+import csv
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,9 @@ from hgrec.errors import (
 )
 from hgrec.kgeval import (
     EndpointConfig,
+    EvalResult,
     chat_completion,
+    eval_csv_row,
     evaluate_response,
     prompt_key,
     replay_completion,
@@ -392,3 +395,12 @@ def test_chat_malformed_body(monkeypatch, payload):
     monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, payload, text="body"))
     with pytest.raises(RequestFailed, match="malformed completion body"):
         chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+
+
+def test_eval_csv_row_quotes_fields_with_commas_and_quotes():
+    result = EvalResult(0.1 + 0.2, (), (), (("a", "b"),), (), ())
+    text = eval_csv_row("a,b", 2, 3, 'gpt"4,x', result)
+    assert text.endswith("\n") and "\r" not in text
+    header, row = csv.reader(text.splitlines())
+    assert header == ["source", "k", "d", "model", "score", "missing", "spurious"]
+    assert row == ["a,b", "2", "3", 'gpt"4,x', repr(0.1 + 0.2), "1", "0"]

@@ -25,7 +25,7 @@ TWO_EDGE = WeightedHypergraph({E_AB: 0.25, E_AC: 0.75}, normalized=True)
 
 
 def mm_of(records):
-    return MMDataset(tuple(records), len(records), 1)
+    return MMDataset(records)
 
 
 # -- tabular training -----------------------------------------------------------

@@ -86,7 +86,7 @@ def test_exact_oracle_star4():
 
 
 def test_empty_tabular_oracle():
-    oracle = train_tabular(MMDataset((), 0, 1))
+    oracle = train_tabular(MMDataset(()))
     with pytest.raises(NothingRecovered):
         recover_from_oracle(oracle, [E_AB, E_AC], STRATEGY)
 

@@ -143,7 +143,6 @@ def test_mm_dataset_shape():
     h = normalize(star(6))
     mm = sample_mm_dataset(h, 20, 3, STRATEGY, seed=5)
     assert len(mm) == 60
-    assert mm.n_outer == 20 and mm.k_inner == 3
 
 
 def test_mm_masks_in_support():
@@ -157,7 +156,7 @@ def test_mm_single_mask_per_sample():
     h = normalize(star(6))
     mm = sample_mm_dataset(h, 100, 1, STRATEGY, seed=7)
     assert all(masked.masked_count == 1 for _, masked in mm)
-    assert mm.outer_dataset().n == 100
+    assert mm.outer_dataset(1).n == 100
 
 
 def test_mm_deterministic():
@@ -214,8 +213,31 @@ def test_mm_round_trip(tmp_path):
     mm = sample_mm_dataset(h, 10, 2, STRATEGY, seed=10)
     path = tmp_path / "x.mm"
     mm.save(path)
-    back = MMDataset.load(path, 10, 2)
-    assert back.records == mm.records
+    back = MMDataset.load(path)
+    assert back == mm
+
+
+def test_mm_file_holds_the_records_and_outer_draws_take_k_from_the_caller(tmp_path):
+    h = normalize(star(5))
+    mm = sample_mm_dataset(h, 100, 3, STRATEGY, seed=12)
+    path = tmp_path / "k3.mm"
+    mm.save(path)
+    back = MMDataset.load(path)
+    assert back == mm and len(back) == 300
+    outer = back.outer_dataset(3)
+    assert outer.n == 100 and outer == mm.outer_dataset(3)
+    assert outer.samples == tuple(full for full, _ in mm.records[::3])
+
+
+@pytest.mark.parametrize("k_inner", [0, -1, 7])
+def test_outer_dataset_needs_k_that_divides_the_records(k_inner):
+    mm = sample_mm_dataset(normalize(star(5)), 10, 3, STRATEGY, seed=13)
+    with pytest.raises(ValueError, match="k_inner must be >= 1 and divide the 30 records"):
+        mm.outer_dataset(k_inner)
+
+
+def test_record_datasets_of_different_kinds_are_not_equal():
+    assert Dataset(()) != MMDataset(()) and Dataset(()) == Dataset(()) and MMDataset(()) == MMDataset(())
 
 
 def reference_mm_sample(h, n_outer, k_inner, strategy, seed):
@@ -248,7 +270,7 @@ def test_sample_mm_matches_per_record_loop(edges, n_outer, k_inner, strategy):
     expected = reference_mm_sample(h, n_outer, k_inner, strategy, seed=n_outer)
     assert mm.records == expected
     assert mm.encode() == reference_mm_encode(expected)
-    assert mm.outer_dataset().samples == tuple(full for full, _ in expected[::k_inner])
+    assert mm.outer_dataset(k_inner).samples == tuple(full for full, _ in expected[::k_inner])
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,11 +280,12 @@ def test_mm_records_round_trip_and_train_against_counter(edges, k_inner, data):
     n_outer = data.draw(st.integers(0, 10))
     records = tuple(data.draw(st.lists(st.sampled_from(table), min_size=n_outer * k_inner,
                                        max_size=n_outer * k_inner)))
-    mm = MMDataset(records, n_outer, k_inner)
+    mm = MMDataset(records)
     text = mm.encode()
     assert text == reference_mm_encode(records)
-    back = MMDataset.decode(text, n_outer, k_inner)
-    assert back.records == mm.records == records
+    back = MMDataset.decode(text)
+    assert back == mm and mm.records == records
+    assert back.outer_dataset(k_inner).samples == tuple(full for full, _ in records[::k_inner])
     assert back.encode() == text
     expected: dict = {}
     for (full, masked), c in Counter(records).items():
@@ -277,9 +300,7 @@ def test_mm_unshared_records_encode_like_shared():
     assert shared.records[0] is shared.records[1] is shared.records[4]
     unshared = MMDataset(
         [(edge("0", "1"), MaskedHyperedge(["0"], 1)) for _ in range(3)]
-        + [(edge("1", "2"), MaskedHyperedge(["2"], 1)), (edge("0", "1"), MaskedHyperedge(["0"], 1))],
-        5,
-        1,
+        + [(edge("1", "2"), MaskedHyperedge(["2"], 1)), (edge("0", "1"), MaskedHyperedge(["0"], 1))]
     )
     assert unshared.encode() == shared.encode() == text
     assert unshared == shared
@@ -306,14 +327,6 @@ def test_mm_decode_rejects_incompatible():
         MMDataset.decode("0 1\t2 _\n")
     with pytest.raises(ParseError):
         MMDataset.decode("0 1\t0 1\n")
-
-
-def test_mm_decode_needs_n_and_k_together():
-    text = "0 1\t0 _\n" * 6
-    for n_outer, k_inner in ((3, None), (None, 2)):
-        with pytest.raises(ValueError, match="together"):
-            MMDataset.decode(text, n_outer, k_inner)
-    assert len(MMDataset.decode(text, 3, 2)) == 6
 
 
 # -- meta-graph -----------------------------------------------------------------------
