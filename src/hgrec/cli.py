@@ -43,7 +43,7 @@ from .kgeval import (
     replay_completion,
 )
 from .oracle import TabularOracle, train_tabular
-from .recovery import ALL_PAIRS, recover_from_dataset, recover_from_oracle, recovery_report
+from .recovery import ALL_PAIRS, recover_from_oracle, recovery_report
 from .sampling import Dataset, MMDataset, make_masking_strategy, sample_dataset, sample_mm_dataset
 from .sweep import SweepConfig, fit_scaling, load_csv, run_sweep, save_csv
 

@@ -94,7 +94,10 @@ def ingest_edge_list(path: str | Path) -> KnowledgeGraph:
             raise ParseError(num, f"bad weight {parts[2]!r}") from None
         if not math.isfinite(w):
             raise ParseError(num, f"weight must be finite, got {parts[2]!r}")
-        kg.add_edge(a, b, w)
+        try:
+            kg.add_edge(a, b, w)
+        except InvalidWeight as exc:
+            raise InvalidWeight(f"line {num}: {exc}") from None
     return kg
 
 

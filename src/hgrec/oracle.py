@@ -4,7 +4,9 @@ Both oracle kinds expose ``query(masked) -> {completion: probability} | None``
 (``None`` signals an unseen / unsupported masked form), ``forms()`` (the masked
 forms the oracle holds a distribution for, in canonical order; ``query`` returns
 a distribution for each of them and ``None`` for every other form) and
-``known_nodes()``.
+``known_nodes()``. Recovery reads only ``forms()`` and ``query()``:
+``known_nodes()`` covers every node of every form and completion the oracle
+holds, so the ``ALL_PAIRS`` candidates need no node filter.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ class TabularOracle:
     def __init__(self, counts: dict[MaskedHyperedge, dict[Hyperedge, int]] | None = None):
         table: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
         for masked, per_edge in (counts or {}).items():
-            checked: dict[Hyperedge, int] = {}
             for e, c in per_edge.items():
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise ValueError(
+                        f"count for {e.key!r} given {masked.key!r} must be an integer, got {c!r}"
+                    )
                 if c <= 0:
                     raise ValueError(f"counts must be positive, got {c} for {e.key}")
                 if not masked.is_mask_of(e):
                     raise ValueError(f"{masked.key!r} is not a masked form of {e.key!r}")
-                checked[e] = int(c)
-            if checked:
-                table[masked] = {e: checked[e] for e in sorted(checked)}
+            if per_edge:
+                table[masked] = {e: per_edge[e] for e in sorted(per_edge)}
         self._counts = {m: table[m] for m in sorted(table)}
 
     @property
@@ -89,8 +93,6 @@ class TabularOracle:
                 raise ValueError(f"masked key {mk!r} repeats the form {masked.key!r}")
             completions = counts[masked] = {}
             for ek, c in per.items():
-                if not isinstance(c, int) or isinstance(c, bool):
-                    raise ValueError(f"count for {ek!r} given {mk!r} must be an integer, got {c!r}")
                 try:
                     e = Hyperedge.from_key(ek)
                 except ValueError as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import (
     Hyperedge,
@@ -52,14 +52,10 @@ def _expand_candidates(candidates) -> tuple[Hyperedge, ...] | None:
     return expanded
 
 
-def _believed(oracle, strategy: MaskingStrategy, answers) -> set[Hyperedge]:
-    """Completions with positive belief under some form of their own support.
-
-    Reads each of ``oracle.forms()`` once and stores the answer in ``answers``.
-    """
+def _believed(beliefs, strategy: MaskingStrategy) -> set[Hyperedge]:
+    """Completions with positive belief under some form of their own support."""
     believed: set[Hyperedge] = set()
-    for form in oracle.forms():
-        dist = answers[form] = oracle.query(form)
+    for form, dist in beliefs.items():
         for e, belief in dist.items():
             if belief > 0.0 and e not in believed and any(f == form for f, _ in strategy.support(e)):
                 believed.add(e)
@@ -68,19 +64,19 @@ def _believed(oracle, strategy: MaskingStrategy, answers) -> set[Hyperedge]:
 
 def bf_weight_estimation(
     e_init: Hyperedge,
-    kept_edges: Iterable[Hyperedge],
-    oracle,
+    mg: MetaGraph,
+    beliefs: Mapping[MaskedHyperedge, Mapping[Hyperedge, float]],
     strategy: MaskingStrategy,
     w_tilde: dict[Hyperedge, float],
-    *,
-    _answers: dict | None = None,
-    _meta_graph: MetaGraph | None = None,
 ) -> dict[Hyperedge, float]:
     """Propagate relative weights from ``e_init`` over the share-a-mask relation.
 
-    ``e_init`` must be the only weighted edge of its share-a-mask component:
-    ``w_tilde[e_init]`` is 1.0 and every other edge of the component is missing
-    from ``w_tilde`` or at most 0. The walk then reaches exactly that component.
+    ``mg`` is the share-a-mask incidence the walk reads; it must cover whole
+    components. ``beliefs`` maps each form the oracle holds to its answer; a
+    form missing from it has no distribution. ``e_init`` must be a vertex of
+    ``mg`` and the only weighted edge of its component: ``w_tilde[e_init]`` is
+    1.0 and every other edge of it is missing from ``w_tilde`` or at most 0.
+    The walk then reaches exactly that component.
 
     The step from ``e`` to a neighbour ``nb`` through a shared form ``m`` is
     ``M(nb|m) pi(m|e) / (M(e|m) pi(m|nb))``, read off the canonically
@@ -93,15 +89,11 @@ def bf_weight_estimation(
     smallest stranded edge: one the walk reads as a neighbour of a reached
     edge but that no carrying pair reaches.
     """
+    if e_init not in mg.forms:
+        raise ValueError(f"{e_init.key} is not a vertex of the share-a-mask incidence")
     if w_tilde.get(e_init, 0.0) != 1.0:
         raise ValueError("w_tilde[e_init] must be 1.0 before propagation")
-    # A caller that already built the incidence over a superset of whole
-    # components passes it: the owners of a form and the walk are the same.
-    mg = _meta_graph if _meta_graph is not None else MetaGraph.over(kept_edges, strategy)
-    # By the oracle contract, no form outside ``oracle.forms()`` has a distribution.
-    answers = _answers if _answers is not None else {f: oracle.query(f) for f in oracle.forms()}
-    # Per form, the owners still unweighted; filled on the form's first read
-    # and pruned whenever the form is read again.
+    # Per form, the owners still unweighted; pruned each time the form is read.
     pending: dict[MaskedHyperedge, list[Hyperedge]] = {}
     read: set[Hyperedge] = set()
 
@@ -122,7 +114,7 @@ def bf_weight_estimation(
         read.update(shared)
         for nb in sorted(shared):
             for form in shared[nb]:
-                dist = answers.get(form) or {}
+                dist = beliefs.get(form) or {}
                 m_e = dist.get(e, 0.0)
                 m_nb = dist.get(nb, 0.0)
                 if m_e > 0.0 and m_nb > 0.0:
@@ -152,25 +144,24 @@ def recover_from_oracle(
     """Two-phase estimation from a masked-modeling oracle.
 
     Phase 1 keeps each candidate with positive belief under some masked form in
-    its support. It reads each form the oracle holds once and collects the
+    its support. It queries each form the oracle holds once and collects the
     completions believed under a form of their own support; ``ALL_PAIRS``
-    keeps the believed 2-node edges over the oracle's known nodes, sorted, and
-    an explicit list keeps its believed members in sorted order. Its cost
-    follows the oracle's form table, not the n(n-1)/2 pairs of ``ALL_PAIRS``.
-    Phase 2 runs breadth-first relative-weight propagation per share-a-mask
-    component, reading only phase 1's answers, and normalizes globally. Each
-    walk is seeded with scale 1 at the smallest kept edge still unweighted:
-    a walk weights its whole component or raises, so that edge is the
-    smallest of a component not yet walked. Raises :class:`UndefinedRatio`
-    naming an edge when the weights sum to inf or one normalizes to 0.0.
-    Returns the estimate and whether the kept edges formed a single component.
+    keeps the believed 2-node edges (all over the oracle's known nodes),
+    sorted, and an explicit list keeps its believed members in sorted order.
+    Its cost follows the oracle's form table, not the n(n-1)/2 pairs of
+    ``ALL_PAIRS``. Phase 2 passes the share-a-mask incidence over the kept
+    edges and phase 1's belief table to :func:`bf_weight_estimation` once per
+    component, seeding each walk with scale 1 at the smallest kept edge still
+    unweighted (a walk weights its whole component or raises), and normalizes
+    globally. Raises :class:`UndefinedRatio` naming an edge when the weights
+    sum to inf or one normalizes to 0.0. Returns the estimate and whether the
+    kept edges formed a single component.
     """
     cand = _expand_candidates(candidates)
-    answers: dict = {}
-    believed = _believed(oracle, strategy, answers)
+    beliefs = {form: oracle.query(form) for form in oracle.forms()}
+    believed = _believed(beliefs, strategy)
     if cand is None:
-        nodes = set(oracle.known_nodes())
-        kept = sorted(e for e in believed if len(e) == 2 and nodes.issuperset(e.nodes))
+        kept = sorted(e for e in believed if len(e) == 2)
     else:
         kept = [e for e in cand if e in believed]
     if not kept:
@@ -183,9 +174,7 @@ def recover_from_oracle(
         if w_tilde[seed] <= 0.0:
             seeds += 1
             w_tilde[seed] = 1.0
-            bf_weight_estimation(
-                seed, kept, oracle, strategy, w_tilde, _answers=answers, _meta_graph=mg
-            )
+            bf_weight_estimation(seed, mg, beliefs, strategy, w_tilde)
     total = sum(w_tilde.values())
     if total == math.inf:
         big = max(kept, key=w_tilde.get)

@@ -20,8 +20,6 @@ from .core import Hyperedge, WeightedHypergraph, check_token
 from .errors import EmptyHypergraph, NotNormalized, ParseError
 from .rng import AliasSampler, rng_stream
 
-PROB_TOL = 1e-12
-
 
 class MaskedHyperedge(tuple):
     """A hyperedge with some nodes hidden: the tuple ``(visible tokens, masked_count)``."""

@@ -449,6 +449,18 @@ def test_fit_bad_csv_exits_1(tmp_path, capsys, table, x_field, message):
     assert err == f"error: InvalidForLogFit: {message}\n"
 
 
+@pytest.mark.parametrize("weight", ["0", "-1"])
+def test_kg_ingest_names_the_line_of_a_nonpositive_weight(tmp_path, capsys, weight):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text(f"a\tb\t0.5\nc\td\t{weight}\n", encoding="utf-8")
+    assert run("kg-ingest", "--tsv", kg, "-o", tmp_path / "canon.tsv") == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: InvalidWeight: line 2: relatedness must be positive and finite, "
+        f"got {float(weight)}\n"
+    )
+
+
 def test_kg_pipeline(tmp_path, capsys):
     kg = tmp_path / "kg.tsv"
     kg.write_text(KG_TSV, encoding="utf-8")

@@ -65,6 +65,15 @@ def test_ingest_nonpositive_weight(tmp_path):
         ingest_edge_list(path)
 
 
+@pytest.mark.parametrize("weight", ["0", "-1"])
+def test_ingest_names_the_line_of_a_nonpositive_weight(tmp_path, weight):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"a\tb\t0.5\nc\td\t{weight}\n", encoding="utf-8")
+    with pytest.raises(InvalidWeight) as err:
+        ingest_edge_list(path)
+    assert str(err.value) == f"line 2: relatedness must be positive and finite, got {float(weight)}"
+
+
 @pytest.mark.parametrize("text, message", [
     ("a\tb\t0.5\n \tb\t0.5\n", "line 2: empty entity name"),
     ("a\t\t0.5\n", "line 1: empty entity name"),

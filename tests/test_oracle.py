@@ -147,6 +147,14 @@ def test_oracle_rejects_counts_it_cannot_hold(counts, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("count", [0.5, 2.7, True, "3"])
+def test_oracle_constructor_rejects_non_integer_counts(count):
+    # 0.5 used to become a count of 0 (and a ZeroDivisionError on query), 2.7 a 2.
+    with pytest.raises(ValueError) as err:
+        TabularOracle({MaskedHyperedge(["0"], 1): {edge("0", "1"): count}})
+    assert str(err.value) == f"count for '0+1' given '0|1' must be an integer, got {count!r}"
+
+
 # -- consistency with the exact oracle ------------------------------------------------------
 
 def test_tabular_converges_to_exact():

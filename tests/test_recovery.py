@@ -10,6 +10,7 @@ from hgrec import (
     ExactOracle,
     Hyperedge,
     MaskedHyperedge,
+    MetaGraph,
     MMDataset,
     NodeRelabeling,
     TabularOracle,
@@ -115,6 +116,42 @@ def test_explicit_candidates():
     assert dissimilarity(recovered, STAR4_WEIGHTED) <= 1e-9
 
 
+def walk(e_init, edges, oracle, strategy, w_tilde):
+    """The weight walk over the incidence of ``edges`` and the oracle's whole belief table."""
+    beliefs = {form: oracle.query(form) for form in oracle.forms()}
+    return bf_weight_estimation(e_init, MetaGraph.over(edges, strategy), beliefs, strategy, w_tilde)
+
+
+class CountingOracle:
+    """Forwards ``forms`` and ``query``, counts the queries and refuses ``known_nodes``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.queries = 0
+
+    def forms(self):
+        return self.inner.forms()
+
+    def query(self, masked):
+        self.queries += 1
+        return self.inner.query(masked)
+
+    def known_nodes(self):
+        raise AssertionError("recovery read known_nodes()")
+
+
+@pytest.mark.parametrize("oracle", [
+    ExactOracle(STAR4_WEIGHTED, STRATEGY),
+    ExactOracle(WeightedHypergraph({E_AB: 0.4, edge("c", "d"): 0.6}, normalized=True), STRATEGY),
+    train_tabular(sample_mm_dataset(normalize(star(5)), 200, 2, STRATEGY, seed=1)),
+], ids=["star4", "two-components", "tabular-star5"])
+def test_all_pairs_recovery_queries_each_form_once(oracle):
+    counting = CountingOracle(oracle)
+    actual = recovery_outcome(recover_from_oracle, counting, ALL_PAIRS, STRATEGY)
+    assert actual == recovery_outcome(recover_from_oracle, oracle, ALL_PAIRS, STRATEGY)
+    assert counting.queries == len(oracle.forms())
+
+
 def probe_recover_from_oracle(oracle, candidates, strategy):
     """Reference: recovery whose phase 1 builds every candidate and probes each of its forms."""
     if isinstance(candidates, str):
@@ -148,7 +185,7 @@ def probe_recover_from_oracle(oracle, candidates, strategy):
     for comp in components:
         seed = comp[0]
         w_tilde[seed] = 1.0
-        bf_weight_estimation(seed, comp, oracle, strategy, w_tilde)
+        walk(seed, comp, oracle, strategy, w_tilde)
     total = sum(w_tilde.values())
     recovered = WeightedHypergraph(
         {e: w / total for e, w in w_tilde.items()}, normalized=True
@@ -200,14 +237,14 @@ def test_phase1_join_matches_per_candidate_probes(data):
 def test_bf_two_edges():
     oracle = ExactOracle(TWO_EDGE, STRATEGY)
     w = {E_AB: 1.0, E_AC: 0.0}
-    bf_weight_estimation(E_AB, [E_AB, E_AC], oracle, STRATEGY, w)
+    walk(E_AB, [E_AB, E_AC], oracle, STRATEGY, w)
     assert w[E_AC] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_bf_single_edge():
     h = WeightedHypergraph({E_AB: 1.0}, normalized=True)
     w = {E_AB: 1.0}
-    bf_weight_estimation(E_AB, [E_AB], ExactOracle(h, STRATEGY), STRATEGY, w)
+    walk(E_AB, [E_AB], ExactOracle(h, STRATEGY), STRATEGY, w)
     assert w == {E_AB: 1.0}
 
 
@@ -217,14 +254,14 @@ def test_bf_uniform_star():
     seed_edge = h.edge_set[0]
     w = {e: 0.0 for e in h.edge_set}
     w[seed_edge] = 1.0
-    bf_weight_estimation(seed_edge, h.edge_set, oracle, STRATEGY, w)
+    walk(seed_edge, h.edge_set, oracle, STRATEGY, w)
     assert all(v == pytest.approx(1.0, abs=1e-12) for v in w.values())
 
 
 def test_bf_requires_unit_seed():
     oracle = ExactOracle(TWO_EDGE, STRATEGY)
     with pytest.raises(ValueError):
-        bf_weight_estimation(E_AB, [E_AB, E_AC], oracle, STRATEGY, {E_AB: 0.0, E_AC: 0.0})
+        walk(E_AB, [E_AB, E_AC], oracle, STRATEGY, {E_AB: 0.0, E_AC: 0.0})
 
 
 def test_seed_edge_invariance():
@@ -236,11 +273,17 @@ def test_seed_edge_invariance():
         for seed_edge in h.edge_set:
             w = {e: 0.0 for e in h.edge_set}
             w[seed_edge] = 1.0
-            bf_weight_estimation(seed_edge, h.edge_set, oracle, STRATEGY, w)
+            walk(seed_edge, h.edge_set, oracle, STRATEGY, w)
             total = sum(w.values())
             outputs.append({e: v / total for e, v in w.items()})
         for other in outputs[1:]:
             assert all(abs(other[e] - outputs[0][e]) <= 1e-12 for e in outputs[0])
+
+
+def test_bf_seed_outside_the_incidence_raises():
+    e_xy = edge("x", "y")
+    with pytest.raises(ValueError, match=r"^x\+y is not a vertex of the share-a-mask incidence$"):
+        walk(e_xy, TWO_EDGE.edge_set, ExactOracle(TWO_EDGE, STRATEGY), STRATEGY, {e_xy: 1.0})
 
 
 def tabular(counts: dict[str, dict[str, int]]) -> TabularOracle:
@@ -260,7 +303,7 @@ def test_bf_uncarryable_pair_is_reached_later():
     edges = [E_AB, E_AC, e_ad, E_BC]
     w = {e: 0.0 for e in edges}
     w[E_AB] = 1.0
-    bf_weight_estimation(E_AB, edges, oracle, STRATEGY, w)
+    walk(E_AB, edges, oracle, STRATEGY, w)
     assert w == pytest.approx({E_AB: 1.0, E_AC: 1.0, e_ad: 2.0, E_BC: 1.0}, abs=1e-12)
     recovered, connected = recover_from_oracle(oracle, edges, STRATEGY)
     assert connected
@@ -271,7 +314,7 @@ def test_bf_stranded_edge_raises():
     # ac is kept through c|1 but its only shared form a|1 has no belief for it.
     oracle = tabular({"a|1": {"a+b": 1}, "c|1": {"a+c": 1}})
     with pytest.raises(UndefinedRatio, match=r"a\+c"):
-        bf_weight_estimation(E_AB, [E_AB, E_AC], oracle, STRATEGY, {E_AB: 1.0, E_AC: 0.0})
+        walk(E_AB, [E_AB, E_AC], oracle, STRATEGY, {E_AB: 1.0, E_AC: 0.0})
     with pytest.raises(UndefinedRatio, match=r"a\+c"):
         recover_from_oracle(oracle, ALL_PAIRS, STRATEGY)
 
@@ -324,7 +367,7 @@ def test_bf_several_shared_forms():
     oracle = tabular({"a|2": {"a+b+c": 1}, "a+b|1": {"a+b+c": 1, "a+b+d": 2},
                       "b|2": {"a+b+c": 1, "a+b+d": 8}})
     w = {abc: 1.0, abd: 0.0}
-    bf_weight_estimation(abc, [abc, abd], oracle, strategy, w)
+    walk(abc, [abc, abd], oracle, strategy, w)
     assert w[abd] == 2.0
 
 
@@ -380,9 +423,9 @@ def test_bf_matches_pairwise_definition(data):
     expected, stranded = pairwise_bf(edges[0], edges, oracle, strategy, dict(w))
     if stranded:
         with pytest.raises(UndefinedRatio):
-            bf_weight_estimation(edges[0], edges, oracle, strategy, w)
+            walk(edges[0], edges, oracle, strategy, w)
     else:
-        bf_weight_estimation(edges[0], edges, oracle, strategy, w)
+        walk(edges[0], edges, oracle, strategy, w)
         assert w == expected
 
 
