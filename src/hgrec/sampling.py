@@ -266,7 +266,17 @@ def sample_mm_dataset(
     strategy: MaskingStrategy,
     seed: int,
 ) -> MMDataset:
-    """Draw N outer hyperedges, then K masked variants of each; each draw writes K consecutive records."""
+    """Draw N outer hyperedges, then K masked variants of each; each draw writes K consecutive records.
+
+    A record's form is the first support entry whose cumulative probability
+    exceeds its uniform draw (the last entry if none does). Edges whose
+    supports have the same probabilities share a shape. Each column of draws
+    is searched once against the sorted cdf values of all shapes: as every
+    cdf value is among those thresholds, a shape's cdf values at or below a
+    draw are those at or below the largest threshold at or below it, and
+    ``pick`` holds their count, capped at the last entry, per shape and
+    threshold rank.
+    """
     if not h.normalized:
         raise NotNormalized("sample_mm_dataset requires a normalized hypergraph")
     if n_outer < 1 or k_inner < 1:
@@ -277,16 +287,29 @@ def sample_mm_dataset(
     u = rng_stream(seed, "mm-mask").random((n_outer, k_inner))
 
     table: list[tuple[Hyperedge, MaskedHyperedge]] = []
-    ids = np.empty((n_outer, k_inner), dtype=np.int32)
-    order = np.argsort(outer, kind="stable")
-    drawn, starts = np.unique(outer[order], return_index=True)
-    for ei, rows in zip(drawn.tolist(), np.split(order, starts[1:])):
+    shapes: dict[tuple[float, ...], int] = {}  # support probabilities -> shape id
+    offset = np.zeros(len(edges), dtype=np.int32)  # first table entry of each drawn edge
+    shape = np.zeros(len(edges), dtype=np.int32)
+    for ei in np.flatnonzero(np.bincount(outer, minlength=len(edges))).tolist():
         e = edges[ei]
         support = strategy.support(e)
-        cdf = np.cumsum([p for _, p in support])
-        picks = np.searchsorted(cdf, u[rows], side="right")
-        ids[rows] = len(table) + np.minimum(picks, len(support) - 1)
-        table.extend((e, f) for f, _ in support)
+        offset[ei] = len(table)
+        shape[ei] = shapes.setdefault(tuple([p for _, p in support]), len(shapes))
+        table.extend([(e, f) for f, _ in support])
+    cdfs = [np.cumsum(probs) for probs in shapes]
+    thresholds = np.sort(np.concatenate(cdfs))
+    pick = np.zeros((len(cdfs), len(thresholds) + 1), dtype=np.int32)
+    for s, cdf in enumerate(cdfs):
+        pick[s, 1:] = np.minimum(np.searchsorted(cdf, thresholds, side="right"), len(cdf) - 1)
+
+    flat = pick.ravel()
+    row = shape[outer] * pick.shape[1]  # each draw's row of ``pick`` in ``flat``
+    ids = np.empty((n_outer, k_inner), dtype=np.int32)
+    for k in range(k_inner):  # one column at a time keeps the temporaries at N entries
+        rank = np.searchsorted(thresholds, u[:, k], side="right")
+        rank += row
+        ids[:, k] = flat[rank]
+    ids += offset[outer][:, None]
     return MMDataset._from_columns(table, ids.ravel())
 
 

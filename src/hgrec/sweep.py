@@ -11,13 +11,16 @@ Config schema (JSON)::
       "masking":   "uniform1"
     }
 
-Each cell (instance, N, K, seed) generates the truth, draws a masked-modeling
-dataset, trains the count-ratio oracle, recovers along both routes (plug-in on
-the same N outer draws, and the two-phase oracle path), and reports both
-errors. Cell randomness is derived from the SHA-256 hash of the canonical
-config text, so replaying a config reproduces every row; the ``runtime_ms``
-column is the one wall-clock field and is excluded from reproducibility
-guarantees. Failed cells keep their row with the error name in ``status``.
+Each (instance, seed) group generates its truth and builds the masking
+strategy, its constants, the meta-graph and ``L`` once. Each cell (instance,
+N, K, seed) of the group then draws a masked-modeling dataset, trains the
+count-ratio oracle, recovers along both routes (plug-in on the same N outer
+draws, and the two-phase oracle path), and reports both errors. Cell
+randomness is derived from the SHA-256 hash of the canonical config text, so
+replaying a config reproduces every row; the ``runtime_ms`` column, the cell's
+own time plus its group's shared set-up time, is the one wall-clock field and
+is excluded from reproducibility guarantees. Failed cells keep their row with
+the error name in ``status``; a set-up error marks every cell of its group.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .core import WeightedHypergraph
 from .errors import HgrecError, InvalidForLogFit
 from .generators import GeneratorSpec
 from .oracle import train_tabular
@@ -43,12 +47,15 @@ from .recovery import ALL_PAIRS, recover_from_oracle, recovery_report
 from .recovery import recover_from_dataset
 from .rng import derive_seed
 from .sampling import (
+    MaskingStrategy,
     build_meta_graph,
     make_masking_strategy,
     mm_path_length_bound,
     sample_mm_dataset,
     strategy_constants,
 )
+
+_MASK64 = (1 << 64) - 1
 
 CSV_COLUMNS = (
     "structure",
@@ -195,27 +202,36 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int]) -> dict:
-    inst_idx, n_idx, k_idx, seed_idx = cell
-    inst = cfg.instances[inst_idx]
-    n_samples = cfg.n_grid[n_idx]
-    k_inner = cfg.k_grid[k_idx]
-    mask64 = (1 << 64) - 1
+@dataclass(frozen=True)
+class _Setup:
+    """What the cells of one (instance, seed) group share; ``truth`` is None when building it failed."""
 
+    row: Mapping  # the group's columns, ``status`` included
+    seconds: float
+    truth: WeightedHypergraph | None
+    strategy: MaskingStrategy | None
+
+
+def _run_group(cfg: SweepConfig, master: int, cells: list[tuple[int, int, int, int]]) -> list[dict]:
+    """The rows of ``cells``, which share one instance and seed, in the order given.
+
+    The truth, the masking strategy, its constants, the meta-graph and ``L``
+    are built once for all of them. A set-up error marks every cell with its name.
+    """
+    inst_idx, _, _, seed_idx = cells[0]
+    inst = cfg.instances[inst_idx]
+    start = time.perf_counter()
     row = {c: "" for c in CSV_COLUMNS}
     row.update(
         structure=inst.structure,
         n=inst.n,
         # A zero w_min has no ratio; the generator rejects it and the row's status says so.
         kappa_target=_fmt(inst.w_max / inst.w_min) if inst.w_min else "",
-        N=n_samples,
-        K=k_inner,
         seed=seed_idx,
         status="ok",
     )
-    start = time.perf_counter()
     try:
-        weight_seed = derive_seed(master, "sweep-weights", inst_idx, seed_idx) & mask64
+        weight_seed = derive_seed(master, "sweep-weights", inst_idx, seed_idx) & _MASK64
         truth = GeneratorSpec(
             structure=inst.structure,
             n=inst.n,
@@ -226,8 +242,7 @@ def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int]) ->
         ).build()
         strategy = make_masking_strategy(cfg.masking)
         c_pi, big_c_pi = strategy_constants(truth, strategy)
-        meta = build_meta_graph(truth, strategy)
-        length_bound = mm_path_length_bound(meta)
+        length_bound = mm_path_length_bound(build_meta_graph(truth, strategy))
         row.update(
             m=truth.m,
             kappa_realized=_fmt(truth.range_ratio),
@@ -235,40 +250,65 @@ def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int]) ->
             c_pi=_fmt(c_pi),
             C_pi=big_c_pi,
         )
-
-        mm_seed = derive_seed(master, "sweep-mm", inst_idx, n_idx, k_idx, seed_idx) & mask64
-        mm = sample_mm_dataset(truth, n_samples, k_inner, strategy, mm_seed)
-
-        plugin = recover_from_dataset(mm.outer_dataset(k_inner))
-        row["d_plugin"] = _fmt(recovery_report(plugin, truth).weighted_error)
-
-        oracle = train_tabular(mm)
-        recovered, connected = recover_from_oracle(oracle, ALL_PAIRS, strategy)
-        report = recovery_report(recovered, truth, meta_connected=connected)
-        row.update(
-            d_oracle=_fmt(report.weighted_error),
-            sketch_missing=len(report.sketch_missing),
-            sketch_spurious=len(report.sketch_spurious),
-            meta_connected=_fmt(connected),
-        )
     except (HgrecError, ValueError) as exc:
         row["status"] = type(exc).__name__
-    row["runtime_ms"] = int(round((time.perf_counter() - start) * 1000))
+        truth = strategy = None
+    setup = _Setup(row, time.perf_counter() - start, truth, strategy)
+    return [_run_cell(cfg, master, cell, setup) for cell in cells]
+
+
+def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int], setup: _Setup) -> dict:
+    """One cell's row; ``runtime_ms`` is its own time plus its group's set-up time."""
+    inst_idx, n_idx, k_idx, seed_idx = cell
+    n_samples = cfg.n_grid[n_idx]
+    k_inner = cfg.k_grid[k_idx]
+    row = dict(setup.row, N=n_samples, K=k_inner)
+    start = time.perf_counter()
+    if setup.truth is not None:
+        truth, strategy = setup.truth, setup.strategy
+        try:
+            mm_seed = derive_seed(master, "sweep-mm", inst_idx, n_idx, k_idx, seed_idx) & _MASK64
+            mm = sample_mm_dataset(truth, n_samples, k_inner, strategy, mm_seed)
+
+            plugin = recover_from_dataset(mm.outer_dataset(k_inner))
+            row["d_plugin"] = _fmt(recovery_report(plugin, truth).weighted_error)
+
+            oracle = train_tabular(mm)
+            recovered, connected = recover_from_oracle(oracle, ALL_PAIRS, strategy)
+            report = recovery_report(recovered, truth, meta_connected=connected)
+            row.update(
+                d_oracle=_fmt(report.weighted_error),
+                sketch_missing=len(report.sketch_missing),
+                sketch_spurious=len(report.sketch_spurious),
+                meta_connected=_fmt(connected),
+            )
+        except (HgrecError, ValueError) as exc:
+            row["status"] = type(exc).__name__
+    row["runtime_ms"] = int(round((setup.seconds + time.perf_counter() - start) * 1000))
     return row
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
-    """All cell rows in deterministic order; ``jobs > 1`` runs cells in parallel.
+    """All cell rows in deterministic order; ``jobs > 1`` runs (instance, seed) groups in parallel.
 
-    The pool starts every worker at once, so it gets no more than one per cell and per CPU.
+    The pool starts every worker at once, so it gets no more than one per group and per CPU.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     master = cfg.master_seed()
     cells = cfg.cells()
-    jobs = min(jobs, len(cells), os.cpu_count() or 1)
-    if jobs <= 1:
-        return [_run_cell(cfg, master, cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, [cfg] * len(cells), [master] * len(cells), cells))
+    groups: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+    for cell in cells:
+        groups.setdefault((cell[0], cell[3]), []).append(cell)
+    tasks = list(groups.values())
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs == 1:
+        results = [_run_group(cfg, master, task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_group, [cfg] * len(tasks), [master] * len(tasks), tasks))
+    rows = {cell: row for task, task_rows in zip(tasks, results) for cell, row in zip(task, task_rows)}
+    return [rows[cell] for cell in cells]
 
 
 def rows_to_csv(rows: Iterable[Mapping]) -> str:

@@ -302,6 +302,17 @@ def test_sweep_wrong_value_type_exits_1(tmp_path, capsys, change, key):
     assert err.startswith("error: ValueError:") and key in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_nonpositive_jobs_exits_1(tmp_path, capsys, jobs):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"structure": "star", "n": 6}], "n_grid": [100],
+                               "k_grid": [1], "num_seeds": 1}), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert run("sweep", "--config", cfg, "--jobs", jobs, "-o", out) == 1
+    assert_one_error_line(capsys, f"jobs must be >= 1, got {jobs}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("w_min", [0, -1])
 def test_sweep_nonpositive_w_min_records_invalid_weights(tmp_path, capsys, w_min):
     cfg = tmp_path / "cfg.json"

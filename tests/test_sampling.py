@@ -273,6 +273,27 @@ def test_sample_mm_matches_per_record_loop(edges, n_outer, k_inner, strategy):
     assert mm.outer_dataset(k_inner).samples == tuple(full for full, _ in expected[::k_inner])
 
 
+@pytest.mark.parametrize("k_inner", [1, 3])
+def test_sample_mm_searches_do_not_grow_with_drawn_edges(monkeypatch, k_inner):
+    """Edges of one support shape share their searches, so star(n) and star(4n) make the same number."""
+    calls = []
+    search = np.searchsorted
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    counts = []
+    for n in (20, 80):
+        h = normalize(star(n))
+        calls.clear()
+        mm = sample_mm_dataset(h, 40 * n, k_inner, STRATEGY, seed=n)
+        counts.append(len(calls))
+        assert set(mm.outer_dataset(k_inner).samples) == set(h.edge_set)
+    assert counts[0] == counts[1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(EDGE_LISTS, st.integers(1, 3), st.data())
 def test_mm_records_round_trip_and_train_against_counter(edges, k_inner, data):

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+from collections import Counter
 
 import pytest
 
+import hgrec.sweep
 from hgrec import SweepConfig, fit_scaling, run_sweep
 from hgrec.errors import InvalidForLogFit
+from hgrec.generators import GeneratorSpec
 from hgrec.sweep import CSV_COLUMNS, InstanceSpec, rows_to_csv
 
 SMALL = SweepConfig(
@@ -71,6 +74,46 @@ def test_nonpositive_w_min_recorded_as_invalid_weights(w_min):
     assert all(r["d_plugin"] == "" for r in rows)
 
 
+def test_cell_error_leaves_the_rest_of_its_group():
+    cfg = SweepConfig(
+        instances=(InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),),
+        n_grid=(0, 100),
+        k_grid=(1,),
+        num_seeds=1,
+    )
+    rows = run_sweep(cfg)
+    assert [r["status"] for r in rows] == ["ValueError", "ok"]
+    assert rows[0]["m"] == rows[1]["m"] == 4 and rows[0]["d_plugin"] == ""
+
+
+def test_truth_and_path_bound_are_built_once_per_group(monkeypatch):
+    calls = Counter()
+    bound, build = hgrec.sweep.mm_path_length_bound, GeneratorSpec.build
+
+    def counting_bound(mg):
+        calls["mm_path_length_bound"] += 1
+        return bound(mg)
+
+    def counting_build(spec):
+        calls["build"] += 1
+        return build(spec)
+
+    monkeypatch.setattr(hgrec.sweep, "mm_path_length_bound", counting_bound)
+    monkeypatch.setattr(GeneratorSpec, "build", counting_build)
+    cfg = SweepConfig(
+        instances=(
+            InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),
+            InstanceSpec(structure="chain", n=5, w_min=1.0, w_max=3.0),
+        ),
+        n_grid=(100, 200),
+        k_grid=(1, 2),
+        num_seeds=2,
+    )
+    rows = run_sweep(cfg)
+    assert len(rows) == 16 and all(r["status"] == "ok" for r in rows)
+    assert calls == {"mm_path_length_bound": 4, "build": 4}
+
+
 def test_parallel_matches_serial():
     cfg = SweepConfig(
         instances=(InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),),
@@ -83,7 +126,7 @@ def test_parallel_matches_serial():
     assert strip_runtime(serial) == strip_runtime(parallel)
 
 
-def test_pool_size_is_capped_by_cells_and_cpus(monkeypatch):
+def test_pool_size_is_capped_by_groups_and_cpus(monkeypatch):
     """A pool starts all its workers on the first submit, so ``jobs`` alone must not size it."""
     sizes = []
 
@@ -108,7 +151,7 @@ def test_pool_size_is_capped_by_cells_and_cpus(monkeypatch):
         num_seeds=2,
     )
     serial = strip_runtime(rows_to_csv(run_sweep(cfg, jobs=1)))
-    for cpus, expected in ((64, [4]), (3, [3]), (None, [])):
+    for cpus, expected in ((64, [2]), (3, [2]), (1, []), (None, [])):
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert strip_runtime(rows_to_csv(run_sweep(cfg, jobs=100_000))) == serial
