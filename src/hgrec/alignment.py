@@ -35,6 +35,8 @@ from .core import (
     NodeRelabeling,
     SimpleGraph,
     WeightedHypergraph,
+    _fields,
+    _parsed,
     check_token,
     dissimilarity,
     relabel,
@@ -635,22 +637,6 @@ def format_alignment(a: Alignment) -> str:
     lines = [f"{src} {dst}" for src, dst in a.mapping.pairs]
     lines.append(f"#cost {a.cost:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def _fields(text: str):
-    """(1-based line number, line, fields) for each line that is neither blank nor a `#` comment."""
-    for num, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield num, line, line.split()
-
-
-def _parsed(num: int, parse, token: str):
-    """``parse(token)``, with its ``ValueError`` raised as a ``ParseError`` on line ``num``."""
-    try:
-        return parse(token)
-    except ValueError as exc:
-        raise ParseError(num, str(exc)) from None
 
 
 def parse_node_mapping(text: str) -> NodeRelabeling:

@@ -1,10 +1,12 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
-Exit codes: 0 on success, 1 on a domain error (message on stderr), 2 on usage
-errors. The three subcommands that draw, ``gen``, ``sample`` and
-``mm-sample``, take ``--seed`` (default 0), and all their randomness flows
-from it through the documented stream-splitting rule, so reruns are
-byte-reproducible. No other subcommand accepts ``--seed``.
+Exit codes: 0 on success, 2 on usage errors, and 1 with one ``error:`` line on
+stderr for a domain error, a bad input file or running out of memory. Input
+files are read as UTF-8: a bad byte is a ``ParseError`` naming its line, and
+JSON nested too deeply is a ``ValueError``. The three subcommands that draw,
+``gen``, ``sample`` and ``mm-sample``, take ``--seed`` (default 0), and all
+their randomness flows from it through the documented stream-splitting rule,
+so reruns are byte-reproducible. No other subcommand accepts ``--seed``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .alignment import (
     parse_node_mapping,
 )
 from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
-from .core import load_hypergraph, save_hypergraph
+from .core import load_hypergraph, read_json, read_text, save_hypergraph
 from .errors import HgrecError
 from .generators import STRUCTURES, GeneratorSpec
 from .kgeval import (
@@ -110,7 +112,7 @@ def _cmd_report(args) -> int:
     rec = load_hypergraph(args.rec)
     relabeling = None
     if args.relabel:
-        relabeling = parse_node_mapping(Path(args.relabel).read_text(encoding="utf-8"))
+        relabeling = parse_node_mapping(read_text(args.relabel))
     report = recovery_report(rec, truth, relabeling, meta_connected=not args.disconnected)
     _write(args.output, report.to_json())
     return 0
@@ -128,12 +130,12 @@ def _cmd_align(args) -> int:
     elif args.method == "ids":
         if args.edge_pairs is None:
             raise ValueError("--method ids needs --edge-pairs")
-        pairs = parse_edge_pairs(Path(args.edge_pairs).read_text(encoding="utf-8"))
+        pairs = parse_edge_pairs(read_text(args.edge_pairs))
         alignment = align_by_hyperedge_ids(h1, h2, pairs)
     else:
         anchors = AnchorSet()
         if args.anchors is not None:
-            anchors = parse_anchor_file(Path(args.anchors).read_text(encoding="utf-8"))
+            anchors = parse_anchor_file(read_text(args.anchors))
         alignment = align_wl_anchored(h1, h2, anchors)
         if alignment is None:
             print("NoIsomorphism", file=sys.stderr)
@@ -145,7 +147,7 @@ def _cmd_align(args) -> int:
 def _cmd_fuse(args) -> int:
     d1 = Dataset.load(args.d1)
     d2 = Dataset.load(args.d2)
-    phi = parse_node_mapping(Path(args.mapping).read_text(encoding="utf-8"))
+    phi = parse_node_mapping(read_text(args.mapping))
     fuse_datasets(d1, d2, phi).save(args.output)
     return 0
 
@@ -209,7 +211,7 @@ def _cmd_kg_extract(args) -> int:
 
 def _load_subgraph(path: str, need_k: bool) -> dict:
     """Read a kg-extract document, checking ``entities`` and, when asked, ``k``."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = read_json(read_text(path), f"{path}: subgraph")
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: subgraph must be a JSON object")
     entities = doc.get("entities")
@@ -231,21 +233,22 @@ def _cmd_kg_parse(args) -> int:
     from .kgeval import parse_edgelist
 
     doc = _load_subgraph(args.subgraph, need_k=False)
-    response = Path(args.response).read_text(encoding="utf-8")
+    response = read_text(args.response)
     pairs, unparsed = parse_edgelist(response, doc["entities"])
     out = {"pairs": [list(p) for p in sorted(pairs)], "unparsed": unparsed}
     _write(args.output, json.dumps(out, indent=2) + "\n")
     return 0
 
 
-def _cmd_kg_chat(args) -> int:
-    prompt = Path(args.prompt_file).read_text(encoding="utf-8")
+def _completion(args, prompt: str) -> str:
+    """The model's answer to ``prompt``, replayed from ``--responses-dir`` or fetched live."""
     if args.responses_dir is not None:
-        text = replay_completion(args.responses_dir, prompt)
-    else:
-        config = EndpointConfig.load(args.endpoint_config)
-        text = chat_completion(config, prompt)
-    _write(args.output, text)
+        return replay_completion(args.responses_dir, prompt)
+    return chat_completion(EndpointConfig.load(args.endpoint_config), prompt)
+
+
+def _cmd_kg_chat(args) -> int:
+    _write(args.output, _completion(args, read_text(args.prompt_file)))
     return 0
 
 
@@ -254,13 +257,7 @@ def _cmd_kg_eval(args) -> int:
     spec = SubgraphSpec(args.source.lower(), args.k, args.d)
     truth, entities = extract_subgraph(kg, spec)
     prompt = render_prompt(entities, args.k)
-    if args.responses_dir is not None:
-        response = replay_completion(args.responses_dir, prompt)
-    elif args.response is not None:
-        response = Path(args.response).read_text(encoding="utf-8")
-    else:
-        config = EndpointConfig.load(args.endpoint_config)
-        response = chat_completion(config, prompt)
+    response = read_text(args.response) if args.response is not None else _completion(args, prompt)
     result = evaluate_response(truth, entities, response)
     _write(args.output, result.to_json())
     if args.csv:
@@ -432,7 +429,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
         return args.func(args)
-    except (HgrecError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (HgrecError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Weighted hypergraphs, their dissimilarity, relabelings, line graphs, and the .hg format.
+"""Weighted hypergraphs, dissimilarity, relabelings, line graphs, the .hg format and input reading.
 
 Node tokens are nonempty strings without whitespace; the characters ``+`` and
 ``|`` and the bare token ``_`` are reserved by the canonical key / wire formats
@@ -9,6 +9,7 @@ mutated, so they are safe to share across parallel workers.
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations
 from operator import itemgetter
@@ -375,10 +376,7 @@ def decode(text: str) -> WeightedHypergraph:
             raise ParseError(num, f"bad weight {parts[-1]!r}") from None
         if not math.isfinite(w) or w <= 0.0:
             raise ParseError(num, f"weight must be a positive finite real, got {parts[-1]}")
-        try:
-            e = Hyperedge(parts[1:-1])
-        except ValueError as exc:
-            raise ParseError(num, str(exc)) from None
+        e = _parsed(num, Hyperedge, parts[1:-1])
         if e in seen:
             raise DuplicateEdge(f"line {num}: duplicate hyperedge {e.key}")
         seen.add(e)
@@ -391,4 +389,42 @@ def save_hypergraph(h: WeightedHypergraph, path: str | Path) -> None:
 
 
 def load_hypergraph(path: str | Path) -> WeightedHypergraph:
-    return decode(Path(path).read_text(encoding="utf-8"))
+    return decode(read_text(path))
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path`` with universal newlines; a bad byte is a ``ParseError`` on its line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError(before.count(b"\n") + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    raise OSError(f"{path} changed while it was read")
+
+
+def read_json(text: str, what: str):
+    """``json.loads(text)``; a value nested too deeply to parse is a ``ValueError`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply") from None
+
+
+def _fields(text: str):
+    """(1-based line number, line, fields) for each line that is neither blank nor a `#` comment."""
+    for num, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield num, line, line.split()
+
+
+def _parsed(num: int, parse, token):
+    """``parse(token)``, with its ``ValueError`` raised as a ``ParseError`` on line ``num``."""
+    try:
+        return parse(token)
+    except ValueError as exc:
+        raise ParseError(num, str(exc)) from None

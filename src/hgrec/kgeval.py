@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import SimpleGraph
+from .core import SimpleGraph, read_json, read_text
 from .errors import (
     AuthError,
     EmptyEntities,
@@ -78,8 +78,7 @@ class SubgraphSpec:
 def ingest_edge_list(path: str | Path) -> KnowledgeGraph:
     """Read `start<TAB>end<TAB>weight` lines; entities lowercased and trimmed."""
     kg = KnowledgeGraph()
-    text = Path(path).read_text(encoding="utf-8")
-    for num, line in enumerate(text.split("\n"), start=1):
+    for num, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -288,7 +287,7 @@ class EndpointConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "EndpointConfig":
-        doc = json.loads(text)
+        doc = read_json(text, "endpoint config")
         if not isinstance(doc, dict):
             raise ValueError("endpoint config must be a JSON object")
         for key in ("base_url", "model"):
@@ -310,7 +309,7 @@ class EndpointConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "EndpointConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path))
 
 
 def prompt_key(prompt: str) -> str:
@@ -323,7 +322,7 @@ def replay_completion(responses_dir: str | Path, prompt: str) -> str:
     path = Path(responses_dir) / f"{prompt_key(prompt)}.txt"
     if not path.exists():
         raise RequestFailed(0, f"no canned response at {path}")
-    return path.read_text(encoding="utf-8")
+    return read_text(path)
 
 
 def chat_completion(config: EndpointConfig, prompt: str) -> str:
@@ -356,7 +355,7 @@ def chat_completion(config: EndpointConfig, prompt: str) -> str:
         raise RequestFailed(resp.status_code, resp.text[:200])
     try:
         content = resp.json()["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError, ValueError):
+    except (KeyError, IndexError, TypeError, ValueError, RecursionError):
         content = None
     if not isinstance(content, str):
         raise RequestFailed(resp.status_code, f"malformed completion body: {resp.text[:200]}")

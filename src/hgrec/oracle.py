@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Hyperedge, WeightedHypergraph
+from .core import Hyperedge, WeightedHypergraph, read_json, read_text
 from .errors import NotNormalized
 from .sampling import MaskedHyperedge, MaskingStrategy, MMDataset
 
@@ -75,7 +75,7 @@ class TabularOracle:
 
     @classmethod
     def from_json(cls, text: str) -> "TabularOracle":
-        doc = json.loads(text)
+        doc = read_json(text, "oracle JSON")
         if not isinstance(doc, dict):
             raise ValueError("oracle JSON must be an object")
         if doc.get("format") != "hgrec-oracle-v1":
@@ -107,7 +107,7 @@ class TabularOracle:
 
     @classmethod
     def load(cls, path: str | Path) -> "TabularOracle":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path))
 
     def __repr__(self) -> str:
         return f"TabularOracle({len(self._counts)} masked forms)"

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Hyperedge, WeightedHypergraph, check_token
+from .core import Hyperedge, WeightedHypergraph, check_token, read_text
 from .errors import EmptyHypergraph, NotNormalized, ParseError
 from .rng import AliasSampler, rng_stream
 
@@ -195,7 +195,7 @@ class _Records:
 
     @classmethod
     def load(cls, path: str | Path):
-        return cls.decode(Path(path).read_text(encoding="utf-8"))
+        return cls.decode(read_text(path))
 
 
 class Dataset(_Records):

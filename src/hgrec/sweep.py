@@ -39,8 +39,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import WeightedHypergraph
-from .errors import HgrecError, InvalidForLogFit
+from .core import WeightedHypergraph, read_json, read_text
+from .errors import HgrecError, InvalidForLogFit, ParseError
 from .generators import GeneratorSpec
 from .oracle import train_tabular
 from .recovery import ALL_PAIRS, recover_from_oracle, recovery_report
@@ -173,11 +173,11 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(read_json(text, "sweep config"))
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepConfig":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls.from_json(read_text(path))
 
     def master_seed(self) -> int:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -325,8 +325,11 @@ def save_csv(rows: Iterable[Mapping], path: str | Path) -> None:
 
 
 def load_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(reader.reader.line_num, str(exc)) from None
 
 
 def fit_scaling(rows: Iterable[Mapping], x_field: str, y_field: str) -> tuple[float, float]:

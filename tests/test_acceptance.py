@@ -477,7 +477,7 @@ def test_criterion_11_kg_eval_offline(tmp_path):
         reports.append(out.read_bytes())
         import json
 
-        score = json.loads(out.read_text())["score"]
+        score = json.loads(out.read_text(encoding="utf-8"))["score"]
     verdict(
         "criterion 11 (kg-eval offline)",
         score == 0.75 and golden_ok and reports[0] == reports[1],

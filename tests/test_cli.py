@@ -42,7 +42,7 @@ def quickstart(workdir: Path) -> dict[str, Path]:
 
 def test_full_pipeline_and_formats(tmp_path):
     paths = quickstart(tmp_path)
-    report = json.loads(paths["report.json"].read_text())
+    report = json.loads(paths["report.json"].read_text(encoding="utf-8"))
     assert report["sketch_missing"] == [] and report["sketch_spurious"] == []
     assert 0.0 <= report["d"] < 0.5
     rec = load_hypergraph(paths["rec.hg"])
@@ -343,7 +343,7 @@ def test_align_methods(tmp_path):
     assert run("gen", "--structure", "frucht", "--seed", 7, "-o", h1) == 0
     assert run("gen", "--structure", "frucht", "--seed", 7, "-o", h2) == 0
     assert run("align", "--h1", h1, "--h2", h2, "--method", "wl-ir", "-o", out) == 0
-    lines = out.read_text().strip().splitlines()
+    lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[-1].startswith("#cost ")
     assert len(lines) == 13  # 12 node pairs + cost
 
@@ -385,7 +385,7 @@ def test_fuse_accepts_alignment_output(tmp_path):
     assert run("sample", "--hypergraph", h, "-n", 70, "--seed", 3, "-o", d2) == 0
     assert run("align", "--h1", h, "--h2", h, "--method", "exact", "-o", mapping) == 0
     assert run("fuse", "--d1", d1, "--d2", d2, "--mapping", mapping, "-o", fused) == 0
-    assert len(fused.read_text().strip().splitlines()) == 120
+    assert len(fused.read_text(encoding="utf-8").strip().splitlines()) == 120
 
 
 def test_bounds_json(tmp_path, capsys):
@@ -481,26 +481,26 @@ def test_kg_pipeline(tmp_path, capsys):
     parsed = tmp_path / "parsed.json"
 
     assert run("kg-ingest", "--tsv", kg, "-o", canonical) == 0
-    assert "table\t" in canonical.read_text() or "\ttable" in canonical.read_text()
+    assert "table\t" in canonical.read_text(encoding="utf-8") or "\ttable" in canonical.read_text(encoding="utf-8")
 
     assert run("kg-extract", "--kg", kg, "--source", "table", "-k", 2, "-d", 2, "-o", sub) == 0
-    doc = json.loads(sub.read_text())
+    doc = json.loads(sub.read_text(encoding="utf-8"))
     assert doc["entities"] == ["table", "furniture", "house", "room"]
     assert len(doc["edges"]) == 4
 
     assert run("kg-prompt", "--subgraph", sub, "-o", prompt) == 0
-    assert prompt.read_text().startswith("Consider the following concepts: table, furniture, house, room.")
+    assert prompt.read_text(encoding="utf-8").startswith("Consider the following concepts: table, furniture, house, room.")
 
     responses = tmp_path / "responses"
     responses.mkdir()
-    (responses / f"{prompt_key(prompt.read_text())}.txt").write_text(KG_RESPONSE, encoding="utf-8")
+    (responses / f"{prompt_key(prompt.read_text(encoding='utf-8'))}.txt").write_text(KG_RESPONSE, encoding="utf-8")
 
     resp = tmp_path / "resp.txt"
     assert run("kg-chat", "--prompt-file", prompt, "--responses-dir", responses, "-o", resp) == 0
-    assert resp.read_text() == KG_RESPONSE
+    assert resp.read_text(encoding="utf-8") == KG_RESPONSE
 
     assert run("kg-parse", "--response", resp, "--subgraph", sub, "-o", parsed) == 0
-    parsed_doc = json.loads(parsed.read_text())
+    parsed_doc = json.loads(parsed.read_text(encoding="utf-8"))
     assert len(parsed_doc["pairs"]) == 5
     assert len(parsed_doc["unparsed"]) == 2
 
@@ -553,7 +553,7 @@ def test_kg_prompt_k_flag_overrides_missing_k(tmp_path):
     sub.write_text(json.dumps({"entities": ["table", "room"]}), encoding="utf-8")
     prompt = tmp_path / "prompt.txt"
     assert run("kg-prompt", "--subgraph", sub, "-k", 3, "-o", prompt) == 0
-    assert prompt.read_text() == render_prompt(["table", "room"], 3)
+    assert prompt.read_text(encoding="utf-8") == render_prompt(["table", "room"], 3)
 
 
 @pytest.mark.parametrize("doc, what", [
@@ -602,3 +602,83 @@ def test_kg_response_source_is_exactly_one(argv, capsys):
         run(*argv)
     assert exc.value.code == 2
     assert "--" in capsys.readouterr().err
+
+
+# Each file slot: the argv that reads it (run in a directory holding the
+# `slot_dir` files) and the file it reads, which the test makes hostile.
+FILE_SLOTS = {
+    "--hypergraph": ("sample --hypergraph bad -n 5 -o out", "bad"),
+    "--exact-from": ("recover --exact-from bad -o out", "bad"),
+    "--truth": ("report --truth bad --rec g.hg", "bad"),
+    "--rec": ("report --truth g.hg --rec bad", "bad"),
+    "--h1": ("align --h1 bad --h2 g.hg --method exact", "bad"),
+    "--h2": ("align --h1 g.hg --h2 bad --method exact", "bad"),
+    "--candidates": ("recover --exact-from g.hg --candidates bad -o out", "bad"),
+    "--d1": ("fuse --d1 bad --d2 d.ds --mapping map.txt -o out", "bad"),
+    "--d2": ("fuse --d1 d.ds --d2 bad --mapping map.txt -o out", "bad"),
+    "--mm-data": ("train --mm-data bad -o out", "bad"),
+    "--oracle": ("recover --oracle bad -o out", "bad"),
+    "--relabel": ("report --truth g.hg --rec g.hg --relabel bad", "bad"),
+    "--mapping": ("fuse --d1 d.ds --d2 d.ds --mapping bad -o out", "bad"),
+    "--anchors": ("align --h1 g.hg --h2 g.hg --method wl-ir --anchors bad", "bad"),
+    "--edge-pairs": ("align --h1 g.hg --h2 g.hg --method ids --edge-pairs bad", "bad"),
+    "--config": ("sweep --config bad -o out", "bad"),
+    "--csv": ("fit --csv bad", "bad"),
+    "--tsv": ("kg-ingest --tsv bad", "bad"),
+    "--kg": ("kg-extract --kg bad --source table -k 2 -d 2", "bad"),
+    "--subgraph": ("kg-prompt --subgraph bad", "bad"),
+    "--response": ("kg-parse --response bad --subgraph sub.json", "bad"),
+    "--prompt-file": ("kg-chat --prompt-file bad --responses-dir responses", "bad"),
+    "--endpoint-config": ("kg-chat --prompt-file prompt.txt --endpoint-config bad", "bad"),
+    "--responses-dir": (
+        "kg-chat --prompt-file prompt.txt --responses-dir responses",
+        f"responses/{prompt_key('p')}.txt",
+    ),
+}
+
+
+@pytest.fixture
+def slot_dir(tmp_path, monkeypatch):
+    """A working directory holding a valid file for every slot a test does not make hostile."""
+    monkeypatch.chdir(tmp_path)
+    save_hypergraph(WeightedHypergraph({edge("a", "b"): 0.5, edge("b", "c"): 0.5}, normalized=True), "g.hg")
+    Path("d.ds").write_text("a b\nb c\n", encoding="utf-8")
+    Path("map.txt").write_text("a a\nb b\nc c\n", encoding="utf-8")
+    Path("sub.json").write_text(json.dumps({"entities": ["a", "b"], "k": 1}), encoding="utf-8")
+    Path("prompt.txt").write_text("p", encoding="utf-8")
+    Path("responses").mkdir()
+    return tmp_path
+
+
+@pytest.mark.parametrize("slot", FILE_SLOTS)
+def test_a_byte_that_is_not_utf8_names_its_line(slot_dir, capsys, slot):
+    argv, bad = FILE_SLOTS[slot]
+    Path(bad).write_bytes(b"first\nsecond\nthird \xff\n")
+    assert run(*argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ParseError: line 3: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("slot", ["--oracle", "--config", "--subgraph", "--endpoint-config"])
+def test_json_nested_too_deeply_exits_1(slot_dir, capsys, slot):
+    argv, bad = FILE_SLOTS[slot]
+    Path(bad).write_text("[" * 100_000, encoding="utf-8")
+    assert run(*argv.split()) == 1
+    assert_one_error_line(capsys, "nested too deeply")
+
+
+def test_fit_csv_field_over_the_csv_limit_names_its_line(tmp_path, capsys):
+    table = tmp_path / "big.csv"
+    table.write_text("N,d_plugin\n1," + "9" * 131_073 + "\n", encoding="utf-8")
+    assert run("fit", "--csv", table) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: line 2: field larger than field limit") and err.count("\n") == 1
+
+
+def test_out_of_memory_is_one_error_line(slot_dir, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("hgrec.cli.sample_dataset", exhausted)
+    assert run("sample", "--hypergraph", "g.hg", "-n", 10_000_000_000, "-o", "out") == 1
+    assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 74.5 GiB\n"

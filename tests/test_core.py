@@ -1,11 +1,14 @@
+import ast
 import copy
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import hgrec
 from hgrec import (
     Hyperedge,
     NodeRelabeling,
@@ -19,7 +22,7 @@ from hgrec import (
     relabel,
     sketch_diff,
 )
-from hgrec.core import check_token
+from hgrec.core import check_token, read_json, read_text
 from hgrec.errors import (
     DuplicateEdge,
     EmptyHypergraph,
@@ -319,3 +322,44 @@ def test_duplicate_edge_in_constructor():
 def test_bad_weights_rejected(w):
     with pytest.raises(ValueError):
         wh([(("a", "b"), w)])
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"a\nb\nc \xff\n", 3),
+    (b"a\r\nb\rc\xfe", 3),
+    (b"\xc3", 1),
+])
+def test_read_text_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, data, line):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"^line {line}: byte 0x[0-9a-f]{{2}} is not UTF-8$"):
+        read_text(path)
+
+
+def test_read_text_translates_newlines(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"a\r\nb\rc\n")
+    assert read_text(path) == "a\nb\nc\n"
+
+
+def test_read_json_reports_deep_nesting_as_a_value_error():
+    assert read_json('{"a": [1]}', "doc") == {"a": [1]}
+    with pytest.raises(ValueError, match="^doc is nested too deeply$"):
+        read_json("[" * 100_000, "doc")
+
+
+def test_only_core_reads_files():
+    """Every input file is read by ``core.read_text`` and every JSON text parsed by ``core.read_json``."""
+    readers = []
+    for path in sorted(Path(hgrec.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr in ("open", "read_text", "read_bytes", "loads")
+            ):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -406,6 +406,16 @@ def test_chat_malformed_body(monkeypatch, payload):
         chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
 
 
+def test_chat_body_nested_too_deeply(monkeypatch):
+    class DeepResponse(FakeResponse):
+        def json(self):
+            raise RecursionError("maximum recursion depth exceeded while decoding a JSON array")
+
+    monkeypatch.setattr("requests.post", lambda *a, **k: DeepResponse(200, text="[[[["))
+    with pytest.raises(RequestFailed, match="malformed completion body"):
+        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+
+
 def test_eval_csv_row_quotes_fields_with_commas_and_quotes():
     result = EvalResult(0.1 + 0.2, (), (), (("a", "b"),), (), ())
     text = eval_csv_row("a,b", 2, 3, 'gpt"4,x', result)

@@ -19,7 +19,7 @@ def test_readme_library_tour_runs():
     env = {**os.environ, "PYTHONPATH": str(Path(hgrec.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-c", tour],
-        env=env, capture_output=True, text=True,
+        env=env, capture_output=True, text=True, encoding="utf-8",
     )
     assert done.returncode == 0, done.stderr
     error, missing, spurious = done.stdout.split()
