@@ -30,7 +30,7 @@ from .alignment import (
     parse_node_mapping,
 )
 from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
-from .core import load_hypergraph, read_json, read_text, save_hypergraph
+from .core import load_hypergraph, read_json, read_text, save_hypergraph, write_text
 from .errors import HgrecError
 from .generators import STRUCTURES, GeneratorSpec
 from .kgeval import (
@@ -54,7 +54,7 @@ def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        write_text(path, text)
 
 
 def _cmd_gen(args) -> int:
@@ -428,6 +428,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
+        if getattr(args, "output", None) not in (None, "-") and not Path(args.output).parent.is_dir():
+            raise FileNotFoundError(f"no directory {str(Path(args.output).parent)!r} to write -o into")
         return args.func(args)
     except (HgrecError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

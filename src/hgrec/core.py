@@ -385,7 +385,7 @@ def decode(text: str) -> WeightedHypergraph:
 
 
 def save_hypergraph(h: WeightedHypergraph, path: str | Path) -> None:
-    Path(path).write_text(encode(h), encoding="utf-8", newline="\n")
+    write_text(path, encode(h))
 
 
 def load_hypergraph(path: str | Path) -> WeightedHypergraph:
@@ -404,6 +404,11 @@ def read_text(path: str | Path) -> str:
         before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         raise ParseError(before.count(b"\n") + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
     raise OSError(f"{path} changed while it was read")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, whatever the platform."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def read_json(text: str, what: str):

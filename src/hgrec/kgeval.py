@@ -285,6 +285,14 @@ class EndpointConfig:
     timeout_s: float = 60.0
     api_key_env: str = "HGREC_API_KEY"
 
+    def __post_init__(self):
+        if not self.base_url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"endpoint config: 'base_url' must be an http(s) URL, got {self.base_url!r}")
+        if not math.isfinite(self.temperature):
+            raise ValueError(f"endpoint config: 'temperature' must be finite, got {self.temperature!r}")
+        if not (math.isfinite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"endpoint config: 'timeout_s' must be finite and > 0, got {self.timeout_s!r}")
+
     @classmethod
     def from_json(cls, text: str) -> "EndpointConfig":
         doc = read_json(text, "endpoint config")
@@ -299,11 +307,12 @@ class EndpointConfig:
         for key in ("temperature", "timeout_s"):
             if key in doc and (isinstance(doc[key], bool) or not isinstance(doc[key], (int, float))):
                 raise ValueError(f"endpoint config: {key!r} must be a number, got {doc[key]!r}")
+        # float(str(n)) reads an integer too large for a float as inf; float(n) raises OverflowError.
         return cls(
             base_url=doc["base_url"],
             model=doc["model"],
-            temperature=float(doc.get("temperature", 0.0)),
-            timeout_s=float(doc.get("timeout_s", 60.0)),
+            temperature=float(str(doc.get("temperature", 0.0))),
+            timeout_s=float(str(doc.get("timeout_s", 60.0))),
             api_key_env=doc.get("api_key_env", "HGREC_API_KEY"),
         )
 
@@ -325,11 +334,19 @@ def replay_completion(responses_dir: str | Path, prompt: str) -> str:
     return read_text(path)
 
 
+# chat_completion asks again on 429 or 5xx: CHAT_ATTEMPTS tries in all, each retry after
+# Retry-After seconds if that is a finite number >= 0, else 1 s, then 2 s; MAX_RETRY_WAIT_S at most.
+CHAT_ATTEMPTS = 3
+MAX_RETRY_WAIT_S = 30.0
+
+
 def chat_completion(config: EndpointConfig, prompt: str) -> str:
     """Single-turn chat-completion request; returns the first choice's text."""
+    import http.client  # these take about 41 ms to import, and only this call needs them
     import os
-
-    import requests  # about 90 ms to import, and only this call needs it
+    import time
+    import urllib.error
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(config.api_key_env)
@@ -340,23 +357,34 @@ def chat_completion(config: EndpointConfig, prompt: str) -> str:
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
     }
+    url = config.base_url.rstrip("/") + "/chat/completions"
+    request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
+    for attempt in range(1, CHAT_ATTEMPTS + 1):
+        try:
+            try:
+                resp = urllib.request.urlopen(request, timeout=config.timeout_s)
+            except urllib.error.HTTPError as exc:
+                resp = exc  # an HTTPError is also the answer: its status, headers and body
+            with resp:
+                status, retry_after = resp.status, resp.headers.get("Retry-After")
+                text = resp.read().decode("utf-8", "replace")
+        except (OSError, http.client.HTTPException) as exc:
+            raise RequestFailed(0, repr(exc)) from exc  # repr: one line, whatever the server sent
+        if attempt == CHAT_ATTEMPTS or (status != 429 and status < 500):
+            break
+        try:
+            wait = float(retry_after)
+        except (TypeError, ValueError):
+            wait = math.nan
+        time.sleep(min(wait if 0 <= wait < math.inf else 2.0 ** (attempt - 1), MAX_RETRY_WAIT_S))
+    if status == 401:
+        raise AuthError(401, text[:200])
+    if status >= 400:
+        raise RequestFailed(status, text[:200])
     try:
-        resp = requests.post(
-            config.base_url.rstrip("/") + "/chat/completions",
-            json=payload,
-            headers=headers,
-            timeout=config.timeout_s,
-        )
-    except requests.RequestException as exc:
-        raise RequestFailed(0, str(exc)) from exc
-    if resp.status_code == 401:
-        raise AuthError(401, resp.text[:200])
-    if resp.status_code >= 400:
-        raise RequestFailed(resp.status_code, resp.text[:200])
-    try:
-        content = resp.json()["choices"][0]["message"]["content"]
-    except (KeyError, IndexError, TypeError, ValueError, RecursionError):
+        content = read_json(text, "completion body")["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError, ValueError):
         content = None
     if not isinstance(content, str):
-        raise RequestFailed(resp.status_code, f"malformed completion body: {resp.text[:200]}")
+        raise RequestFailed(status, f"malformed completion body: {text[:200]}")
     return content

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import Hyperedge, WeightedHypergraph, read_json, read_text
+from .core import Hyperedge, WeightedHypergraph, read_json, read_text, write_text
 from .errors import NotNormalized
 from .sampling import MaskedHyperedge, MaskingStrategy, MMDataset
 
@@ -103,7 +103,7 @@ class TabularOracle:
         return cls(counts)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8", newline="\n")
+        write_text(path, self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "TabularOracle":

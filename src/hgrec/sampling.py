@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Hyperedge, WeightedHypergraph, check_token, read_text
+from .core import Hyperedge, WeightedHypergraph, check_token, read_text, write_text
 from .errors import EmptyHypergraph, NotNormalized, ParseError
 from .rng import AliasSampler, rng_stream
 
@@ -191,7 +191,7 @@ class _Records:
         return table, ids[ids >= 0]
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.encode(), encoding="utf-8", newline="\n")
+        write_text(path, self.encode())
 
     @classmethod
     def load(cls, path: str | Path):

@@ -39,7 +39,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import WeightedHypergraph, read_json, read_text
+from .core import WeightedHypergraph, read_json, read_text, write_text
 from .errors import HgrecError, InvalidForLogFit, ParseError
 from .generators import GeneratorSpec
 from .oracle import train_tabular
@@ -321,7 +321,7 @@ def rows_to_csv(rows: Iterable[Mapping]) -> str:
 
 
 def save_csv(rows: Iterable[Mapping], path: str | Path) -> None:
-    Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
+    write_text(path, rows_to_csv(rows))
 
 
 def load_csv(path: str | Path) -> list[dict]:

@@ -1,4 +1,8 @@
+import http.server
+import json
 import random
+import socket
+import threading
 from itertools import combinations
 
 import pytest
@@ -12,6 +16,7 @@ from hgrec import (
     WeightedHypergraph,
     normalize,
 )
+from hgrec.kgeval import EndpointConfig
 
 # Relatedness fixture used across the kg-eval tests: extracting around "table"
 # with k=2, d=2 selects {table, furniture, house, room} and exactly 4 edges.
@@ -89,3 +94,52 @@ def kg_file(tmp_path):
     path = tmp_path / "kg.tsv"
     path.write_text(KG_TSV, encoding="utf-8")
     return path
+
+
+class _ChatHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next of ``server.answers`` and records it in ``server.received``.
+
+    An answer is ``(status, headers, body)``, or bytes sent in place of a whole response.
+    """
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.received.append((self.path, self.headers, json.loads(body)))
+        answer = self.server.answers.pop(0)
+        if isinstance(answer, bytes):
+            self.wfile.write(answer)
+            return
+        status, headers, body = answer
+        self.send_response(status)
+        for name, value in {**headers, "Content-Length": str(len(body))}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A loopback chat-completion endpoint; ``config`` points at it and ``sleeps`` records each wait."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
+    server.answers, server.received, server.sleeps = [], [], []
+    server.config = EndpointConfig(f"http://127.0.0.1:{server.server_port}/v1", "m", timeout_s=10.0)
+    monkeypatch.setattr("time.sleep", server.sleeps.append)
+    monkeypatch.setenv("HGREC_API_KEY", "sekrit")
+    monkeypatch.setenv("no_proxy", "*")
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,))  # poll often: quick shutdown
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def closed_port() -> int:
+    """A loopback port nothing listens on: connecting to it is refused."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]

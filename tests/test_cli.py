@@ -13,7 +13,7 @@ from hgrec.cli import build_parser, main
 from hgrec.core import load_hypergraph, save_hypergraph
 from hgrec.kgeval import prompt_key, render_prompt
 from hgrec.sweep import load_csv
-from conftest import KG_RESPONSE, KG_TSV
+from conftest import KG_RESPONSE, KG_TSV, closed_port
 
 
 def run(*argv) -> int:
@@ -328,10 +328,27 @@ def test_sweep_nonpositive_w_min_records_invalid_weights(tmp_path, capsys, w_min
     assert [r["status"] for r in load_csv(out)] == ["InvalidWeights", "InvalidWeights"]
 
 
-def test_cli_import_leaves_requests_unloaded():
+def test_sweep_into_a_missing_directory_runs_no_cell(tmp_path, capsys, monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("run_sweep was called")
+
+    monkeypatch.setattr("hgrec.cli.run_sweep", no_cells)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"structure": "star", "n": 6}], "n_grid": [100],
+                               "k_grid": [1], "num_seeds": 1}), encoding="utf-8")
+    out = tmp_path / "missing" / "rows.csv"
+    assert run("sweep", "--config", cfg, "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError:") and "missing" in err and err.count("\n") == 1
+    assert not out.parent.exists()
+
+
+def test_cli_import_leaves_http_client_unloaded():
+    """The live chat call imports its HTTP modules itself, so no other subcommand pays for them."""
     import hgrec
 
-    check = "import hgrec.cli, sys; assert 'requests' not in sys.modules"
+    check = ("import hgrec.cli, sys; loaded = {'urllib.request', 'http.client', 'ssl'} & set(sys.modules); "
+             "assert not loaded, loaded")
     env = {**os.environ, "PYTHONPATH": str(Path(hgrec.__file__).parents[1])}
     subprocess.run([sys.executable, "-c", check], env=env, check=True)
 
@@ -573,6 +590,12 @@ def test_kg_parse_malformed_subgraph_exits_1(tmp_path, capsys, doc, what):
     ("[]", "must be a JSON object"),
     ('{"model": "m"}', "missing key 'base_url'"),
     ('{"base_url": "http://x", "model": "m", "temperature": null}', "'temperature' must be a number"),
+    ('{"base_url": "file:///tmp/fake", "model": "m"}', "'base_url' must be an http"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": Infinity}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": 1e400}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": 0}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": -1}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "temperature": NaN}', "'temperature' must be finite"),
 ])
 def test_kg_malformed_endpoint_config_exits_1(tmp_path, capsys, config, what):
     kg = tmp_path / "kg.tsv"
@@ -586,6 +609,25 @@ def test_kg_malformed_endpoint_config_exits_1(tmp_path, capsys, config, what):
     assert run("kg-eval", "--kg", kg, "--source", "table", "-k", 2, "-d", 2,
                "--endpoint-config", cfg) == 1
     assert_one_error_line(capsys, what)
+
+
+@pytest.mark.parametrize("answer, what", [
+    (b"garbage\r\n\r\n", "BadStatusLine"),
+    (None, "Connection refused"),
+])
+def test_kg_chat_without_an_answer_exits_1(tmp_path, capsys, chat_server, answer, what):
+    port = closed_port()
+    if answer is not None:
+        chat_server.answers.append(answer)
+        port = chat_server.server_port
+    cfg = tmp_path / "endpoint.json"
+    cfg.write_text(json.dumps({"base_url": f"http://127.0.0.1:{port}", "model": "m"}), encoding="utf-8")
+    prompt = tmp_path / "prompt.txt"
+    prompt.write_text("p", encoding="utf-8")
+    assert run("kg-chat", "--prompt-file", prompt, "--endpoint-config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: RequestFailed: HTTP 0: ") and what in err and err.count("\n") == 1
+    assert chat_server.sleeps == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -349,7 +350,8 @@ def test_read_json_reports_deep_nesting_as_a_value_error():
 
 
 def test_only_core_reads_files():
-    """Every input file is read by ``core.read_text`` and every JSON text parsed by ``core.read_json``."""
+    """Files are read by ``core.read_text`` and written by ``core.write_text``, JSON parsed by ``read_json``."""
+    names = ("open", "read_text", "read_bytes", "loads", "write_text", "write_bytes")
     readers = []
     for path in sorted(Path(hgrec.__file__).parent.glob("*.py")):
         if path.name == "core.py":
@@ -359,7 +361,23 @@ def test_only_core_reads_files():
                 continue
             func = node.func
             if (isinstance(func, ast.Name) and func.id == "open") or (
-                isinstance(func, ast.Attribute) and func.attr in ("open", "read_text", "read_bytes", "loads")
+                isinstance(func, ast.Attribute) and func.attr in names
             ):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    """``src/hgrec`` needs numpy and the standard library, nothing else installed."""
+    outside = []
+    for path in sorted(Path(hgrec.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert outside == []

@@ -1,4 +1,5 @@
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from hgrec.kgeval import (
     prompt_key,
     replay_completion,
 )
-from conftest import KG_RESPONSE, KG_TSV
+from conftest import KG_RESPONSE, KG_TSV, closed_port
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
 
@@ -322,18 +323,6 @@ def test_replay_missing_response(tmp_path):
 
 # -- chat endpoint -------------------------------------------------------------------------
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
-
-
 @pytest.mark.parametrize("text, message", [
     ('["http://x", "m"]', "must be a JSON object"),
     ('{"model": "m"}', "missing key 'base_url'"),
@@ -345,10 +334,29 @@ class FakeResponse:
     ('{"base_url": "http://x", "model": "m", "temperature": "0.5"}', "'temperature' must be a number"),
     ('{"base_url": "http://x", "model": "m", "timeout_s": [1]}', "'timeout_s' must be a number"),
     ('{"base_url": "http://x", "model": "m", "timeout_s": true}', "'timeout_s' must be a number"),
+    ('{"base_url": "file:///tmp/fake", "model": "m"}', "'base_url' must be an http"),
+    ('{"base_url": "ftp://x", "model": "m"}', "'base_url' must be an http"),
+    ('{"base_url": "x.test/v1", "model": "m"}', "'base_url' must be an http"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": Infinity}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": 1e400}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": 1' + "0" * 400 + '}', "'timeout_s' must be finite"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": 0}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": -1}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "timeout_s": NaN}', "'timeout_s' must be finite and > 0"),
+    ('{"base_url": "http://x", "model": "m", "temperature": NaN}', "'temperature' must be finite"),
+    ('{"base_url": "http://x", "model": "m", "temperature": -Infinity}', "'temperature' must be finite"),
 ])
 def test_endpoint_config_rejects_malformed(text, message):
     with pytest.raises(ValueError, match=message):
         EndpointConfig.from_json(text)
+
+
+def test_endpoint_config_checks_direct_construction():
+    with pytest.raises(ValueError, match="'base_url' must be an http"):
+        EndpointConfig("file:///tmp/fake", "m")
+    with pytest.raises(ValueError, match="'timeout_s' must be finite and > 0"):
+        EndpointConfig("https://x", "m", timeout_s=0.0)
+    assert EndpointConfig("HTTPS://x", "m").base_url == "HTTPS://x"
 
 
 def test_endpoint_config_reads_numbers():
@@ -356,39 +364,85 @@ def test_endpoint_config_reads_numbers():
                                    '"timeout_s": 2.5, "api_key_env": "K"}')
     assert cfg == EndpointConfig("http://x", "m", 1.0, 2.5, "K")
 
-def test_chat_ok(monkeypatch):
-    def fake_post(url, json=None, headers=None, timeout=None):
-        assert url.endswith("/chat/completions")
-        assert json["temperature"] == 0.0
-        return FakeResponse(200, {"choices": [{"message": {"content": "a - b"}}]})
-
-    monkeypatch.setattr("requests.post", fake_post)
-    cfg = EndpointConfig(base_url="http://example.test/v1", model="m")
-    assert chat_completion(cfg, "hello") == "a - b"
+def completion(content) -> tuple:
+    return 200, {}, json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
 
 
-def test_chat_auth_error(monkeypatch):
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(401, text="denied"))
-    with pytest.raises(AuthError):
-        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+def test_chat_ok(chat_server):
+    chat_server.answers.append(completion("a - b"))
+    assert chat_completion(chat_server.config, "hello") == "a - b"
+    [(path, headers, body)] = chat_server.received
+    assert path == "/v1/chat/completions"
+    assert headers["Authorization"] == "Bearer sekrit"
+    assert headers["Content-Type"] == "application/json"
+    assert body == {"model": "m", "messages": [{"role": "user", "content": "hello"}], "temperature": 0.0}
+    assert chat_server.sleeps == []
 
 
-def test_chat_http_error(monkeypatch):
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(500, text="boom"))
+def test_chat_auth_error(chat_server):
+    chat_server.answers.append((401, {"Retry-After": "1"}, b"denied"))
+    with pytest.raises(AuthError) as err:
+        chat_completion(chat_server.config, "p")
+    assert (err.value.status, err.value.body_excerpt) == (401, "denied")
+    assert len(chat_server.received) == 1 and chat_server.sleeps == []
+
+
+def test_chat_client_error_is_not_retried(chat_server):
+    chat_server.answers.append((404, {"Retry-After": "1"}, b"no such model"))
     with pytest.raises(RequestFailed) as err:
-        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
-    assert err.value.status == 500
+        chat_completion(chat_server.config, "p")
+    assert type(err.value) is RequestFailed and err.value.status == 404
+    assert len(chat_server.received) == 1 and chat_server.sleeps == []
+
+
+def test_chat_http_error(chat_server):
+    chat_server.answers.extend([(500, {}, b"boom" * 100)] * 3)
+    with pytest.raises(RequestFailed) as err:
+        chat_completion(chat_server.config, "p")
+    assert (err.value.status, err.value.body_excerpt) == (500, ("boom" * 100)[:200])
+
+
+def test_chat_gives_up_after_three_attempts(chat_server):
+    chat_server.answers.extend([(503, {}, b"busy")] * 3)
+    with pytest.raises(RequestFailed) as err:
+        chat_completion(chat_server.config, "p")
+    assert err.value.status == 503
+    assert len(chat_server.received) == 3 and chat_server.sleeps == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("retry_after, wait", [
+    ("7", 7.0),
+    ("0", 0.0),
+    ("2.5", 2.5),
+    ("100", 30.0),
+    (None, 1.0),
+    ("nan", 1.0),
+    ("inf", 1.0),
+    ("-1", 1.0),
+    ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),
+])
+def test_chat_retries_429(chat_server, retry_after, wait):
+    headers = {} if retry_after is None else {"Retry-After": retry_after}
+    chat_server.answers.extend([(429, headers, b"slow down"), completion("a - b")])
+    assert chat_completion(chat_server.config, "p") == "a - b"
+    assert len(chat_server.received) == 2 and chat_server.sleeps == [wait]
 
 
 def test_chat_network_error(monkeypatch):
-    import requests
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    with pytest.raises(RequestFailed) as err:
+        chat_completion(EndpointConfig(f"http://127.0.0.1:{closed_port()}", "m", timeout_s=10.0), "p")
+    assert err.value.status == 0 and "Connection refused" in str(err.value)
+    assert sleeps == []
 
-    def fail(*a, **k):
-        raise requests.ConnectionError("refused")
 
-    monkeypatch.setattr("requests.post", fail)
-    with pytest.raises(RequestFailed):
-        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+def test_chat_bad_status_line(chat_server):
+    """An answer that is not HTTP raises http.client.BadStatusLine, which is not an OSError."""
+    chat_server.answers.append(b"garbage\r\n\r\n")
+    with pytest.raises(RequestFailed) as err:
+        chat_completion(chat_server.config, "p")
+    assert err.value.status == 0 and "BadStatusLine" in str(err.value) and "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize("payload", [
@@ -400,20 +454,17 @@ def test_chat_network_error(monkeypatch):
     {"choices": [{"message": {"content": None}}]},
     {"choices": [{"message": {"content": 7}}]},
 ])
-def test_chat_malformed_body(monkeypatch, payload):
-    monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse(200, payload, text="body"))
+def test_chat_malformed_body(chat_server, payload):
+    chat_server.answers.append((200, {}, json.dumps(payload).encode("utf-8")))
     with pytest.raises(RequestFailed, match="malformed completion body"):
-        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+        chat_completion(chat_server.config, "p")
 
 
-def test_chat_body_nested_too_deeply(monkeypatch):
-    class DeepResponse(FakeResponse):
-        def json(self):
-            raise RecursionError("maximum recursion depth exceeded while decoding a JSON array")
-
-    monkeypatch.setattr("requests.post", lambda *a, **k: DeepResponse(200, text="[[[["))
-    with pytest.raises(RequestFailed, match="malformed completion body"):
-        chat_completion(EndpointConfig(base_url="http://x", model="m"), "p")
+def test_chat_body_nested_too_deeply(chat_server):
+    chat_server.answers.append((200, {}, b"[" * 100_000))
+    with pytest.raises(RequestFailed, match="malformed completion body") as err:
+        chat_completion(chat_server.config, "p")
+    assert err.value.status == 200
 
 
 def test_eval_csv_row_quotes_fields_with_commas_and_quotes():
