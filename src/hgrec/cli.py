@@ -1,9 +1,10 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
 Exit codes: 0 on success, 2 on usage errors, and 1 with one ``error:`` line on
-stderr for a domain error, a bad input file or running out of memory. Input
-files are read as UTF-8: a bad byte is a ``ParseError`` naming its line, and
-JSON nested too deeply is a ``ValueError``. The three subcommands that draw,
+stderr for a domain error, a bad input file or running out of memory; a line
+break in the message is written as ``\\r`` or ``\\n``. Input files are read
+as UTF-8: a bad byte is a ``ParseError`` naming its line, and JSON nested too
+deeply is a ``ValueError``. The three subcommands that draw,
 ``gen``, ``sample`` and ``mm-sample``, take ``--seed`` (default 0), and all
 their randomness flows from it through the documented stream-splitting rule,
 so reruns are byte-reproducible. No other subcommand accepts ``--seed``.
@@ -18,36 +19,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .alignment import (
-    AnchorSet,
-    align_by_hyperedge_ids,
-    align_exact,
-    align_wl_anchored,
-    format_alignment,
-    fuse_datasets,
-    parse_anchor_file,
-    parse_edge_pairs,
-    parse_node_mapping,
-)
-from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
 from .core import load_hypergraph, read_json, read_text, save_hypergraph, write_text
 from .errors import HgrecError
-from .generators import STRUCTURES, GeneratorSpec
-from .kgeval import (
-    EndpointConfig,
-    SubgraphSpec,
-    chat_completion,
-    eval_csv_row,
-    evaluate_response,
-    extract_subgraph,
-    ingest_edge_list,
-    render_prompt,
-    replay_completion,
-)
-from .oracle import TabularOracle, train_tabular
-from .recovery import ALL_PAIRS, recover_from_oracle, recovery_report
-from .sampling import Dataset, MMDataset, make_masking_strategy, sample_dataset, sample_mm_dataset
-from .sweep import SweepConfig, fit_scaling, load_csv, run_sweep, save_csv
+
+# Each handler imports the modules it runs, so a stage loads only those: report,
+# bounds and kg-* run without numpy, and only sweep and fit load the process pool.
 
 
 def _write(path: str | None, text: str) -> None:
@@ -58,6 +34,8 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    from .generators import GeneratorSpec
+
     spec = GeneratorSpec(
         structure=args.structure,
         n=args.n,
@@ -71,12 +49,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import sample_dataset
+
     h = load_hypergraph(args.hypergraph)
     sample_dataset(h, args.n_samples, args.seed).save(args.output)
     return 0
 
 
 def _cmd_mm_sample(args) -> int:
+    from .sampling import make_masking_strategy, sample_mm_dataset
+
     h = load_hypergraph(args.hypergraph)
     strategy = make_masking_strategy(args.mask)
     sample_mm_dataset(h, args.n_samples, args.k_inner, strategy, args.seed).save(args.output)
@@ -84,13 +66,18 @@ def _cmd_mm_sample(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .oracle import train_tabular
+    from .sampling import MMDataset
+
     mm = MMDataset.load(args.mm_data)
     train_tabular(mm).save(args.output)
     return 0
 
 
 def _cmd_recover(args) -> int:
-    from .oracle import ExactOracle
+    from .oracle import ExactOracle, TabularOracle
+    from .recovery import ALL_PAIRS, recover_from_oracle
+    from .sampling import Dataset, make_masking_strategy
 
     strategy = make_masking_strategy(args.mask)
     if args.oracle:
@@ -108,10 +95,14 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .recovery import recovery_report
+
     truth = load_hypergraph(args.truth)
     rec = load_hypergraph(args.rec)
     relabeling = None
     if args.relabel:
+        from .alignment import parse_node_mapping
+
         relabeling = parse_node_mapping(read_text(args.relabel))
     report = recovery_report(rec, truth, relabeling, meta_connected=not args.disconnected)
     _write(args.output, report.to_json())
@@ -119,6 +110,16 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    from .alignment import (
+        AnchorSet,
+        align_by_hyperedge_ids,
+        align_exact,
+        align_wl_anchored,
+        format_alignment,
+        parse_anchor_file,
+        parse_edge_pairs,
+    )
+
     if args.edge_pairs is not None and args.method != "ids":
         raise ValueError("--edge-pairs is read only by --method ids")
     if args.anchors is not None and args.method != "wl-ir":
@@ -145,6 +146,9 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    from .alignment import fuse_datasets, parse_node_mapping
+    from .sampling import Dataset
+
     d1 = Dataset.load(args.d1)
     d2 = Dataset.load(args.d2)
     phi = parse_node_mapping(read_text(args.mapping))
@@ -153,6 +157,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
+
     doc: dict = {}
     b = BoundsInput(
         m=args.m,
@@ -177,6 +183,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepConfig, run_sweep, save_csv
+
     cfg = SweepConfig.load(args.config)
     rows = run_sweep(cfg, jobs=args.jobs)
     save_csv(rows, args.output)
@@ -184,18 +192,24 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .sweep import fit_scaling, load_csv
+
     slope, intercept = fit_scaling(load_csv(args.csv), args.x_field, args.y_field)
     _write(args.output, json.dumps({"slope": slope, "intercept": intercept}, indent=2) + "\n")
     return 0
 
 
 def _cmd_kg_ingest(args) -> int:
+    from .kgeval import ingest_edge_list
+
     kg = ingest_edge_list(args.tsv)
     _write(args.output, kg.to_tsv())
     return 0
 
 
 def _cmd_kg_extract(args) -> int:
+    from .kgeval import SubgraphSpec, extract_subgraph, ingest_edge_list
+
     kg = ingest_edge_list(args.kg)
     truth, entities = extract_subgraph(kg, SubgraphSpec(args.source.lower(), args.k, args.d))
     doc = {
@@ -223,6 +237,8 @@ def _load_subgraph(path: str, need_k: bool) -> dict:
 
 
 def _cmd_kg_prompt(args) -> int:
+    from .kgeval import render_prompt
+
     doc = _load_subgraph(args.subgraph, need_k=args.k is None)
     k = args.k if args.k is not None else doc["k"]
     _write(args.output, render_prompt(doc["entities"], k))
@@ -242,6 +258,8 @@ def _cmd_kg_parse(args) -> int:
 
 def _completion(args, prompt: str) -> str:
     """The model's answer to ``prompt``, replayed from ``--responses-dir`` or fetched live."""
+    from .kgeval import EndpointConfig, chat_completion, replay_completion
+
     if args.responses_dir is not None:
         return replay_completion(args.responses_dir, prompt)
     return chat_completion(EndpointConfig.load(args.endpoint_config), prompt)
@@ -253,6 +271,15 @@ def _cmd_kg_chat(args) -> int:
 
 
 def _cmd_kg_eval(args) -> int:
+    from .kgeval import (
+        SubgraphSpec,
+        eval_csv_row,
+        evaluate_response,
+        extract_subgraph,
+        ingest_edge_list,
+        render_prompt,
+    )
+
     kg = ingest_edge_list(args.kg)
     spec = SubgraphSpec(args.source.lower(), args.k, args.d)
     truth, entities = extract_subgraph(kg, spec)
@@ -266,6 +293,8 @@ def _cmd_kg_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .generators import STRUCTURES
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--log-level",
@@ -432,7 +461,8 @@ def main(argv=None) -> int:
             raise FileNotFoundError(f"no directory {str(Path(args.output).parent)!r} to write -o into")
         return args.func(args)
     except (HgrecError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever it holds
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -15,7 +15,6 @@ from itertools import combinations
 
 from .core import Hyperedge, WeightedHypergraph, normalize
 from .errors import CannotBeConnected, InvalidSize, InvalidWeights
-from .rng import rng_stream
 
 _MAX_CONNECT_TRIES = 1000
 
@@ -70,6 +69,8 @@ def wcgnm(n: int, p: float, seed: int) -> WeightedHypergraph:
     m = wcgnm_edge_count(n, p)
     if m < n - 1:
         raise CannotBeConnected(f"m(n)={m} < n-1={n - 1}: no connected graph exists")
+    from .rng import rng_stream  # numpy: imported by the two functions that draw
+
     pairs = list(combinations(range(n), 2))
     rng = rng_stream(seed, "wcgnm")
     for _ in range(_MAX_CONNECT_TRIES):
@@ -118,6 +119,8 @@ def assign_weights(
         raise InvalidWeights(f"weight bounds must be positive, got ({w_min}, {w_max})")
     if w_max < w_min:
         raise InvalidWeights(f"w_max must be >= w_min, got ({w_min}, {w_max})")
+    from .rng import rng_stream
+
     rng = rng_stream(seed, "assign-weights")
     draws = rng.integers(0, 2, size=h.m)
     weighted = WeightedHypergraph(

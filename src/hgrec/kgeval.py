@@ -341,7 +341,11 @@ MAX_RETRY_WAIT_S = 30.0
 
 
 def chat_completion(config: EndpointConfig, prompt: str) -> str:
-    """Single-turn chat-completion request; returns the first choice's text."""
+    """Single-turn chat-completion request; returns the first choice's text.
+
+    No redirect is followed: a 401 is :class:`AuthError`, and any other answer
+    outside 2xx is :class:`RequestFailed` with its status and body excerpt.
+    """
     import http.client  # these take about 41 ms to import, and only this call needs them
     import os
     import time
@@ -359,10 +363,16 @@ def chat_completion(config: EndpointConfig, prompt: str) -> str:
     }
     url = config.base_url.rstrip("/") + "/chat/completions"
     request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):
+            return None  # a 3xx is the endpoint's answer, raised as an HTTPError like any non-2xx
+
+    opener = urllib.request.build_opener(NoRedirect)
     for attempt in range(1, CHAT_ATTEMPTS + 1):
         try:
             try:
-                resp = urllib.request.urlopen(request, timeout=config.timeout_s)
+                resp = opener.open(request, timeout=config.timeout_s)
             except urllib.error.HTTPError as exc:
                 resp = exc  # an HTTPError is also the answer: its status, headers and body
             with resp:
@@ -379,7 +389,7 @@ def chat_completion(config: EndpointConfig, prompt: str) -> str:
         time.sleep(min(wait if 0 <= wait < math.inf else 2.0 ** (attempt - 1), MAX_RETRY_WAIT_S))
     if status == 401:
         raise AuthError(401, text[:200])
-    if status >= 400:
+    if not 200 <= status < 300:
         raise RequestFailed(status, text[:200])
     try:
         content = read_json(text, "completion body")["choices"][0]["message"]["content"]

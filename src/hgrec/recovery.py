@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .core import (
     Hyperedge,
@@ -25,7 +25,9 @@ from .core import (
     sketch_diff,
 )
 from .errors import EmptyDataset, NothingRecovered, UndefinedRatio
-from .sampling import Dataset, MaskedHyperedge, MaskingStrategy, MetaGraph
+
+if TYPE_CHECKING:  # sampling loads numpy, which recovery_report and a CLI report never need
+    from .sampling import Dataset, MaskedHyperedge, MaskingStrategy, MetaGraph
 
 #: Candidate-set sentinel: enumerate all 2-subsets of the oracle's known nodes.
 ALL_PAIRS = "all-pairs"
@@ -166,6 +168,8 @@ def recover_from_oracle(
         kept = [e for e in cand if e in believed]
     if not kept:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
+
+    from .sampling import MetaGraph
 
     mg = MetaGraph.over(kept, strategy)
     w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}

@@ -97,14 +97,15 @@ def kg_file(tmp_path):
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
-    """Answers each POST with the next of ``server.answers`` and records it in ``server.received``.
+    """Answers each request with the next of ``server.answers`` and records it in ``server.received``.
 
-    An answer is ``(status, headers, body)``, or bytes sent in place of a whole response.
+    An answer is ``(status, headers, body)``, or bytes sent in place of a whole response. A
+    request without a body, such as a GET, is recorded with body ``None``.
     """
 
     def do_POST(self):
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.server.received.append((self.path, self.headers, json.loads(body)))
+        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.server.received.append((self.path, self.headers, json.loads(body) if body else None))
         answer = self.server.answers.pop(0)
         if isinstance(answer, bytes):
             self.wfile.write(answer)
@@ -115,6 +116,8 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+
+    do_GET = do_POST
 
     def log_message(self, *args):
         pass

@@ -332,7 +332,7 @@ def test_sweep_into_a_missing_directory_runs_no_cell(tmp_path, capsys, monkeypat
     def no_cells(*args, **kwargs):
         raise AssertionError("run_sweep was called")
 
-    monkeypatch.setattr("hgrec.cli.run_sweep", no_cells)
+    monkeypatch.setattr("hgrec.sweep.run_sweep", no_cells)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"instances": [{"structure": "star", "n": 6}], "n_grid": [100],
                                "k_grid": [1], "num_seeds": 1}), encoding="utf-8")
@@ -343,14 +343,77 @@ def test_sweep_into_a_missing_directory_runs_no_cell(tmp_path, capsys, monkeypat
     assert not out.parent.exists()
 
 
-def test_cli_import_leaves_http_client_unloaded():
-    """The live chat call imports its HTTP modules itself, so no other subcommand pays for them."""
+def loaded_after(code: str, cwd=None) -> set[str]:
+    """The modules a fresh interpreter holds once it has run ``code``."""
     import hgrec
 
-    check = ("import hgrec.cli, sys; loaded = {'urllib.request', 'http.client', 'ssl'} & set(sys.modules); "
-             "assert not loaded, loaded")
     env = {**os.environ, "PYTHONPATH": str(Path(hgrec.__file__).parents[1])}
-    subprocess.run([sys.executable, "-c", check], env=env, check=True)
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sorted(sys.modules))"],
+                         env=env, cwd=cwd, check=True, capture_output=True, encoding="utf-8")
+    return set(out.stdout.split())
+
+
+def test_package_import_loads_no_submodule():
+    assert {m for m in loaded_after("import hgrec") if m.startswith("hgrec.")} == set()
+
+
+def test_cli_import_loads_no_stage_module():
+    """numpy, the process pool, the aligner, the KG layer and the HTTP modules wait for a stage."""
+    heavy = {"numpy", "concurrent.futures", "hgrec.alignment", "hgrec.kgeval", "hgrec.sweep",
+             "urllib.request", "http.client", "ssl"}
+    assert heavy & loaded_after("import hgrec.cli") == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--truth", "g.hg", "--rec", "g.hg", "-o", "report.json"),
+    ("bounds", "--m", 10, "--kappa", 3, "-L", 2, "--c-pi", 0.5, "--C-pi", 2, "--epsilon", 0.1,
+     "--delta", 0.1, "-o", "bounds.json"),
+    ("kg-prompt", "--subgraph", "sub.json", "-o", "prompt.txt"),
+])
+def test_stage_runs_without_numpy(slot_dir, argv):
+    code = f"import hgrec.cli\nassert hgrec.cli.main({[str(a) for a in argv]!r}) == 0"
+    assert "numpy" not in loaded_after(code, cwd=slot_dir)
+
+
+EXPORTED = [
+    "ALL_PAIRS", "AliasSampler", "Alignment", "AnchorSet", "BoundsInput", "Dataset", "EvalResult",
+    "ExactOracle", "GeneratorSpec", "Hyperedge", "KnowledgeGraph", "MMDataset", "MaskedHyperedge",
+    "MaskingStrategy", "MetaGraph", "NodeRelabeling", "RecoveryReport", "SimpleGraph", "SubgraphSpec",
+    "SweepConfig", "TabularOracle", "WeightedHypergraph", "align_by_hyperedge_ids", "align_exact",
+    "align_wl_anchored", "assign_weights", "bf_weight_estimation", "build_meta_graph", "chain",
+    "color_classes", "decode", "derive_seed", "dissimilarity", "edge", "encode", "extract_subgraph",
+    "fit_scaling", "frucht", "fuse_datasets", "ingest_edge_list", "lemma_rr_bounds", "line_graph",
+    "load_hypergraph", "lower_bound_risk", "mm_path_length_bound", "mm_sample_bounds", "normalize",
+    "normalized_l1", "parse_edgelist", "recover_from_dataset", "recover_from_oracle",
+    "recovery_report", "relabel", "render_prompt", "rng_stream", "run_sweep", "sample_dataset",
+    "sample_mm_dataset", "save_hypergraph", "sketch_diff", "star", "strategy_constants",
+    "train_tabular", "uniform_single_mask", "wcgnm", "wl_refine", "x_graph",
+]
+
+
+def test_package_exports_every_public_name():
+    """``__all__`` holds the 67 names; ``from hgrec import *``, ``__getattr__`` and ``__dir__`` see each."""
+    import hgrec
+
+    assert len(EXPORTED) == 67 and sorted(hgrec.__all__) == EXPORTED
+    star_import: dict = {}
+    exec("from hgrec import *", star_import)
+    assert all(star_import[name] is getattr(hgrec, name) for name in EXPORTED)
+    assert set(EXPORTED) <= set(dir(hgrec))
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        hgrec.nonesuch
+
+
+def test_package_name_follows_its_module(monkeypatch):
+    """``__getattr__`` caches nothing: a rebinding in the defining module, and its undoing, show through."""
+    import hgrec
+    import hgrec.sampling
+
+    original = hgrec.sample_dataset
+    monkeypatch.setattr(hgrec.sampling, "sample_dataset", len)
+    assert hgrec.sample_dataset is len
+    monkeypatch.undo()
+    assert hgrec.sample_dataset is original is hgrec.sampling.sample_dataset
 
 
 def test_align_methods(tmp_path):
@@ -630,6 +693,17 @@ def test_kg_chat_without_an_answer_exits_1(tmp_path, capsys, chat_server, answer
     assert chat_server.sleeps == []
 
 
+def test_error_with_line_breaks_is_one_line(tmp_path, capsys, chat_server):
+    chat_server.answers.append((400, {}, b"line one\nline two\r\n"))
+    cfg = tmp_path / "endpoint.json"
+    cfg.write_text(json.dumps({"base_url": f"http://127.0.0.1:{chat_server.server_port}", "model": "m"}),
+                   encoding="utf-8")
+    prompt = tmp_path / "prompt.txt"
+    prompt.write_text("p", encoding="utf-8")
+    assert run("kg-chat", "--prompt-file", prompt, "--endpoint-config", cfg) == 1
+    assert capsys.readouterr().err == "error: RequestFailed: HTTP 400: line one\\nline two\\r\\n\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("kg-chat", "--prompt-file", "p.txt"),
     ("kg-chat", "--prompt-file", "p.txt", "--responses-dir", "r", "--endpoint-config", "e.json"),
@@ -721,6 +795,6 @@ def test_out_of_memory_is_one_error_line(slot_dir, capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 74.5 GiB")
 
-    monkeypatch.setattr("hgrec.cli.sample_dataset", exhausted)
+    monkeypatch.setattr("hgrec.sampling.sample_dataset", exhausted)
     assert run("sample", "--hypergraph", "g.hg", "-n", 10_000_000_000, "-o", "out") == 1
     assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 74.5 GiB\n"

@@ -428,6 +428,24 @@ def test_chat_retries_429(chat_server, retry_after, wait):
     assert len(chat_server.received) == 2 and chat_server.sleeps == [wait]
 
 
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_chat_redirect_is_not_followed(chat_server, status):
+    """A redirect is the endpoint's answer: no second request, as a POST or as a GET."""
+    location = f"http://127.0.0.1:{chat_server.server_port}/v1/chat/completions"
+    chat_server.answers.extend([(status, {"Location": location}, b"moved"), completion("a - b")])
+    with pytest.raises(RequestFailed) as err:
+        chat_completion(chat_server.config, "p")
+    assert (err.value.status, err.value.body_excerpt) == (status, "moved")
+    assert len(chat_server.received) == 1 and chat_server.sleeps == []
+
+
+def test_chat_redirect_to_ftp_is_not_followed(chat_server):
+    chat_server.answers.append((302, {"Location": f"ftp://127.0.0.1:{closed_port()}/x"}, b"moved"))
+    with pytest.raises(RequestFailed) as err:
+        chat_completion(chat_server.config, "p")
+    assert (err.value.status, err.value.body_excerpt) == (302, "moved")
+
+
 def test_chat_network_error(monkeypatch):
     sleeps = []
     monkeypatch.setattr("time.sleep", sleeps.append)
