@@ -84,7 +84,3 @@ def __getattr__(name: str):
     # Read from the defining module on every access, never cached here, so that a
     # rebinding there (a patch, a tracing wrapper) and its undoing both show through.
     return getattr(importlib.import_module(f".{module}", __name__), name)
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})

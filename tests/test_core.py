@@ -360,8 +360,6 @@ def test_only_core_reads_files():
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if path.name == "kgeval.py" and ast.unparse(func) == "opener.open":
-                continue  # the chat call's URL opener sends an HTTP request; it reads no file
             if (isinstance(func, ast.Name) and func.id == "open") or (
                 isinstance(func, ast.Attribute) and func.attr in names
             ):
