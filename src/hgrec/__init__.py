@@ -59,8 +59,8 @@ _EXPORTS = {
         "fuse_datasets",
         "wl_refine",
     ),
-    "bounds": ("BoundsInput", "lemma_rr_bounds", "lower_bound_risk", "mm_sample_bounds"),
-    "sweep": ("SweepConfig", "fit_scaling", "run_sweep"),
+    "bounds": ("BoundsInput", "fit_scaling", "lemma_rr_bounds", "lower_bound_risk", "mm_sample_bounds"),
+    "sweep": ("SweepConfig", "run_sweep"),
     "kgeval": (
         "EvalResult",
         "KnowledgeGraph",

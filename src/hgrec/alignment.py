@@ -21,6 +21,7 @@ route is deterministic.
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -51,6 +52,8 @@ from .errors import (
     TooLarge,
 )
 from .sampling import Dataset
+
+logger = logging.getLogger(__name__)
 
 #: Weights are considered structurally equal within this tolerance.
 STRUCT_WEIGHT_TOL = 1e-9
@@ -241,12 +244,23 @@ class _Partition:
     and sort exactly as those colors would.
 
     :meth:`refine` runs synchronous rounds that examine only the cells holding
-    a touched vertex. A touched vertex gets its own tuple; the members not
-    touched had equal tuples when the cell last formed and no neighbor of
-    theirs has changed label since, so one of them stands for all. A cell
-    whose tuples differ is replaced in place by its children in tuple order;
-    the vertices whose label changed touch their neighbors for the next
-    round, and the partition is stable when a round splits nothing.
+    a touched vertex. A vertex is touched when a neighbor got a new cell id,
+    and it carries a change record: the ids of the cells its neighbors moved
+    to since its cell's members last agreed, one entry per move, or None
+    where no record is kept. Within a round each new id has one old cell, so
+    the record fixes the signed change -old +new of the vertex's multiset of
+    neighbor cell ids exactly; labels are distinct, so equal multisets of
+    neighbor cell ids are equal tuples of neighbor labels. A cell whose
+    members are all touched and carry records equal as multisets cannot
+    split, and is passed over without building a tuple. Otherwise each
+    touched member gets its own tuple; the members not touched had equal
+    tuples when the cell last agreed and no neighbor of theirs has moved
+    since, so one of them stands for all. A cell whose tuples differ is
+    replaced in place by its children in tuple order. Only the vertices whose
+    cell id changed touch their neighbors for the next round: the child that
+    keeps the cell's id may move to a new offset, but that changes no
+    neighbor's multiset of cell ids. The partition is stable when a round
+    splits nothing.
 
     Each change is appended to ``trail`` and :meth:`undo` rolls back to an
     earlier trail length, so a search frame stores one integer.
@@ -270,7 +284,7 @@ class _Partition:
             offset += len(groups[color])
         #: Cell ids in order: ``cells[r]`` is the class of color id ``r``.
         self.cells = list(range(len(self.members)))
-        self.refine(range(len(adj)))
+        self.refine(dict.fromkeys(range(len(adj))), records=False)
         self.trail.clear()
 
     def _new_cell(self, vertices, label: int) -> int:
@@ -289,50 +303,63 @@ class _Partition:
         """Whether cell ``c`` holds as many vertices of each graph."""
         return 2 * self.size1[c] == len(self.members[c])
 
-    def refine(self, touched: Iterable[int]) -> bool:
-        """Refine to the stable partition; ``touched`` are the vertices whose tuple may have moved.
+    def refine(self, changes: dict[int, list[int] | None], records: bool = True) -> bool:
+        """Refine to the stable partition; ``changes`` maps each touched vertex to its change record.
 
-        Returns whether every cell split on the way is balanced.
+        Without ``records`` no round keeps any, and every touched cell is
+        compared by tuples: the first refinement, where nearly every cell
+        splits, so keeping them would cost more than it saves. Returns whether
+        every cell split on the way is balanced.
         """
         adj, cell_of, label, members = self.adj, self.cell_of, self.label, self.members
         balanced = True
-        touched = set(touched)
-        while touched:
+        while changes:
             by_cell: dict[int, list[int]] = {}
-            for v in touched:
+            for v in changes:
                 by_cell.setdefault(cell_of[v], []).append(v)
             splits = []
             for c, vs in by_cell.items():
                 cell = members[c]
                 if len(cell) == 1:
                     continue
+                if records and len(vs) == len(cell):
+                    moves = [changes[v] for v in vs]
+                    if None not in moves:
+                        first = sorted(moves[0])
+                        if all(sorted(record) == first for record in moves):
+                            continue
                 groups: dict[tuple, list[int]] = {}
                 for v in vs:
                     key = tuple(sorted([label[cell_of[u]] for u in adj[v]]))
                     groups.setdefault(key, []).append(v)
-                stay = None
+                untouched = None
                 if len(vs) < len(cell):
-                    rep = next(v for v in cell if v not in touched)
-                    stay = tuple(sorted([label[cell_of[u]] for u in adj[rep]]))
-                    groups.setdefault(stay, [])
+                    rep = next(v for v in cell if v not in changes)
+                    untouched = tuple(sorted([label[cell_of[u]] for u in adj[rep]]))
+                    groups.setdefault(untouched, [])
                 if len(groups) > 1:
-                    splits.append((c, groups, stay))
-            touched = set()
-            for c, groups, stay in splits:
-                balanced &= self._split(c, groups, stay, touched)
+                    splits.append((c, groups, untouched, len(cell) - len(vs)))
+            changes = {}
+            for split in splits:
+                balanced &= self._split(*split, changes, records)
         return balanced
 
-    def _split(self, c: int, groups: dict, stay, touched: set[int]) -> bool:
+    def _split(self, c: int, groups: dict, untouched, rest: int, changes: dict, records: bool) -> bool:
         """Replace cell ``c`` by one child per tuple, in tuple order.
 
-        The untouched members, or else the largest group, keep ``c``'s id and
-        set. Adds the neighbors of every vertex whose label changed to
-        ``touched`` and returns whether all children are balanced.
+        ``groups`` lists the touched members by tuple; the ``rest`` members not
+        listed have the tuple ``untouched``. The largest child keeps ``c``'s id
+        and set, so the fewest vertices move. Touches, in ``changes``, the
+        neighbors of every vertex that got a new cell id, adding the move to
+        their records when ``records`` is set. Returns whether all children
+        are balanced.
         """
         adj, label, members = self.adj, self.label, self.members
         keys = sorted(groups)
-        if stay is None:
-            stay = max(keys, key=lambda k: len(groups[k]))
+        stay = max(keys, key=lambda k: len(groups[k]) + (rest if k == untouched else 0))
+        if rest and stay != untouched:
+            # No larger than the biggest touched group, so listing it costs no more.
+            groups[untouched] += members[c].difference(*groups.values())
         old = label[c]
         pos = bisect_left(self.cells, old, key=label.__getitem__)
         children = []
@@ -344,12 +371,19 @@ class _Partition:
             members[c].difference_update(groups[key])
             self.size1[c] -= self.size1[child]
             children.append(child)
+            neighbors = chain.from_iterable(adj[v] for v in groups[key])
+            if records:
+                for u in neighbors:
+                    record = changes.get(u)
+                    if record is None:
+                        changes[u] = [child]
+                    else:
+                        record.append(child)
+            else:
+                changes.update(dict.fromkeys(neighbors))
         offset = old
         for child in children:
-            if offset != old:
-                label[child] = offset
-                for v in members[child]:
-                    touched.update(adj[v])
+            label[child] = offset
             offset += len(members[child])
         self.cells[pos:pos + 1] = children
         self.trail.append(("split", pos, len(children), c, old))
@@ -387,7 +421,14 @@ class _Partition:
             dest = self._new_cell(pair, len(self.adj) - 2)
             cells.append(dest)
         self.trail.append(("move", v1, v2, source, dest, lo, hi, shift, joins))
-        return self.refine({v1, v2, *self.adj[v1], *self.adj[v2]})
+        changes: dict[int, list[int] | None] = {}
+        if dest != source:
+            for u in chain(self.adj[v1], self.adj[v2]):
+                changes.setdefault(u, []).append(dest)
+        if joins:
+            # The pair's tuples may differ from the members it joined.
+            changes[v1] = changes[v2] = None
+        return self.refine(changes)
 
     def undo(self, mark: int) -> None:
         """Roll back every change after the trail was ``mark`` records long."""
@@ -532,11 +573,15 @@ def _ir_search(part: _Partition, next_color: int, h1, h2, keys) -> Alignment | N
     pair then joins rather than getting a class of its own. The collision is
     kept on purpose: a fresh color would change ``backtracks`` and some
     mappings, and the outputs are pinned byte for byte.
+
+    Logs one INFO record: the incidence vertex count, the individualizations
+    tried, the deepest frame and the backtracks (every individualization
+    tried, when none leads to an isomorphism).
     """
     side1 = part.side1
     keys1, keys2 = keys
     stack = []
-    tried = 0
+    tried = depth = 0
     balanced = all(part.balanced(c) for c in part.cells)
     while True:
         if balanced:
@@ -553,15 +598,22 @@ def _ir_search(part: _Partition, next_color: int, h1, h2, keys) -> Alignment | N
                     h1, h2, [(keys1[a], keys2[b - side1]) for a, b in pairs], tried - len(stack)
                 )
                 if found is not None:
-                    return found
+                    break
         while stack and (v2 := next(stack[-1][2], None)) is None:
             stack.pop()
         if not stack:
-            return None
+            found = None
+            break
         mark, v1, _ = stack[-1]
         part.undo(mark)
         balanced = part.individualize(v1, v2, next_color + len(stack) - 1)
         tried += 1
+        depth = max(depth, len(stack))
+    logger.info(
+        "anchored search: %d incidence vertices, %d individualizations, depth %d, %d backtracks",
+        len(part.adj), tried, depth, tried if found is None else found.backtracks,
+    )
+    return found
 
 
 def align_wl_anchored(

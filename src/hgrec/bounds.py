@@ -1,14 +1,20 @@
-"""Closed-form sample-complexity bounds for hypergraph recovery.
+"""Closed-form sample-complexity bounds for hypergraph recovery, and the log-log fit of a sweep.
 
-Logarithms are natural logs throughout.
+Logarithms are natural logs throughout. Only :func:`fit_scaling` needs numpy,
+and it imports it itself, so the bounds load without it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Mapping
 
-from .errors import HypothesisViolated
+from .core import read_text
+from .errors import HypothesisViolated, InvalidForLogFit, ParseError
 
 
 @dataclass(frozen=True)
@@ -88,3 +94,51 @@ def lemma_rr_bounds(m0: int, kappa0: float) -> tuple[float, float]:
         _finite("weight_min_floor", lambda: 1.0 / (m0 * kappa0)),
         _finite("weight_max_ceiling", lambda: kappa0 / (m0 + kappa0 - 1.0)),
     )
+
+
+def load_csv(path: str | Path) -> list[dict]:
+    reader = csv.DictReader(io.StringIO(read_text(path)))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(reader.reader.line_num, str(exc)) from None
+
+
+def fit_scaling(rows: Iterable[Mapping], x_field: str, y_field: str) -> tuple[float, float]:
+    """Least-squares slope and intercept of log(mean y per x) against log(x).
+
+    Rows with a non-"ok" status or an empty y value are skipped; the remaining
+    y values are averaged per distinct x before fitting. A missing column or a
+    value that is not a finite number raises ``InvalidForLogFit`` naming the row
+    (counted from 1) and column.
+    """
+    import numpy as np
+
+    def number(num: int, row: Mapping, field: str) -> float:
+        try:
+            value = float(row[field])
+        except (TypeError, ValueError):
+            raise InvalidForLogFit(f"row {num}: {field} value {row[field]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise InvalidForLogFit(f"row {num}: {field} value {row[field]!r} is not finite")
+        return value
+
+    groups: dict[float, list[float]] = {}
+    for num, row in enumerate(rows, start=1):
+        status = row.get("status", "ok")
+        if status not in ("", "ok"):
+            continue
+        for field in (x_field, y_field):
+            if field not in row:
+                raise InvalidForLogFit(f"row {num}: no {field!r} column")
+        if row[y_field] == "" or row[y_field] is None:
+            continue
+        groups.setdefault(number(num, row, x_field), []).append(number(num, row, y_field))
+    if len(groups) < 3:
+        raise InvalidForLogFit(f"need >= 3 distinct {x_field} values, got {len(groups)}")
+    xs = np.array(sorted(groups))
+    ys = np.array([np.mean(groups[x]) for x in xs])
+    if np.any(xs <= 0) or np.any(ys <= 0):
+        raise InvalidForLogFit("log-log fit requires positive x and y values")
+    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
+    return float(slope), float(intercept)

@@ -192,7 +192,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .sweep import fit_scaling, load_csv
+    from .bounds import fit_scaling, load_csv
 
     slope, intercept = fit_scaling(load_csv(args.csv), args.x_field, args.y_field)
     _write(args.output, json.dumps({"slope": slope, "intercept": intercept}, indent=2) + "\n")

@@ -29,7 +29,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -37,10 +36,8 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .core import WeightedHypergraph, read_json, read_text, write_text
-from .errors import HgrecError, InvalidForLogFit, ParseError
+from .errors import HgrecError
 from .generators import GeneratorSpec
 from .oracle import train_tabular
 from .recovery import ALL_PAIRS, recover_from_oracle, recovery_report
@@ -322,50 +319,3 @@ def rows_to_csv(rows: Iterable[Mapping]) -> str:
 
 def save_csv(rows: Iterable[Mapping], path: str | Path) -> None:
     write_text(path, rows_to_csv(rows))
-
-
-def load_csv(path: str | Path) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(read_text(path)))
-    try:
-        return list(reader)
-    except csv.Error as exc:
-        raise ParseError(reader.reader.line_num, str(exc)) from None
-
-
-def fit_scaling(rows: Iterable[Mapping], x_field: str, y_field: str) -> tuple[float, float]:
-    """Least-squares slope and intercept of log(mean y per x) against log(x).
-
-    Rows with a non-"ok" status or an empty y value are skipped; the remaining
-    y values are averaged per distinct x before fitting. A missing column or a
-    value that is not a finite number raises ``InvalidForLogFit`` naming the row
-    (counted from 1) and column.
-    """
-
-    def number(num: int, row: Mapping, field: str) -> float:
-        try:
-            value = float(row[field])
-        except (TypeError, ValueError):
-            raise InvalidForLogFit(f"row {num}: {field} value {row[field]!r} is not a number") from None
-        if not math.isfinite(value):
-            raise InvalidForLogFit(f"row {num}: {field} value {row[field]!r} is not finite")
-        return value
-
-    groups: dict[float, list[float]] = {}
-    for num, row in enumerate(rows, start=1):
-        status = row.get("status", "ok")
-        if status not in ("", "ok"):
-            continue
-        for field in (x_field, y_field):
-            if field not in row:
-                raise InvalidForLogFit(f"row {num}: no {field!r} column")
-        if row[y_field] == "" or row[y_field] is None:
-            continue
-        groups.setdefault(number(num, row, x_field), []).append(number(num, row, y_field))
-    if len(groups) < 3:
-        raise InvalidForLogFit(f"need >= 3 distinct {x_field} values, got {len(groups)}")
-    xs = np.array(sorted(groups))
-    ys = np.array([np.mean(groups[x]) for x in xs])
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise InvalidForLogFit("log-log fit requires positive x and y values")
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    return float(slope), float(intercept)

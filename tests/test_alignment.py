@@ -1,4 +1,5 @@
 import inspect
+import logging
 import random
 import sys
 from collections import Counter
@@ -41,7 +42,7 @@ from hgrec.errors import (
     SizeMismatch,
     TooLarge,
 )
-from hgrec.generators import GeneratorSpec, chain, frucht, star
+from hgrec.generators import GeneratorSpec, chain, frucht, star, x_graph
 from conftest import EDGE_LISTS, random_connected_graph, random_relabeling
 
 
@@ -728,6 +729,93 @@ def test_partition_matches_plain_refinement(case):
         assert partition_colors(part, keys) == before
 
 
+def cycles(*lengths):
+    """A disjoint union of equal-weight cycles, numbered one after the other."""
+    edges, start = [], 0
+    for n in lengths:
+        edges += [(Hyperedge((str(start + i), str(start + (i + 1) % n))), 1.0) for i in range(n)]
+        start += n
+    return WeightedHypergraph(edges)
+
+
+DEEP_SEARCH_INPUTS = {
+    "star8": star(8), "star30": star(30),
+    "chain9": chain(9), "chain40": chain(40),
+    "x13": x_graph(13), "x40": x_graph(40),
+    "c3": cycles(3), "c12": cycles(12), "c40": cycles(40),
+    "c3+c3": cycles(3, 3), "c3+c5": cycles(3, 5), "c4+c4+c4": cycles(4, 4, 4),
+    "c3+c4+c5": cycles(3, 4, 5), "c5+c6": cycles(5, 6), "c5x3+c6x3": cycles(5, 5, 5, 6, 6, 6),
+    "c3..c8": cycles(3, 4, 5, 6, 7, 8), "c9+c10+c10+c11": cycles(9, 10, 10, 11),
+    "c10x4": cycles(10, 10, 10, 10), "c8x5": cycles(8, 8, 8, 8, 8),
+}
+
+
+@pytest.mark.parametrize("anchored", ["none", "right", "wrong"])
+@pytest.mark.parametrize("name", list(DEEP_SEARCH_INPUTS))
+def test_deep_search_matches_reference(name, anchored):
+    # These inputs stay symmetric after refinement, so the search individualizes
+    # many levels deep; on unions of cycles of different lengths it backtracks
+    # through undo.
+    h1 = DEEP_SEARCH_INPUTS[name]
+    phi = random_relabeling(random.Random(len(name)), h1)
+    h2 = relabel(h1, phi)
+    pairs = {"none": (), "right": ((h1.nodes[1], phi[h1.nodes[1]]),),
+             "wrong": ((h1.nodes[1], phi[h1.nodes[-1]]),)}[anchored]
+    anchors = AnchorSet(node_pairs=pairs)
+    assert search_outcome(align_wl_anchored, h1, h2, anchors) == search_outcome(
+        reference_align, h1, h2, anchors
+    )
+
+
+@pytest.mark.parametrize("name, anchored, message", [
+    ("star8", "none", "30 incidence vertices, 6 individualizations, depth 6, 0 backtracks"),
+    ("c3+c4+c5", "none", "48 incidence vertices, 17 individualizations, depth 6, 11 backtracks"),
+    ("c3+c5", "wrong", "32 incidence vertices, 0 individualizations, depth 0, 0 backtracks"),
+])
+def test_anchored_search_logs_one_record(caplog, name, anchored, message):
+    h1 = DEEP_SEARCH_INPUTS[name]
+    phi = random_relabeling(random.Random(len(name)), h1)
+    pairs = {"none": (), "wrong": ((h1.nodes[1], phi[h1.nodes[-1]]),)}[anchored]
+    with caplog.at_level(logging.INFO, logger="hgrec.alignment"):
+        align_wl_anchored(h1, relabel(h1, phi), AnchorSet(node_pairs=pairs))
+    [record] = caplog.records
+    assert (record.name, record.levelno) == ("hgrec.alignment", logging.INFO)
+    assert record.getMessage() == f"anchored search: {message}"
+
+
+def leaf_individualization_reads(n: int) -> int:
+    """Adjacency entries read to individualize one leaf pair of relabeled ``star(n)`` into a fresh class."""
+    reads = 0
+
+    class Counting(list):
+        def __iter__(self):
+            nonlocal reads
+            reads += len(self)
+            return super().__iter__()
+
+    h1 = star(n)
+    h2 = relabel(h1, random_relabeling(random.Random(n), h1))
+    buckets = alignment._weight_buckets(h1, h2)
+    (adj1, init1), (adj2, init2) = alignment._incidence(h1, buckets), alignment._incidence(h2, buckets)
+    ids = {k: i for i, k in enumerate(sorted(set(init1.values()) | set(init2.values())))}
+    adj, colors, keys = alignment._number(
+        (adj1, adj2), ({v: ids[k] for v, k in init1.items()}, {v: ids[k] for v, k in init2.items()})
+    )
+    part = alignment._Partition([Counting(nbrs) for nbrs in adj], colors, len(keys[0]))
+    v1 = keys[0].index(("n", "1"))
+    v2 = next(v for v in part.members[part.cell_of[v1]] if v >= part.side1)
+    reads = 0
+    part.individualize(v1, v2, len(part.cells))
+    check_partition(part)
+    return reads
+
+
+def test_individualizing_a_leaf_reads_no_hub():
+    # Both hubs share one cell whose members still agree after a leaf pair moves,
+    # so the work must not grow with the hubs' degree.
+    assert leaf_individualization_reads(100) == leaf_individualization_reads(400)
+
+
 @pytest.mark.parametrize("parse, text, line", [
     (parse_node_mapping, "a x\nb\n", 2),
     (parse_node_mapping, "a x\nb y+z\n", 2),
@@ -862,3 +950,4 @@ def test_anchor_file_round_trip():
 
 def test_edge_pairs_file():
     assert parse_edge_pairs("a+b x+y\n") == ((edge("a", "b"), edge("x", "y")),)
+

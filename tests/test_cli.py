@@ -9,10 +9,10 @@ import pytest
 
 from hgrec import NodeRelabeling, WeightedHypergraph, edge, relabel
 from hgrec.alignment import parse_node_mapping
+from hgrec.bounds import load_csv
 from hgrec.cli import build_parser, main
 from hgrec.core import load_hypergraph, save_hypergraph
 from hgrec.kgeval import prompt_key, render_prompt
-from hgrec.sweep import load_csv
 from conftest import KG_RESPONSE, KG_TSV, closed_port
 
 
@@ -375,6 +375,15 @@ def test_stage_runs_without_numpy(slot_dir, argv):
     assert "numpy" not in loaded_after(code, cwd=slot_dir)
 
 
+def test_fit_loads_no_sweep(tmp_path):
+    """``fit`` reads a CSV and fits one line: the sweep pipeline and its process pool stay unloaded."""
+    (tmp_path / "rows.csv").write_text("N,d\n100,0.4\n1000,0.13\n10000,0.04\n", encoding="utf-8")
+    argv = ["fit", "--csv", "rows.csv", "--x-field", "N", "--y-field", "d", "-o", "fit.json"]
+    code = f"import hgrec.cli\nassert hgrec.cli.main({argv!r}) == 0"
+    assert {"hgrec.sweep", "concurrent.futures"} & loaded_after(code, cwd=tmp_path) == set()
+    assert json.loads((tmp_path / "fit.json").read_text(encoding="utf-8")).keys() == {"slope", "intercept"}
+
+
 EXPORTED = [
     "ALL_PAIRS", "AliasSampler", "Alignment", "AnchorSet", "BoundsInput", "Dataset", "EvalResult",
     "ExactOracle", "GeneratorSpec", "Hyperedge", "KnowledgeGraph", "MMDataset", "MaskedHyperedge",
@@ -425,6 +434,26 @@ def test_align_methods(tmp_path):
     lines = out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[-1].startswith("#cost ")
     assert len(lines) == 13  # 12 node pairs + cost
+
+
+def test_align_logs_the_search_only_at_info(tmp_path):
+    """``--log-level info`` adds one record on stderr; the default level adds nothing and the output is the same."""
+    import hgrec
+
+    assert run("gen", "--structure", "star", "--n", 8, "-o", tmp_path / "s.hg") == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(hgrec.__file__).parents[1])}
+    outputs = []
+    for extra in (["--log-level", "info"], []):
+        out = tmp_path / f"m{len(extra)}.txt"
+        argv = ["align", "--h1", "s.hg", "--h2", "s.hg", "--method", "wl-ir", "-o", out.name, *extra]
+        done = subprocess.run([sys.executable, "-m", "hgrec.cli", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, encoding="utf-8")
+        assert done.returncode == 0 and done.stdout == ""
+        outputs.append((done.stderr, out.read_bytes()))
+    (info, info_bytes), (default, default_bytes) = outputs
+    assert info == ("INFO:hgrec.alignment:anchored search: 30 incidence vertices, "
+                    "6 individualizations, depth 6, 0 backtracks\n")
+    assert default == "" and default_bytes == info_bytes
 
 
 def test_align_exact_above_eight_nodes(tmp_path, capsys):
