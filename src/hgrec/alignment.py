@@ -247,9 +247,10 @@ class _Partition:
     a touched vertex. A vertex is touched when a neighbor got a new cell id,
     and it carries a change record: the ids of the cells its neighbors moved
     to since its cell's members last agreed, one entry per move, or None
-    where no record is kept. Within a round each new id has one old cell, so
-    the record fixes the signed change -old +new of the vertex's multiset of
-    neighbor cell ids exactly; labels are distinct, so equal multisets of
+    where there is no record: in the first round of the refinement that
+    builds the partition, which compares every cell by tuples. Within a
+    round each new id has one old cell, so the record fixes the signed
+    change -old +new of the vertex's multiset of neighbor cell ids exactly; labels are distinct, so equal multisets of
     neighbor cell ids are equal tuples of neighbor labels. A cell whose
     members are all touched and carry records equal as multisets cannot
     split, and is passed over without building a tuple. Otherwise each
@@ -284,7 +285,7 @@ class _Partition:
             offset += len(groups[color])
         #: Cell ids in order: ``cells[r]`` is the class of color id ``r``.
         self.cells = list(range(len(self.members)))
-        self.refine(dict.fromkeys(range(len(adj))), records=False)
+        self.refine(dict.fromkeys(range(len(adj))))
         self.trail.clear()
 
     def _new_cell(self, vertices, label: int) -> int:
@@ -303,13 +304,10 @@ class _Partition:
         """Whether cell ``c`` holds as many vertices of each graph."""
         return 2 * self.size1[c] == len(self.members[c])
 
-    def refine(self, changes: dict[int, list[int] | None], records: bool = True) -> bool:
+    def refine(self, changes: dict[int, list[int] | None]) -> bool:
         """Refine to the stable partition; ``changes`` maps each touched vertex to its change record.
 
-        Without ``records`` no round keeps any, and every touched cell is
-        compared by tuples: the first refinement, where nearly every cell
-        splits, so keeping them would cost more than it saves. Returns whether
-        every cell split on the way is balanced.
+        Returns whether every cell split on the way is balanced.
         """
         adj, cell_of, label, members = self.adj, self.cell_of, self.label, self.members
         balanced = True
@@ -322,7 +320,7 @@ class _Partition:
                 cell = members[c]
                 if len(cell) == 1:
                     continue
-                if records and len(vs) == len(cell):
+                if len(vs) == len(cell):
                     moves = [changes[v] for v in vs]
                     if None not in moves:
                         first = sorted(moves[0])
@@ -341,18 +339,17 @@ class _Partition:
                     splits.append((c, groups, untouched, len(cell) - len(vs)))
             changes = {}
             for split in splits:
-                balanced &= self._split(*split, changes, records)
+                balanced &= self._split(*split, changes)
         return balanced
 
-    def _split(self, c: int, groups: dict, untouched, rest: int, changes: dict, records: bool) -> bool:
+    def _split(self, c: int, groups: dict, untouched, rest: int, changes: dict) -> bool:
         """Replace cell ``c`` by one child per tuple, in tuple order.
 
         ``groups`` lists the touched members by tuple; the ``rest`` members not
         listed have the tuple ``untouched``. The largest child keeps ``c``'s id
         and set, so the fewest vertices move. Touches, in ``changes``, the
-        neighbors of every vertex that got a new cell id, adding the move to
-        their records when ``records`` is set. Returns whether all children
-        are balanced.
+        neighbors of every vertex that got a new cell id and adds the move to
+        their records. Returns whether all children are balanced.
         """
         adj, label, members = self.adj, self.label, self.members
         keys = sorted(groups)
@@ -371,16 +368,12 @@ class _Partition:
             members[c].difference_update(groups[key])
             self.size1[c] -= self.size1[child]
             children.append(child)
-            neighbors = chain.from_iterable(adj[v] for v in groups[key])
-            if records:
-                for u in neighbors:
-                    record = changes.get(u)
-                    if record is None:
-                        changes[u] = [child]
-                    else:
-                        record.append(child)
-            else:
-                changes.update(dict.fromkeys(neighbors))
+            for u in chain.from_iterable(adj[v] for v in groups[key]):
+                record = changes.get(u)
+                if record is None:
+                    changes[u] = [child]
+                else:
+                    record.append(child)
         offset = old
         for child in children:
             label[child] = offset
