@@ -246,22 +246,22 @@ class _Partition:
     :meth:`refine` runs synchronous rounds that examine only the cells holding
     a touched vertex. A vertex is touched when a neighbor got a new cell id,
     and it carries a change record: the ids of the cells its neighbors moved
-    to since its cell's members last agreed, one entry per move, or None
-    where there is no record: in the first round of the refinement that
-    builds the partition, which compares every cell by tuples. Within a
-    round each new id has one old cell, so the record fixes the signed
-    change -old +new of the vertex's multiset of neighbor cell ids exactly; labels are distinct, so equal multisets of
-    neighbor cell ids are equal tuples of neighbor labels. A cell whose
-    members are all touched and carry records equal as multisets cannot
-    split, and is passed over without building a tuple. Otherwise each
-    touched member gets its own tuple; the members not touched had equal
-    tuples when the cell last agreed and no neighbor of theirs has moved
-    since, so one of them stands for all. A cell whose tuples differ is
-    replaced in place by its children in tuple order. Only the vertices whose
-    cell id changed touch their neighbors for the next round: the child that
-    keeps the cell's id may move to a new offset, but that changes no
-    neighbor's multiset of cell ids. The partition is stable when a round
-    splits nothing.
+    to since its cell's members last agreed, one entry per move, or None where
+    there is no record: for a pair individualized into an existing class, and
+    for every vertex in the first round of the refinement that builds the
+    partition. Within a round each new id has one old cell, so the record
+    fixes the signed change -old +new of the vertex's multiset of neighbor
+    cell ids exactly; labels are distinct, so equal multisets of neighbor cell
+    ids are equal tuples of neighbor labels. A cell whose members are all
+    touched and carry records equal as multisets cannot split, and is passed
+    over without building a tuple. Otherwise each touched member gets its own
+    tuple; the members not touched had equal tuples when the cell last agreed
+    and no neighbor of theirs has moved since, so one of them stands for all.
+    A cell whose tuples differ is replaced in place by its children in tuple
+    order. Only the vertices whose cell id changed touch their neighbors for
+    the next round: the child that keeps the cell's id may move to a new
+    offset, but that changes no neighbor's multiset of cell ids. The partition
+    is stable when a round splits nothing.
 
     Each change is appended to ``trail`` and :meth:`undo` rolls back to an
     earlier trail length, so a search frame stores one integer.
