@@ -35,7 +35,7 @@ for n in (100, 1_000, 10_000, 100_000):
 # oracle believes in, then walk relative weights outward and normalize.
 print("\noracle route at the reference regime (N=80000, K=1):")
 mm = sample_mm_dataset(truth, 80_000, 1, strategy, seed=11)
-oracle = train_tabular(mm)
+oracle = train_tabular(mm.counts())
 recovered, connected = recover_from_oracle(oracle, ALL_PAIRS, strategy)
 report = recovery_report(recovered, truth, meta_connected=connected)
 print("  weighted error d:", round(report.weighted_error, 5))

@@ -23,7 +23,9 @@ from .core import load_hypergraph, read_json, read_text, save_hypergraph, write_
 from .errors import HgrecError
 
 # Each handler imports the modules it runs, so a stage loads only those: report,
-# bounds and kg-* run without numpy, and only sweep and fit load the process pool.
+# bounds, kg-*, train and recover --candidates pairs run without numpy, and only
+# sweep loads the process pool. train counts the .mm file's lines in chunks and
+# never holds the whole file.
 
 
 def _write(path: str | None, text: str) -> None:
@@ -69,8 +71,7 @@ def _cmd_train(args) -> int:
     from .oracle import train_tabular
     from .sampling import MMDataset
 
-    mm = MMDataset.load(args.mm_data)
-    train_tabular(mm).save(args.output)
+    train_tabular(MMDataset.load_counts(args.mm_data)).save(args.output)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
@@ -394,16 +395,59 @@ def load_hypergraph(path: str | Path) -> WeightedHypergraph:
 
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of ``path`` with universal newlines; a bad byte is a ``ParseError`` on its line."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise ParseError(before.count(b"\n") + 1, f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
-    raise OSError(f"{path} changed while it was read")
+    return _utf8(Path(path).read_text(encoding="utf-8", errors="surrogateescape"), 1)
+
+
+def _utf8(text: str, num: int) -> str:
+    """``text``, decoded with ``errors="surrogateescape"`` and starting at line ``num``.
+
+    A byte that is not UTF-8 is a ``ParseError`` on its line.
+    """
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:  # the first escaped byte
+            line = num + text.count("\n", 0, exc.start)
+            raise ParseError(line, f"byte 0x{ord(text[exc.start]) - 0xDC00:02x} is not UTF-8") from None
+    return text
+
+
+_CHUNK = 1 << 20  # characters that count_records reads at a time, before it completes the last line
+
+
+def count_records(path: str | Path, parse) -> dict:
+    """Occurrences of ``parse(line)`` over the non-blank lines of ``path``, read as ``read_text`` reads them.
+
+    The file is read in chunks of whole lines, so memory grows with the
+    distinct lines, not with the file. ``parse`` reads each distinct line once,
+    at its first occurrence, and its ``ValueError`` is a ``ParseError`` on that
+    line. A chunk's bytes are checked before any of its lines is parsed: a bad
+    byte is reported before a bad record in its own chunk and after one in an
+    earlier chunk.
+    """
+    parsed: dict = {}  # each distinct line read so far -> its record, or None when blank
+    counts: dict = {}
+    num = 1  # the number of the chunk's first line
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        while chunk := f.read(_CHUNK) + f.readline():
+            lines = _utf8(chunk, num).split("\n")
+            seen = Counter(lines)
+            new = [line for line in seen if line not in parsed]
+            if new:
+                first = _first_lines(lines, num)
+                for line in new:
+                    parsed[line] = _parsed(first[line], parse, line) if line.strip() else None
+            for line, c in seen.items():
+                record = parsed[line]
+                if record is not None:
+                    counts[record] = counts.get(record, 0) + c
+            num += len(lines) - 1
+    return counts
+
+
+def _first_lines(lines: list[str], num: int) -> dict[str, int]:
+    """Each distinct entry of ``lines`` -> the line it first occurs on, ``lines[0]`` being line ``num``."""
+    return dict(zip(reversed(lines), range(num + len(lines) - 1, num - 1, -1)))
 
 
 def write_text(path: str | Path, text: str) -> None:

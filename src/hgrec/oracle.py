@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Mapping
 
 from .core import Hyperedge, WeightedHypergraph, read_json, read_text, write_text
 from .errors import NotNormalized
-from .sampling import MaskedHyperedge, MaskingStrategy, MMDataset
+from .sampling import MaskedHyperedge, MaskingStrategy
 
 
 class TabularOracle:
@@ -113,12 +114,15 @@ class TabularOracle:
         return f"TabularOracle({len(self._counts)} masked forms)"
 
 
-def train_tabular(data: MMDataset) -> TabularOracle:
-    """Accumulate (masked form, completion) counts; empty datasets are allowed."""
-    counts: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
-    for (full, masked), c in data.counts().items():
-        counts.setdefault(masked, {})[full] = c
-    return TabularOracle(counts)
+def train_tabular(counts: Mapping[tuple[Hyperedge, MaskedHyperedge], int]) -> TabularOracle:
+    """The count-ratio oracle of ``(hyperedge, masked form) -> count``, as ``MMDataset.counts()`` gives it.
+
+    Empty counts are allowed.
+    """
+    table: dict[MaskedHyperedge, dict[Hyperedge, int]] = {}
+    for (full, masked), c in counts.items():
+        table.setdefault(masked, {})[full] = c
+    return TabularOracle(table)
 
 
 class ExactOracle:

@@ -7,18 +7,20 @@ hyperedge draws and ``"mm-mask"`` for the per-record mask choices.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
+from .core import Hyperedge, WeightedHypergraph, check_token, count_records, read_text, write_text
+from .core import _first_lines, _parsed
+from .errors import EmptyHypergraph, NotNormalized
 
-from .core import Hyperedge, WeightedHypergraph, check_token, read_text, write_text
-from .errors import EmptyHypergraph, NotNormalized, ParseError
-from .rng import AliasSampler, rng_stream
+if TYPE_CHECKING:  # numpy and rng are imported by the functions that build columns or draw
+    import numpy as np
 
 
 class MaskedHyperedge(tuple):
@@ -127,6 +129,8 @@ class _Records:
     """
 
     def __init__(self, records: Iterable):
+        import numpy as np
+
         index: dict = {}
         ids = [index.setdefault(r, len(index)) for r in records]
         self._set(tuple(index), np.array(ids, dtype=np.int32))
@@ -160,6 +164,8 @@ class _Records:
 
     def counts(self) -> dict:
         """Occurrences of each record that occurs, in table order; repeated table entries add up."""
+        import numpy as np
+
         counts: dict = {}
         for record, c in zip(self.table, np.bincount(self.ids, minlength=len(self.table)).tolist()):
             if c:
@@ -168,6 +174,8 @@ class _Records:
 
     def _encode_lines(self, line) -> str:
         """The text of every record: each table entry is formatted once by ``line``."""
+        import numpy as np
+
         lines = np.array([line(r) for r in self.table], dtype=object)
         return "".join(lines[self.ids].tolist())
 
@@ -177,15 +185,15 @@ class _Records:
 
         A ``ValueError`` from ``parse`` becomes a ``ParseError`` at the line's first occurrence.
         """
+        import numpy as np
+
         lines = text.split("\n")
         code = dict.fromkeys(lines, -1)  # distinct line -> index into table; blank lines stay -1
+        first = _first_lines(lines, 1)
         table = []
         for line in code:
             if line.strip():
-                try:
-                    table.append(parse(line))
-                except ValueError as exc:
-                    raise ParseError(lines.index(line) + 1, str(exc)) from None
+                table.append(_parsed(first[line], parse, line))
                 code[line] = len(table) - 1
         ids = np.fromiter(map(code.__getitem__, lines), dtype=np.int32, count=len(lines))
         return table, ids[ids >= 0]
@@ -230,6 +238,11 @@ class MMDataset(_Records):
     def decode(cls, text: str) -> "MMDataset":
         return cls._from_columns(*cls._decode_lines(text, _decode_record))
 
+    @staticmethod
+    def load_counts(path: str | Path) -> dict[tuple[Hyperedge, MaskedHyperedge], int]:
+        """``load(path).counts()``, read in chunks: memory grows with the distinct lines, not the records."""
+        return count_records(path, _decode_record)
+
 
 def _decode_record(line: str) -> tuple[Hyperedge, MaskedHyperedge]:
     """One ``<full>\\t<masked>`` line; raises ``ValueError`` saying what is wrong."""
@@ -253,6 +266,10 @@ def sample_dataset(h: WeightedHypergraph, n_samples: int, seed: int) -> Dataset:
         raise NotNormalized("sample_dataset requires a normalized hypergraph")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    import numpy as np
+
+    from .rng import AliasSampler, rng_stream
+
     edges = h.edge_set
     sampler = AliasSampler([h.weight(e) for e in edges])
     idx = sampler.draw(rng_stream(seed, "sample-dataset"), n_samples)
@@ -281,6 +298,10 @@ def sample_mm_dataset(
         raise NotNormalized("sample_mm_dataset requires a normalized hypergraph")
     if n_outer < 1 or k_inner < 1:
         raise ValueError(f"n_outer and k_inner must be >= 1, got ({n_outer}, {k_inner})")
+    import numpy as np
+
+    from .rng import AliasSampler, rng_stream
+
     edges = h.edge_set
     sampler = AliasSampler([h.weight(e) for e in edges])
     outer = sampler.draw(rng_stream(seed, "mm-outer"), n_outer)
@@ -400,7 +421,7 @@ def strategy_constants(h: WeightedHypergraph, strategy: MaskingStrategy) -> tupl
     """(smallest support probability, largest support size) over the edges of ``h``."""
     if h.m == 0:
         raise EmptyHypergraph("no edges")
-    c_pi = np.inf
+    c_pi = math.inf
     c_support = 0
     for e in h.edge_set:
         support = strategy.support(e)

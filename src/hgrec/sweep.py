@@ -270,7 +270,7 @@ def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int], se
             plugin = recover_from_dataset(mm.outer_dataset(k_inner))
             row["d_plugin"] = _fmt(recovery_report(plugin, truth).weighted_error)
 
-            oracle = train_tabular(mm)
+            oracle = train_tabular(mm.counts())
             recovered, connected = recover_from_oracle(oracle, ALL_PAIRS, strategy)
             report = recovery_report(recovered, truth, meta_connected=connected)
             row.update(

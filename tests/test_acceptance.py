@@ -201,7 +201,7 @@ def test_criterion_6_mm_recovery(star6_kappa10):
     errs = []
     for s in range(20):
         mm = sample_mm_dataset(star6_kappa10, 80_000, 1, STRATEGY, seed_for(6, s))
-        recovered, connected = recover_from_oracle(train_tabular(mm), ALL_PAIRS, STRATEGY)
+        recovered, connected = recover_from_oracle(train_tabular(mm.counts()), ALL_PAIRS, STRATEGY)
         report = recovery_report(recovered, star6_kappa10, meta_connected=connected)
         if not report.sketch_missing and not report.sketch_spurious:
             exact_sketch += 1

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -369,10 +370,39 @@ def test_cli_import_loads_no_stage_module():
     ("bounds", "--m", 10, "--kappa", 3, "-L", 2, "--c-pi", 0.5, "--C-pi", 2, "--epsilon", 0.1,
      "--delta", 0.1, "-o", "bounds.json"),
     ("kg-prompt", "--subgraph", "sub.json", "-o", "prompt.txt"),
+    ("train", "--mm-data", "d.mm", "-o", "oracle.json"),
+    ("recover", "--oracle", "oracle.json", "--candidates", "pairs", "-o", "rec.hg"),
 ])
 def test_stage_runs_without_numpy(slot_dir, argv):
     code = f"import hgrec.cli\nassert hgrec.cli.main({[str(a) for a in argv]!r}) == 0"
     assert "numpy" not in loaded_after(code, cwd=slot_dir)
+
+
+def test_train_memory_does_not_grow_with_repeated_records(tmp_path):
+    """``train`` holds a chunk of lines and the distinct ones, not the file: 4x the records, same peak."""
+    tokens = [f"entity-with-a-rather-long-name-{i:02d}" for i in range(12)]
+    lines = []
+    for start in range(0, 12, 2):
+        nodes = sorted(tokens[start:start + 4] if start + 4 <= 12 else tokens[start:] + tokens[:2])
+        lines += [" ".join(nodes) + "\t" + " ".join(nodes[:i] + nodes[i + 1:]) + " _\n" for i in range(4)]
+    small = "".join(lines) * 600  # about 2.5 MiB: two chunks and a half
+    (tmp_path / "small.mm").write_text(small, encoding="utf-8")
+    (tmp_path / "big.mm").write_text(small * 4, encoding="utf-8")
+
+    def peak(name: str) -> int:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run("train", "--mm-data", tmp_path / name, "-o", tmp_path / f"{name}.json") == 0
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        peak("small.mm")  # the first call imports the stage's modules
+        small_peak, big_peak = peak("small.mm"), peak("big.mm")
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "small.mm.json").read_bytes() != (tmp_path / "big.mm.json").read_bytes()
+    assert big_peak <= 1.25 * small_peak
 
 
 def test_fit_loads_no_sweep(tmp_path):
@@ -787,6 +817,9 @@ def slot_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     save_hypergraph(WeightedHypergraph({edge("a", "b"): 0.5, edge("b", "c"): 0.5}, normalized=True), "g.hg")
     Path("d.ds").write_text("a b\nb c\n", encoding="utf-8")
+    Path("d.mm").write_text("a b\ta _\na b\tb _\nb c\tb _\nb c\tc _\n", encoding="utf-8")
+    Path("oracle.json").write_text(json.dumps({"format": "hgrec-oracle-v1", "counts": {
+        "a|1": {"a+b": 1}, "b|1": {"a+b": 1, "b+c": 1}, "c|1": {"b+c": 1}}}), encoding="utf-8")
     Path("map.txt").write_text("a a\nb b\nc c\n", encoding="utf-8")
     Path("sub.json").write_text(json.dumps({"entities": ["a", "b"], "k": 1}), encoding="utf-8")
     Path("prompt.txt").write_text("p", encoding="utf-8")

@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hgrec import (
     relabel,
     sketch_diff,
 )
-from hgrec.core import check_token, read_json, read_text
+from hgrec.core import _CHUNK, check_token, count_records, read_json, read_text
 from hgrec.errors import (
     DuplicateEdge,
     EmptyHypergraph,
@@ -341,6 +342,30 @@ def test_read_text_translates_newlines(tmp_path):
     path = tmp_path / "f"
     path.write_bytes(b"a\r\nb\rc\n")
     assert read_text(path) == "a\nb\nc\n"
+
+
+def lines_past_a_chunk(ends: list[str], at: int) -> str:
+    """ASCII lines over one chunk and a bit, ending in ``ends`` in turn; a line end starts at character ``at``."""
+    parts, size = [], 0
+    while size < at - 20:
+        line = f"r{len(parts) % 37} {'x' * (len(parts) % 11)}" if len(parts) % 9 else "  "
+        parts.append(line + ends[len(parts) % len(ends)])
+        size += len(parts[-1])
+    parts.append("p" * (at - size) + ends[0])  # this line's end starts at character ``at``
+    while size < at + 50_000:
+        parts.append(f"s{len(parts) % 41}" + ends[len(parts) % len(ends)])
+        size += len(parts[-1])
+    return "".join(parts) + "last line, no end"
+
+
+@pytest.mark.parametrize("at", [_CHUNK - 1, _CHUNK])
+@pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\r\n", "\n", "\r"]])
+def test_count_records_reads_lines_as_read_text_does(tmp_path, ends, at):
+    path = tmp_path / "f"
+    path.write_bytes(lines_past_a_chunk(ends, at).encode("utf-8"))
+    assert path.read_bytes()[at:at + len(ends[0])] == ends[0].encode()
+    expected = Counter(line for line in read_text(path).split("\n") if line.strip())
+    assert count_records(path, str) == expected
 
 
 def test_read_json_reports_deep_nesting_as_a_value_error():

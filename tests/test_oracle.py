@@ -31,24 +31,24 @@ def mm_of(records):
 # -- tabular training -----------------------------------------------------------
 
 def test_train_count_ratio():
-    oracle = train_tabular(mm_of([(E_AB, MASK_A)] * 3 + [(E_AC, MASK_A)]))
+    oracle = train_tabular(mm_of([(E_AB, MASK_A)] * 3 + [(E_AC, MASK_A)]).counts())
     dist = oracle.query(MASK_A)
     assert dist == {E_AB: 0.75, E_AC: 0.25}
 
 
 def test_train_empty():
-    oracle = train_tabular(mm_of([]))
+    oracle = train_tabular(mm_of([]).counts())
     assert oracle.query(MASK_A) is None
     assert oracle.known_nodes() == ()
 
 
 def test_train_single_record():
-    oracle = train_tabular(mm_of([(E_AB, MASK_A)]))
+    oracle = train_tabular(mm_of([(E_AB, MASK_A)]).counts())
     assert oracle.query(MASK_A) == {E_AB: 1.0}
 
 
 def test_tabular_unseen_mask():
-    oracle = train_tabular(mm_of([(E_AB, MASK_A)]))
+    oracle = train_tabular(mm_of([(E_AB, MASK_A)]).counts())
     assert oracle.query(MaskedHyperedge(["b"], 1)) is None
 
 
@@ -87,7 +87,7 @@ def test_query_distributions_normalized():
 def test_forms_are_the_answered_forms_in_canonical_order():
     h = assign_weights(star(5), 1.0, 10.0, seed=2)
     supported = {f for e in h.edge_set for f, _ in STRATEGY.support(e)}
-    trained = train_tabular(sample_mm_dataset(h, 60, 1, STRATEGY, seed=4))
+    trained = train_tabular(sample_mm_dataset(h, 60, 1, STRATEGY, seed=4).counts())
     for oracle, expected in ((ExactOracle(h, STRATEGY), supported), (trained, set(trained.counts))):
         forms = oracle.forms()
         assert list(forms) == sorted(expected)
@@ -101,7 +101,7 @@ def test_forms_are_the_answered_forms_in_canonical_order():
 def test_oracle_round_trip(tmp_path):
     h = assign_weights(star(5), 1.0, 10.0, seed=3)
     mm = sample_mm_dataset(h, 500, 2, STRATEGY, seed=4)
-    oracle = train_tabular(mm)
+    oracle = train_tabular(mm.counts())
     path = tmp_path / "oracle.json"
     oracle.save(path)
     back = TabularOracle.load(path)
@@ -165,7 +165,7 @@ def test_tabular_converges_to_exact():
         gaps = []
         for s in range(3):
             mm = sample_mm_dataset(h, n, 1, STRATEGY, seed=17 * n + s)
-            tab = train_tabular(mm)
+            tab = train_tabular(mm.counts())
             worst = 0.0
             for masked, per in tab.counts.items():
                 t_dist = tab.query(masked)

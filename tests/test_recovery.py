@@ -87,7 +87,7 @@ def test_exact_oracle_star4():
 
 
 def test_empty_tabular_oracle():
-    oracle = train_tabular(MMDataset(()))
+    oracle = train_tabular(MMDataset(()).counts())
     with pytest.raises(NothingRecovered):
         recover_from_oracle(oracle, [E_AB, E_AC], STRATEGY)
 
@@ -143,7 +143,7 @@ class CountingOracle:
 @pytest.mark.parametrize("oracle", [
     ExactOracle(STAR4_WEIGHTED, STRATEGY),
     ExactOracle(WeightedHypergraph({E_AB: 0.4, edge("c", "d"): 0.6}, normalized=True), STRATEGY),
-    train_tabular(sample_mm_dataset(normalize(star(5)), 200, 2, STRATEGY, seed=1)),
+    train_tabular(sample_mm_dataset(normalize(star(5)), 200, 2, STRATEGY, seed=1).counts()),
 ], ids=["star4", "two-components", "tabular-star5"])
 def test_all_pairs_recovery_queries_each_form_once(oracle):
     counting = CountingOracle(oracle)
@@ -218,7 +218,7 @@ def test_phase1_join_matches_per_candidate_probes(data):
         n_outer = data.draw(st.integers(1, 40))
         k_inner = data.draw(st.integers(1, 2))
         seed = data.draw(st.integers(0, 2**16))
-        oracle = train_tabular(sample_mm_dataset(truth, n_outer, k_inner, oracle_strategy, seed))
+        oracle = train_tabular(sample_mm_dataset(truth, n_outer, k_inner, oracle_strategy, seed).counts())
     candidates = data.draw(
         st.one_of(
             st.just(ALL_PAIRS),

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -27,6 +28,7 @@ from hgrec import (
     train_tabular,
     uniform_single_mask,
 )
+from hgrec.core import _CHUNK
 from hgrec.errors import EmptyHypergraph, NotNormalized, ParseError
 from hgrec.generators import chain, star
 from hgrec.rng import AliasSampler, rng_stream
@@ -311,8 +313,8 @@ def test_mm_records_round_trip_and_train_against_counter(edges, k_inner, data):
     expected: dict = {}
     for (full, masked), c in Counter(records).items():
         expected.setdefault(masked, {})[full] = c
-    assert train_tabular(back).counts == expected
-    assert train_tabular(mm).counts == expected
+    assert train_tabular(back.counts()).counts == expected
+    assert train_tabular(mm.counts()).counts == expected
 
 
 def test_mm_unshared_records_encode_like_shared():
@@ -325,7 +327,7 @@ def test_mm_unshared_records_encode_like_shared():
     )
     assert unshared.encode() == shared.encode() == text
     assert unshared == shared
-    assert train_tabular(unshared).counts == train_tabular(shared).counts
+    assert train_tabular(unshared.counts()).counts == train_tabular(shared.counts()).counts
 
 
 def test_mm_decode_reports_first_occurrence_of_repeated_bad_line():
@@ -337,10 +339,72 @@ def test_mm_decode_reports_first_occurrence_of_repeated_bad_line():
         MMDataset.decode(f"{good}\n{good}\nno tab here\n{good}\nno tab here\n")
 
 
+MM_LINES = ["0 1\t0 _", "1 0\t0 _", " 0  1\t 1 _ ", "1 2\t2 _", "0 1 2\t0 _ _", "", "  ",
+            "0 1\t2 _", "0 1\t0 1", "no tab", "0 0\t0 _", "0 1\t0 +_", "é 1\té _"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(MM_LINES), st.text("01é \t_+", max_size=7)),
+                          st.sampled_from(["\n", "\r\n", "\r"]))),
+       st.sampled_from(["", "\n"]))
+def test_mm_load_counts_matches_decode(tmp_path_factory, lines, end):
+    """Within one chunk, the streamed counts are ``decode(text).counts()``, or the same ``ParseError``."""
+    text = "".join(line + sep for line, sep in lines) + end
+    path = tmp_path_factory.mktemp("mm") / "d.mm"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(read):
+        try:
+            return read()
+        except ParseError as exc:
+            return str(exc)
+
+    expected = outcome(lambda: MMDataset.decode(text.replace("\r\n", "\n").replace("\r", "\n")).counts())
+    assert outcome(lambda: MMDataset.load_counts(path)) == expected
+
+
+def mm_lines_past_a_chunk() -> list[bytes]:
+    """Valid ``.mm`` lines, 8 bytes each, over one chunk and a bit."""
+    good = [b"0 1\t0 _\n", b"0 1\t1 _\n", b"1 2\t2 _\n"]
+    return [good[i % 3] for i in range(_CHUNK // 8 + 20_000)]
+
+
+SECOND_CHUNK = _CHUNK // 8 + 5_000  # a line number in the second chunk of ``mm_lines_past_a_chunk``
+BAD_BYTE, BAD_RECORD = b"0 1\t0 _ \xff\n", b"0 1\t2 _\n"
+
+
+BYTE_ERROR, RECORD_ERROR = "byte 0xff is not UTF-8", "'2|1' is not a masked form of '0+1'"
+
+
+@pytest.mark.parametrize("bad, streamed, whole", [
+    ([(SECOND_CHUNK, BAD_BYTE)], (SECOND_CHUNK, BYTE_ERROR), None),
+    ([(SECOND_CHUNK, BAD_RECORD), (SECOND_CHUNK + 30, BAD_RECORD)], (SECOND_CHUNK, RECORD_ERROR), None),
+    # a chunk's bytes are checked before its records, so the later bad byte wins
+    ([(SECOND_CHUNK, BAD_RECORD), (SECOND_CHUNK + 9, BAD_BYTE)], (SECOND_CHUNK + 9, BYTE_ERROR), None),
+    # a bad record in an earlier chunk is reported before the bad byte, unlike reading the whole text
+    ([(10, BAD_RECORD), (SECOND_CHUNK, BAD_BYTE)], (10, RECORD_ERROR), (SECOND_CHUNK, BYTE_ERROR)),
+])
+def test_mm_load_counts_names_the_line_in_a_later_chunk(tmp_path, bad, streamed, whole):
+    lines = mm_lines_past_a_chunk()
+    for num, line in bad:
+        lines[num - 1] = line
+    path = tmp_path / "d.mm"
+    path.write_bytes(b"".join(lines))
+    for read, (num, message) in [(MMDataset.load_counts, streamed), (MMDataset.load, whole or streamed)]:
+        with pytest.raises(ParseError, match=rf"^line {num}: {re.escape(message)}$"):
+            read(path)
+
+
+def test_mm_load_counts_adds_up_every_chunk(tmp_path):
+    path = tmp_path / "d.mm"
+    path.write_bytes(b"".join(mm_lines_past_a_chunk()))
+    assert MMDataset.load_counts(path) == MMDataset.load(path).counts()
+
+
 def test_mm_decode_merges_lines_that_spell_one_record():
     mm = MMDataset.decode("1 0\t0 _\n0  1\t0 _\n0 1\t0 _\n")
     assert set(mm.records) == {(edge("0", "1"), MaskedHyperedge(["0"], 1))}
-    assert train_tabular(mm).counts == {MaskedHyperedge(["0"], 1): {edge("0", "1"): 3}}
+    assert train_tabular(mm.counts()).counts == {MaskedHyperedge(["0"], 1): {edge("0", "1"): 3}}
 
 
 def test_mm_decode_rejects_incompatible():
