@@ -383,7 +383,7 @@ def test_train_memory_does_not_grow_with_repeated_records(tmp_path):
     tokens = [f"entity-with-a-rather-long-name-{i:02d}" for i in range(12)]
     lines = []
     for start in range(0, 12, 2):
-        nodes = sorted(tokens[start:start + 4] if start + 4 <= 12 else tokens[start:] + tokens[:2])
+        nodes = sorted((tokens * 2)[start:start + 4])
         lines += [" ".join(nodes) + "\t" + " ".join(nodes[:i] + nodes[i + 1:]) + " _\n" for i in range(4)]
     small = "".join(lines) * 600  # about 2.5 MiB: two chunks and a half
     (tmp_path / "small.mm").write_text(small, encoding="utf-8")

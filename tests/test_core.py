@@ -352,6 +352,7 @@ def lines_past_a_chunk(ends: list[str], at: int) -> str:
         parts.append(line + ends[len(parts) % len(ends)])
         size += len(parts[-1])
     parts.append("p" * (at - size) + ends[0])  # this line's end starts at character ``at``
+    size = at + len(ends[0])
     while size < at + 50_000:
         parts.append(f"s{len(parts) % 41}" + ends[len(parts) % len(ends)])
         size += len(parts[-1])
