@@ -23,9 +23,9 @@ from .core import load_hypergraph, read_json, read_text, save_hypergraph, write_
 from .errors import HgrecError
 
 # Each handler imports the modules it runs, so a stage loads only those: report,
-# bounds, kg-*, train and recover --candidates pairs run without numpy, and only
-# sweep loads the process pool. train counts the .mm file's lines in chunks and
-# never holds the whole file.
+# bounds, kg-*, train and recover run without numpy, and only sweep loads the
+# process pool. train and recover --candidates <file> count their file's lines in
+# chunks and never hold the whole file.
 
 
 def _write(path: str | None, text: str) -> None:
@@ -88,7 +88,7 @@ def _cmd_recover(args) -> int:
     if args.candidates == "pairs":
         candidates = ALL_PAIRS
     else:
-        candidates = Dataset.load(args.candidates).samples
+        candidates = Dataset.load_counts(args.candidates).keys()
     recovered, connected = recover_from_oracle(oracle, candidates, strategy)
     save_hypergraph(recovered, args.output)
     print(f"meta_connected: {'true' if connected else 'false'}")

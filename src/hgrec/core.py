@@ -412,42 +412,41 @@ def _utf8(text: str, num: int) -> str:
     return text
 
 
-_CHUNK = 1 << 20  # characters that count_records reads at a time, before it completes the last line
+_CHUNK = 1 << 20  # characters that read_chunks reads at a time, before it completes the last line
 
 
-def count_records(path: str | Path, parse) -> dict:
-    """Occurrences of ``parse(line)`` over the non-blank lines of ``path``, read as ``read_text`` reads them.
+def read_chunks(path: str | Path) -> Iterator[str]:
+    """``read_text(path)`` with its bytes unchecked, ``_CHUNK`` characters and the rest of a line at a time."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        yield from iter(lambda: f.read(_CHUNK) + f.readline(), "")
 
-    The file is read in chunks of whole lines, so memory grows with the
-    distinct lines, not with the file. ``parse`` reads each distinct line once,
-    at its first occurrence, and its ``ValueError`` is a ``ParseError`` on that
-    line. A chunk's bytes are checked before any of its lines is parsed: a bad
+
+def parse_lines(chunks: Iterable[str], parse, table: list) -> Iterator[tuple[list, Counter, dict]]:
+    """Parse the lines of ``chunks``, each a run of whole lines, once per distinct line.
+
+    Yields each chunk's lines, cleared when the next chunk is asked for, their
+    ``Counter`` and ``code``: every non-blank line read so far -> the index in
+    ``table`` of its record, ``parse(line)`` appended at the line's first
+    occurrence. A ``ValueError`` from ``parse`` is a ``ParseError`` on that
+    line. A chunk's bytes are checked before its lines are parsed, so a bad
     byte is reported before a bad record in its own chunk and after one in an
     earlier chunk.
     """
-    parsed: dict = {}  # each distinct line read so far -> its record, or None when blank
-    counts: dict = {}
+    code: dict[str, int] = {}
     num = 1  # the number of the chunk's first line
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        while chunk := f.read(_CHUNK) + f.readline():
-            lines = _utf8(chunk, num).split("\n")
-            seen = Counter(lines)
-            new = [line for line in seen if line not in parsed]
-            if new:
-                first = _first_lines(lines, num)
-                for line in new:
-                    parsed[line] = _parsed(first[line], parse, line) if line.strip() else None
-            for line, c in seen.items():
-                record = parsed[line]
-                if record is not None:
-                    counts[record] = counts.get(record, 0) + c
-            num += len(lines) - 1
-    return counts
-
-
-def _first_lines(lines: list[str], num: int) -> dict[str, int]:
-    """Each distinct entry of ``lines`` -> the line it first occurs on, ``lines[0]`` being line ``num``."""
-    return dict(zip(reversed(lines), range(num + len(lines) - 1, num - 1, -1)))
+    for chunk in chunks:
+        lines = _utf8(chunk, num).split("\n")
+        del chunk  # the chunk's text, and its lines below, go before the next chunk is read
+        seen = Counter(lines)
+        new = [line for line in seen if line not in code and line.strip()]
+        if new:
+            first = dict(zip(reversed(lines), range(num + len(lines) - 1, num - 1, -1)))
+            for line in new:
+                table.append(_parsed(first[line], parse, line))
+                code[line] = len(table) - 1
+        yield lines, seen, code
+        num += len(lines) - 1
+        lines.clear()
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -157,6 +157,8 @@ PROMPT_TEMPLATE = (
 def render_prompt(entities: list[str], k: int) -> str:
     if not entities:
         raise EmptyEntities("prompt needs at least one entity")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     return PROMPT_TEMPLATE.format(entities=", ".join(entities), k=k)
 
 

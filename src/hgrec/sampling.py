@@ -11,12 +11,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .core import Hyperedge, WeightedHypergraph, check_token, count_records, read_text, write_text
-from .core import _first_lines, _parsed
+from .core import Hyperedge, WeightedHypergraph, check_token, parse_lines, read_chunks, write_text
 from .errors import EmptyHypergraph, NotNormalized
 
 if TYPE_CHECKING:  # numpy and rng are imported by the functions that build columns or draw
@@ -125,7 +125,8 @@ class _Records:
     ``table`` holds each distinct record once and ``ids`` (read-only ``int32``,
     one per record, in order) indexes into it. A table built from columns may
     also repeat a record or hold one that never occurs. ``records`` is built
-    from the columns on first read.
+    from the columns on first read. Each subclass names its line parser,
+    ``_parse``, through which ``load``, ``decode`` and ``load_counts`` read.
     """
 
     def __init__(self, records: Iterable):
@@ -179,31 +180,33 @@ class _Records:
         lines = np.array([line(r) for r in self.table], dtype=object)
         return "".join(lines[self.ids].tolist())
 
-    @staticmethod
-    def _decode_lines(text: str, parse) -> tuple[list, np.ndarray]:
-        """(table, ids) of the non-blank lines of ``text``; ``parse`` reads each distinct line once.
-
-        A ``ValueError`` from ``parse`` becomes a ``ParseError`` at the line's first occurrence.
-        """
-        import numpy as np
-
-        lines = text.split("\n")
-        code = dict.fromkeys(lines, -1)  # distinct line -> index into table; blank lines stay -1
-        first = _first_lines(lines, 1)
-        table = []
-        for line in code:
-            if line.strip():
-                table.append(_parsed(first[line], parse, line))
-                code[line] = len(table) - 1
-        ids = np.fromiter(map(code.__getitem__, lines), dtype=np.int32, count=len(lines))
-        return table, ids[ids >= 0]
-
     def save(self, path: str | Path) -> None:
         write_text(path, self.encode())
 
     @classmethod
     def load(cls, path: str | Path):
-        return cls.decode(read_text(path))
+        return cls._read(read_chunks(path))
+
+    @classmethod
+    def _read(cls, chunks: Iterable[str]):
+        """The records of the non-blank lines of ``chunks``, built chunk by chunk through ``parse_lines``."""
+        import numpy as np
+
+        table: list = []
+        codes = (map(code.get, lines, repeat(-1)) for lines, _, code in parse_lines(chunks, cls._parse, table))
+        ids = np.fromiter(chain.from_iterable(codes), dtype=np.int32)  # -1 marks a blank line
+        return cls._from_columns(table, ids[ids >= 0])
+
+    @classmethod
+    def load_counts(cls, path: str | Path) -> dict:
+        """``load(path).counts()`` without numpy, in chunks: memory grows with the distinct lines, not the records."""
+        table: list = []
+        counts: dict = {}
+        for _, seen, code in parse_lines(read_chunks(path), cls._parse, table):
+            for line, c in seen.items():
+                if (i := code.get(line, -1)) >= 0:
+                    counts[table[i]] = counts.get(table[i], 0) + c
+        return counts
 
 
 class Dataset(_Records):
@@ -211,13 +214,14 @@ class Dataset(_Records):
 
     samples = property(attrgetter("records"))
     n = property(len)
+    _parse = staticmethod(lambda line: Hyperedge(line.split()))
 
     def encode(self) -> str:
         return self._encode_lines(lambda e: " ".join(e) + "\n")
 
     @classmethod
     def decode(cls, text: str) -> "Dataset":
-        return cls._from_columns(*cls._decode_lines(text, lambda line: Hyperedge(line.split())))
+        return cls._read([text])
 
 
 class MMDataset(_Records):
@@ -236,28 +240,23 @@ class MMDataset(_Records):
 
     @classmethod
     def decode(cls, text: str) -> "MMDataset":
-        return cls._from_columns(*cls._decode_lines(text, _decode_record))
+        return cls._read([text])
 
     @staticmethod
-    def load_counts(path: str | Path) -> dict[tuple[Hyperedge, MaskedHyperedge], int]:
-        """``load(path).counts()``, read in chunks: memory grows with the distinct lines, not the records."""
-        return count_records(path, _decode_record)
-
-
-def _decode_record(line: str) -> tuple[Hyperedge, MaskedHyperedge]:
-    """One ``<full>\\t<masked>`` line; raises ``ValueError`` saying what is wrong."""
-    left, sep, right = line.partition("\t")
-    if not sep:
-        raise ValueError("expected '<full>\\t<masked>'")
-    full = Hyperedge(left.split())
-    tokens = right.split()
-    count = tokens.count("_")
-    if count < 1:
-        raise ValueError("masked side needs at least one '_' slot")
-    masked = MaskedHyperedge((t for t in tokens if t != "_"), count)
-    if not masked.is_mask_of(full):
-        raise ValueError(f"{masked.key!r} is not a masked form of {full.key!r}")
-    return full, masked
+    def _parse(line: str) -> tuple[Hyperedge, MaskedHyperedge]:
+        """One ``<full>\\t<masked>`` line; raises ``ValueError`` saying what is wrong."""
+        left, sep, right = line.partition("\t")
+        if not sep:
+            raise ValueError("expected '<full>\\t<masked>'")
+        full = Hyperedge(left.split())
+        tokens = right.split()
+        count = tokens.count("_")
+        if count < 1:
+            raise ValueError("masked side needs at least one '_' slot")
+        masked = MaskedHyperedge((t for t in tokens if t != "_"), count)
+        if not masked.is_mask_of(full):
+            raise ValueError(f"{masked.key!r} is not a masked form of {full.key!r}")
+        return full, masked
 
 
 def sample_dataset(h: WeightedHypergraph, n_samples: int, seed: int) -> Dataset:

@@ -3,7 +3,9 @@ import json
 import random
 import socket
 import threading
+import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -87,6 +89,32 @@ def random_relabeling(rng: random.Random, h: WeightedHypergraph, prefix: str = "
     targets = [f"{prefix}{i}" for i in range(h.n)]
     rng.shuffle(targets)
     return NodeRelabeling(dict(zip(h.nodes, targets)))
+
+
+def write_repeated_records(folder: Path) -> None:
+    """``small`` and ``big`` ``.mm`` and ``.ds`` files of 24 distinct lines, ``big`` holding ``small`` 4 times.
+
+    Each ``small`` file is about 3.3 MB, three chunks and a bit, so it is read
+    past the first chunks into the steady state of a chunk read after a full one.
+    """
+    tokens = [f"entity-with-a-rather-long-name-{i:02d}" for i in range(12)]
+    mm, ds = [], []
+    for start in range(0, 12, 2):
+        nodes = sorted((tokens * 2)[start:start + 4])
+        mm += [" ".join(nodes) + "\t" + " ".join(nodes[:i] + nodes[i + 1:]) + " _\n" for i in range(4)]
+        ds += [" ".join(nodes[i:] + nodes[:i]) + "\n" for i in range(4)]  # four spellings of one edge
+    for suffix, lines, copies in ((".mm", mm, 600), (".ds", ds, 1000)):
+        small = "".join(lines) * copies
+        (folder / f"small{suffix}").write_text(small, encoding="utf-8")
+        (folder / f"big{suffix}").write_text(small * 4, encoding="utf-8")
+
+
+def traced_peak(call) -> int:
+    """The ``tracemalloc`` peak while ``call()`` runs, above the memory traced before it."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    call()
+    return tracemalloc.get_traced_memory()[1] - before
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from hgrec.bounds import load_csv
 from hgrec.cli import build_parser, main
 from hgrec.core import load_hypergraph, save_hypergraph
 from hgrec.kgeval import prompt_key, render_prompt
-from conftest import KG_RESPONSE, KG_TSV, closed_port
+from conftest import KG_RESPONSE, KG_TSV, closed_port, traced_peak, write_repeated_records
 
 
 def run(*argv) -> int:
@@ -372,6 +372,7 @@ def test_cli_import_loads_no_stage_module():
     ("kg-prompt", "--subgraph", "sub.json", "-o", "prompt.txt"),
     ("train", "--mm-data", "d.mm", "-o", "oracle.json"),
     ("recover", "--oracle", "oracle.json", "--candidates", "pairs", "-o", "rec.hg"),
+    ("recover", "--oracle", "oracle.json", "--candidates", "d.ds", "-o", "rec.hg"),
 ])
 def test_stage_runs_without_numpy(slot_dir, argv):
     code = f"import hgrec.cli\nassert hgrec.cli.main({[str(a) for a in argv]!r}) == 0"
@@ -380,25 +381,18 @@ def test_stage_runs_without_numpy(slot_dir, argv):
 
 def test_train_memory_does_not_grow_with_repeated_records(tmp_path):
     """``train`` holds a chunk of lines and the distinct ones, not the file: 4x the records, same peak."""
-    tokens = [f"entity-with-a-rather-long-name-{i:02d}" for i in range(12)]
-    lines = []
-    for start in range(0, 12, 2):
-        nodes = sorted((tokens * 2)[start:start + 4])
-        lines += [" ".join(nodes) + "\t" + " ".join(nodes[:i] + nodes[i + 1:]) + " _\n" for i in range(4)]
-    small = "".join(lines) * 600  # about 2.5 MiB: two chunks and a half
-    (tmp_path / "small.mm").write_text(small, encoding="utf-8")
-    (tmp_path / "big.mm").write_text(small * 4, encoding="utf-8")
+    write_repeated_records(tmp_path)
 
-    def peak(name: str) -> int:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        assert run("train", "--mm-data", tmp_path / name, "-o", tmp_path / f"{name}.json") == 0
-        return tracemalloc.get_traced_memory()[1] - before
+    def train(name: str) -> int:
+        def call():
+            assert run("train", "--mm-data", tmp_path / name, "-o", tmp_path / f"{name}.json") == 0
+
+        return traced_peak(call)
 
     tracemalloc.start()
     try:
-        peak("small.mm")  # the first call imports the stage's modules
-        small_peak, big_peak = peak("small.mm"), peak("big.mm")
+        train("small.mm")  # the first call imports the stage's modules
+        small_peak, big_peak = train("small.mm"), train("big.mm")
     finally:
         tracemalloc.stop()
     assert (tmp_path / "small.mm.json").read_bytes() != (tmp_path / "big.mm.json").read_bytes()
@@ -692,6 +686,15 @@ def test_kg_prompt_k_flag_overrides_missing_k(tmp_path):
     prompt = tmp_path / "prompt.txt"
     assert run("kg-prompt", "--subgraph", sub, "-k", 3, "-o", prompt) == 0
     assert prompt.read_text(encoding="utf-8") == render_prompt(["table", "room"], 3)
+
+
+@pytest.mark.parametrize("flag, doc_k, k", [(["-k", 0], 2, 0), (["-k", -3], 2, -3), ([], -1, -1)])
+def test_kg_prompt_rejects_k_below_1(tmp_path, capsys, flag, doc_k, k):
+    sub = tmp_path / "sub.json"
+    sub.write_text(json.dumps({"entities": ["table", "room"], "k": doc_k}), encoding="utf-8")
+    assert run("kg-prompt", "--subgraph", sub, *flag, "-o", tmp_path / "prompt.txt") == 1
+    assert_one_error_line(capsys, f"k must be >= 1, got {k}")
+    assert not (tmp_path / "prompt.txt").exists()
 
 
 @pytest.mark.parametrize("doc, what", [

@@ -189,6 +189,12 @@ def test_prompt_empty_entities():
         render_prompt([], 2)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_prompt_k_below_1_rejected(k):
+    with pytest.raises(ValueError, match=rf"^k must be >= 1, got {k}$"):
+        render_prompt(["a"], k)
+
+
 # -- response parsing ----------------------------------------------------------------
 
 VOCAB = ["table", "furniture", "house", "room"]

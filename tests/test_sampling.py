@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -32,7 +33,7 @@ from hgrec.core import _CHUNK
 from hgrec.errors import EmptyHypergraph, NotNormalized, ParseError
 from hgrec.generators import chain, star
 from hgrec.rng import AliasSampler, rng_stream
-from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph
+from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph, traced_peak, write_repeated_records
 
 STRATEGY = uniform_single_mask()
 
@@ -343,14 +344,9 @@ MM_LINES = ["0 1\t0 _", "1 0\t0 _", " 0  1\t 1 _ ", "1 2\t2 _", "0 1 2\t0 _ _", 
             "0 1\t2 _", "0 1\t0 1", "no tab", "0 0\t0 _", "0 1\t0 +_", "é 1\té _"]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.one_of(st.sampled_from(MM_LINES), st.text("01é \t_+", max_size=7)),
-                          st.sampled_from(["\n", "\r\n", "\r"]))),
-       st.sampled_from(["", "\n"]))
-def test_mm_load_counts_matches_decode(tmp_path_factory, lines, end):
-    """Within one chunk, the streamed counts are ``decode(text).counts()``, or the same ``ParseError``."""
-    text = "".join(line + sep for line, sep in lines) + end
-    path = tmp_path_factory.mktemp("mm") / "d.mm"
+def assert_reads_match_decode(folder, cls, text: str) -> None:
+    """``load`` and ``load_counts`` of ``text``'s bytes give what ``decode`` gives, or the same ``ParseError``."""
+    path = folder / "records"
     path.write_bytes(text.encode("utf-8"))
 
     def outcome(read):
@@ -359,46 +355,89 @@ def test_mm_load_counts_matches_decode(tmp_path_factory, lines, end):
         except ParseError as exc:
             return str(exc)
 
-    expected = outcome(lambda: MMDataset.decode(text.replace("\r\n", "\n").replace("\r", "\n")).counts())
-    assert outcome(lambda: MMDataset.load_counts(path)) == expected
+    expected = outcome(lambda: cls.decode(text.replace("\r\n", "\n").replace("\r", "\n")))
+    assert outcome(lambda: cls.load(path)) == expected
+    assert outcome(lambda: cls.load_counts(path)) == (expected if isinstance(expected, str) else expected.counts())
 
 
-def mm_lines_past_a_chunk() -> list[bytes]:
-    """Valid ``.mm`` lines, 8 bytes each, over one chunk and a bit."""
-    good = [b"0 1\t0 _\n", b"0 1\t1 _\n", b"1 2\t2 _\n"]
+def texts_of(lines: list[str]):
+    """Texts of the given and random lines, each ended by LF, CR LF or CR, the last one maybe by nothing."""
+    line = st.one_of(st.sampled_from(lines), st.text("01é \t_+", max_size=7))
+    return st.builds(lambda ended, end: "".join(a + b for a, b in ended) + end,
+                     st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"]))), st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts_of(MM_LINES))
+def test_mm_load_counts_matches_decode(tmp_path_factory, text):
+    """Within one chunk, ``load`` and ``load_counts`` read as ``decode`` does."""
+    assert_reads_match_decode(tmp_path_factory.mktemp("mm"), MMDataset, text)
+
+
+DS_LINES = ["0 1", "1 0", " 0  1 ", "1 2 0", "", "  ", "0 0", "0", "0 _", "0 +1", "é 1", "0\t1"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts_of(DS_LINES))
+def test_ds_load_counts_matches_decode(tmp_path_factory, text):
+    assert_reads_match_decode(tmp_path_factory.mktemp("ds"), Dataset, text)
+
+
+def records_past_a_chunk(good: list[bytes]) -> list[bytes]:
+    """The three ``good`` lines in turn, 8 bytes each, over one chunk and a bit."""
     return [good[i % 3] for i in range(_CHUNK // 8 + 20_000)]
 
 
-SECOND_CHUNK = _CHUNK // 8 + 5_000  # a line number in the second chunk of ``mm_lines_past_a_chunk``
-BAD_BYTE, BAD_RECORD = b"0 1\t0 _ \xff\n", b"0 1\t2 _\n"
+SECOND_CHUNK = _CHUNK // 8 + 5_000  # a line number in the second chunk of ``records_past_a_chunk``
+BAD_BYTE, BYTE_ERROR = b"0 1 \xff\n", "byte 0xff is not UTF-8"
+# Per format: the class, three valid lines, a bad record and its error.
+FORMATS = [
+    (MMDataset, [b"0 1\t0 _\n", b"0 1\t1 _\n", b"1 2\t2 _\n"], b"0 1\t2 _\n", "'2|1' is not a masked form of '0+1'"),
+    (Dataset, [b"0 1 2 3\n", b"1 2 3 4\n", b"2 3 4 5\n"], b"0 0\n", "a hyperedge needs at least 2 distinct nodes"),
+]
 
 
-BYTE_ERROR, RECORD_ERROR = "byte 0xff is not UTF-8", "'2|1' is not a masked form of '0+1'"
-
-
-@pytest.mark.parametrize("bad, streamed, whole", [
-    ([(SECOND_CHUNK, BAD_BYTE)], (SECOND_CHUNK, BYTE_ERROR), None),
-    ([(SECOND_CHUNK, BAD_RECORD), (SECOND_CHUNK + 30, BAD_RECORD)], (SECOND_CHUNK, RECORD_ERROR), None),
+@pytest.mark.parametrize("bad, first", [
+    ({SECOND_CHUNK: "byte"}, SECOND_CHUNK),
+    ({SECOND_CHUNK: "record", SECOND_CHUNK + 30: "record"}, SECOND_CHUNK),
     # a chunk's bytes are checked before its records, so the later bad byte wins
-    ([(SECOND_CHUNK, BAD_RECORD), (SECOND_CHUNK + 9, BAD_BYTE)], (SECOND_CHUNK + 9, BYTE_ERROR), None),
-    # a bad record in an earlier chunk is reported before the bad byte, unlike reading the whole text
-    ([(10, BAD_RECORD), (SECOND_CHUNK, BAD_BYTE)], (10, RECORD_ERROR), (SECOND_CHUNK, BYTE_ERROR)),
+    ({SECOND_CHUNK: "record", SECOND_CHUNK + 9: "byte"}, SECOND_CHUNK + 9),
+    # a bad record in an earlier chunk is reported before the bad byte
+    ({10: "record", SECOND_CHUNK: "byte"}, 10),
 ])
-def test_mm_load_counts_names_the_line_in_a_later_chunk(tmp_path, bad, streamed, whole):
-    lines = mm_lines_past_a_chunk()
-    for num, line in bad:
-        lines[num - 1] = line
-    path = tmp_path / "d.mm"
-    path.write_bytes(b"".join(lines))
-    for read, (num, message) in [(MMDataset.load_counts, streamed), (MMDataset.load, whole or streamed)]:
-        with pytest.raises(ParseError, match=rf"^line {num}: {re.escape(message)}$"):
-            read(path)
+def test_readers_name_the_line_in_a_later_chunk(tmp_path, bad, first):
+    """``load`` and ``load_counts`` of both formats report the first bad line, chunk by chunk."""
+    for cls, good, bad_record, record_error in FORMATS:
+        lines = records_past_a_chunk(good)
+        for num, kind in bad.items():
+            lines[num - 1] = bad_record if kind == "record" else BAD_BYTE
+        path = tmp_path / cls.__name__
+        path.write_bytes(b"".join(lines))
+        message = re.escape(record_error if bad[first] == "record" else BYTE_ERROR)
+        for read in (cls.load, cls.load_counts):
+            with pytest.raises(ParseError, match=rf"^line {first}: {message}$"):
+                read(path)
 
 
 def test_mm_load_counts_adds_up_every_chunk(tmp_path):
     path = tmp_path / "d.mm"
-    path.write_bytes(b"".join(mm_lines_past_a_chunk()))
+    path.write_bytes(b"".join(records_past_a_chunk(FORMATS[0][1])))
     assert MMDataset.load_counts(path) == MMDataset.load(path).counts()
+
+
+@pytest.mark.parametrize("cls, suffix", [(MMDataset, ".mm"), (Dataset, ".ds")])
+def test_load_memory_does_not_grow_with_repeated_records(tmp_path, cls, suffix):
+    """``load`` holds a chunk of lines, the distinct ones and 4 bytes a record: 4x the records, about the same peak."""
+    write_repeated_records(tmp_path)
+    small, big = tmp_path / f"small{suffix}", tmp_path / f"big{suffix}"
+    tracemalloc.start()
+    try:
+        cls.load(small)  # the first call imports numpy
+        small_peak, big_peak = traced_peak(lambda: cls.load(small)), traced_peak(lambda: cls.load(big))
+    finally:
+        tracemalloc.stop()
+    assert big_peak <= 1.25 * small_peak
+    assert cls.load_counts(big) == {record: 4 * c for record, c in cls.load(small).counts().items()}
 
 
 def test_mm_decode_merges_lines_that_spell_one_record():
