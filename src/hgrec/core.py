@@ -406,9 +406,11 @@ def _utf8(text: str, num: int) -> str:
     if not text.isascii():
         try:
             text.encode("utf-8")
-        except UnicodeEncodeError as exc:  # the first escaped byte
+        except UnicodeEncodeError as exc:  # the first escaped byte or lone surrogate
             line = num + text.count("\n", 0, exc.start)
-            raise ParseError(line, f"byte 0x{ord(text[exc.start]) - 0xDC00:02x} is not UTF-8") from None
+            char = ord(text[exc.start])
+            what = f"byte 0x{char - 0xDC00:02x}" if 0xDC80 <= char <= 0xDCFF else f"character U+{char:04X}"
+            raise ParseError(line, f"{what} is not UTF-8") from None
     return text
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import Hyperedge, WeightedHypergraph, normalize
 from .errors import CannotBeConnected, InvalidSize, InvalidWeights
@@ -38,17 +37,10 @@ def chain(n: int) -> WeightedHypergraph:
 
 
 def x_graph(n: int) -> WeightedHypergraph:
-    """Four spokes at node 0 plus arms {4i+k, 4i+k+4} while 4i+k+4 <= n-1."""
+    """Four spokes at node 0 plus arms {v, v+4} for 1 <= v <= n-5."""
     if n < 5:
         raise InvalidSize(f"x_graph needs n >= 5, got {n}")
-    edges = [(0, k) for k in range(1, 5)]
-    i = 0
-    while 4 * i + 1 + 4 <= n - 1:
-        for k in range(1, 5):
-            if 4 * i + k + 4 <= n - 1:
-                edges.append((4 * i + k, 4 * i + k + 4))
-        i += 1
-    return _unit(edges)
+    return _unit([(0, k) for k in range(1, 5)] + [(v, v + 4) for v in range(1, n - 4)])
 
 
 def wcgnm_edge_count(n: int, p: float) -> int:
@@ -60,7 +52,9 @@ def wcgnm(n: int, p: float, seed: int) -> WeightedHypergraph:
     """Connected random graph with n nodes and m(n) uniformly chosen edges.
 
     Edge sets are resampled until connected, which keeps the draw uniform among
-    connected graphs with exactly m(n) edges.
+    connected graphs with exactly m(n) edges. A draw picks m of the n(n-1)/2
+    pair ranks and unranks them, so it holds O(n + m) numbers and no pair list
+    (Batagelj and Brandes 2005); connectivity is checked in numpy.
     """
     if n < 2:
         raise InvalidSize(f"wcgnm needs n >= 2, got {n}")
@@ -71,31 +65,37 @@ def wcgnm(n: int, p: float, seed: int) -> WeightedHypergraph:
         raise CannotBeConnected(f"m(n)={m} < n-1={n - 1}: no connected graph exists")
     from .rng import rng_stream  # numpy: imported by the two functions that draw
 
-    pairs = list(combinations(range(n), 2))
     rng = rng_stream(seed, "wcgnm")
     for _ in range(_MAX_CONNECT_TRIES):
-        chosen = [pairs[i] for i in rng.choice(len(pairs), size=m, replace=False)]
-        if _is_connected(n, chosen):
-            return _unit(sorted(chosen))
+        a, b = _unrank(n, rng.choice(n * (n - 1) // 2, size=m, replace=False))
+        if _connected(n, a, b):
+            return _unit(list(zip(a.tolist(), b.tolist())))
     raise CannotBeConnected(
         f"no connected draw in {_MAX_CONNECT_TRIES} attempts (n={n}, m={m}); density too low"
     )
 
 
-def _is_connected(n: int, edges: list[tuple[int, int]]) -> bool:
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
+def _unrank(n: int, k):
+    """Arrays ``a < b`` of the pairs at lexicographic ranks ``k`` of ``combinations(range(n), 2)``."""
+    import numpy as np
+
+    starts = np.arange(n - 1) * n - np.arange(n - 1).cumsum()  # i*n - i*(i+1)//2, the rank of (i, i+1)
+    a = np.searchsorted(starts, k, side="right") - 1
+    return a, k - starts[a] + a + 1
+
+
+def _connected(n: int, a, b) -> bool:
+    """Whether the edges ``a[j]-b[j]`` connect nodes 0..n-1: min-label hooking and pointer jumping."""
+    import numpy as np
+
+    # label[v] <= v names a node in v's component and never grows, so the labels
+    # have stopped changing when their sum has; then they are constant on each component.
+    label, total = np.arange(n), None
+    while total != (total := int(label.sum())):
+        np.minimum.at(label, label[a], label[b])  # hook a's label under b's
+        np.minimum.at(label, label[b], label[a])
+        label = label[label]
+    return total == 0
 
 
 # Frucht graph in LCF notation: Hamiltonian 12-cycle plus one chord per vertex.

@@ -1,10 +1,20 @@
-import networkx as nx
-import pytest
+import re
+import tracemalloc
+from collections import deque
+from itertools import combinations
 
-from hgrec import Hyperedge, edge
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import traced_peak
+from hgrec import Hyperedge, edge, generators
 from hgrec.errors import CannotBeConnected, InvalidSize, InvalidWeights
 from hgrec.generators import (
     GeneratorSpec,
+    _connected,
+    _unrank,
     assign_weights,
     chain,
     frucht,
@@ -113,6 +123,78 @@ def test_wcgnm_connected_and_sized(n, p):
     assert h.m == wcgnm_edge_count(n, p)
     assert h.n == n
     assert nx.is_connected(to_nx(h))
+
+
+def test_wcgnm_exhausted_draws():
+    # m = n-1: a draw is connected only when it is a spanning tree, which 1000 draws never hit
+    message = "no connected draw in 1000 attempts (n=60, m=59); density too low"
+    with pytest.raises(CannotBeConnected, match=f"^{re.escape(message)}$"):
+        wcgnm(60, 59 / 1770, 1)
+
+
+def test_wcgnm_golden_seed_rejects_many_draws(monkeypatch):
+    """``test_golden.WCGNM_DIGESTS`` pins seed 5 of wcgnm(500, 0.01) because it draws 82 times."""
+    draws = []
+    monkeypatch.setattr(generators, "_connected", lambda n, a, b: draws.append(n) or _connected(n, a, b))
+    wcgnm(500, 0.01, 5)
+    assert len(draws) == 82
+
+
+@given(st.integers(2, 60))
+def test_unrank_matches_combinations(n):
+    a, b = _unrank(n, np.arange(n * (n - 1) // 2))
+    assert list(zip(a.tolist(), b.tolist())) == list(combinations(range(n), 2))
+
+
+def columns(edges):
+    """The end points of ``edges`` as two int64 arrays, as ``_unrank`` returns them."""
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def bfs_connected(n, edges):
+    adj = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, queue = {0}, deque([0])
+    while queue:
+        for u in adj[queue.popleft()]:
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return len(seen) == n
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(2, 25))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    return n, draw(st.lists(pairs, max_size=2 * n))
+
+
+@settings(max_examples=300)
+@given(edge_lists())
+@example((2, []))
+@example((2, [(1, 0)]))
+@example((4, [(0, 1), (2, 3)]))
+@example((6, [(4, 5), (3, 4), (2, 3), (1, 2), (0, 1)]))  # labels fall one step a round without hooking
+def test_connected_matches_bfs(case):
+    n, edges = case
+    assert _connected(n, *columns(edges)) == bfs_connected(n, edges)
+
+
+def test_wcgnm_memory_grows_with_edges_not_pairs():
+    """Mean degree 8: doubling n doubles the edges and quadruples the pairs; the peak follows the edges."""
+    wcgnm(10, 0.5, 0)  # imports hgrec.rng before tracing starts; numpy is already imported
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (800, 1600):
+            peaks.append(traced_peak(lambda: wcgnm(n, 8 / (n - 1), 0)))
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0]
 
 
 # -- frucht -------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hgrec import (
     align_wl_anchored,
     build_meta_graph,
     edge,
+    encode,
     mm_path_length_bound,
     normalize,
     relabel,
@@ -42,6 +43,12 @@ PIPELINE_DIGESTS = {
 }
 EXACT_STAR_DIGEST = "1f6ef74ae31a6635a4c863b2ab069a2313b7e41ad3ac3596357b4733d72c99e5"
 SWEEP_DIGEST = "85e77546f80f00ccbd3377eb4829705ce1605e81f45acae9293a7b4e5bdf5833"
+# sha256 of the .hg text of GeneratorSpec("wcgnm", n, p, 1.0, 10.0, seed).build(). Seed 5 of
+# wcgnm(500, 0.01) rejects 81 draws before its connected one; wcgnm(3000, 0.002) rejects 114.
+WCGNM_DIGESTS = {
+    (500, 0.01, 5): "2fc5e4e20ab68d94448703120a0d67f3d91db6c8f10ec19c342380d24b491e86",
+    (3000, 0.002, 1): "1e13820f25c6a3f91b785133a0e0e7cb9e9a66ff513c1df61234be8253dded5a",
+}
 
 
 def sha(data: bytes) -> str:
@@ -73,6 +80,12 @@ def test_exact_recover_star_bytes(tmp_path):
     run("gen", "--structure", "star", "--n", 9, "--w-min", 1, "--w-max", 10, "--seed", 21, "-o", g)
     run("recover", "--exact-from", g, "--candidates", "pairs", "-o", rec)
     assert sha(rec.read_bytes()) == EXACT_STAR_DIGEST
+
+
+def test_wcgnm_bytes():
+    for (n, p, seed), digest in WCGNM_DIGESTS.items():
+        h = GeneratorSpec("wcgnm", n, p, 1.0, 10.0, seed).build()
+        assert sha(encode(h).encode("utf-8")) == digest, (n, p, seed)
 
 
 def test_path_length_bounds():

@@ -419,6 +419,18 @@ def test_readers_name_the_line_in_a_later_chunk(tmp_path, bad, first):
                 read(path)
 
 
+@pytest.mark.parametrize("char, error", [
+    ("\ud800", "character U+D800 is not UTF-8"),
+    ("\udc7f", "character U+DC7F is not UTF-8"),  # just below the surrogates that escape a byte
+    ("\udcff", "byte 0xff is not UTF-8"),  # what reading the byte 0xff leaves in the text
+])
+def test_decode_names_a_surrogate_that_escapes_no_byte(char, error):
+    """Text given to ``decode`` may hold any surrogate; only U+DC80..U+DCFF stand for a byte."""
+    for cls, good, _, _ in FORMATS:
+        with pytest.raises(ParseError, match=rf"^line 2: {re.escape(error)}$"):
+            cls.decode(good[0].decode("ascii") + f"0 1 {char}\n")
+
+
 def test_mm_load_counts_adds_up_every_chunk(tmp_path):
     path = tmp_path / "d.mm"
     path.write_bytes(b"".join(records_past_a_chunk(FORMATS[0][1])))
