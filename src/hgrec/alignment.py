@@ -457,21 +457,6 @@ class _Partition:
                 cell_of[v1] = cell_of[v2] = source
 
 
-def _number(adjs, colorings):
-    """Integer vertices for one or more graphs: each side's sorted vertices, side after side.
-
-    Returns the adjacency lists, the colors and each side's sorted vertices.
-    """
-    adj: list[list[int]] = []
-    colors: list = []
-    keys = [sorted(side) for side in adjs]
-    for side_keys, side, coloring in zip(keys, adjs, colorings):
-        index = {v: len(adj) + i for i, v in enumerate(side_keys)}
-        adj += [[index[u] for u in side[v]] for v in side_keys]
-        colors += [coloring[v] for v in side_keys]
-    return adj, colors, keys
-
-
 def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[str, int]:
     """Refine vertex colors by (own color, sorted neighbor colors) to a fixpoint.
 
@@ -480,14 +465,14 @@ def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[
     """
     order = sorted(g.vertices)
     if initial is None:
-        colors = {v: 0 for v in order}
+        colors = [0] * len(order)
     else:
-        colors = {v: int(initial[v]) for v in order}
-        used = set(colors.values())
+        colors = [int(initial[v]) for v in order]
+        used = set(colors)
         if used != set(range(len(used))):
             raise ValueError("initial colors must be dense from 0")
-    adj, color_list, _ = _number([{v: g.neighbors(v) for v in order}], [colors])
-    part = _Partition(adj, color_list, len(adj))
+    index = {v: i for i, v in enumerate(order)}
+    part = _Partition([[index[u] for u in g.neighbors(v)] for v in order], colors, len(order))
     ids: dict[int, int] = {}
     return {v: ids.setdefault(part.cell_of[i], len(ids)) for i, v in enumerate(order)}
 
@@ -516,29 +501,29 @@ def _weight_buckets(h1: WeightedHypergraph, h2: WeightedHypergraph) -> dict[floa
     return buckets
 
 
-def _incidence(h: WeightedHypergraph, buckets: dict[float, int]):
-    """Bipartite incidence adjacency plus initial color keys per vertex."""
-    adj: dict[tuple, list[tuple]] = {}
-    init: dict[tuple, tuple] = {}
-    for v in h.nodes:
-        adj[("n", v)] = []
-        init[("n", v)] = ("node",)
-    for e, w in h.edges.items():
-        ev = ("e", e.key)
-        adj[ev] = []
-        init[ev] = ("edge", len(e), buckets[w])
+def _incidence(h: WeightedHypergraph, buckets: dict[float, int], first: int):
+    """Number ``h``'s incidence vertices from ``first``: hyperedges by ``key``, then sorted tokens.
+
+    Returns the number map (hyperedge or token to vertex), the adjacency
+    lists, each ascending, and every vertex's initial color key.
+    """
+    edges = sorted(h.edges.items(), key=lambda item: item[0].key)
+    nodes = h.nodes
+    number = {v: i for i, v in enumerate(chain((e for e, _ in edges), nodes), first)}
+    adj = [[number[v] for v in e] for e, _ in edges] + [[] for _ in nodes]
+    for e, _ in edges:
         for v in e:
-            adj[ev].append(("n", v))
-            adj[("n", v)].append(ev)
-    return {v: tuple(sorted(nb)) for v, nb in adj.items()}, init
+            adj[number[v] - first].append(number[e])
+    init = [("edge", len(e), buckets[w]) for e, w in edges] + [("node",)] * len(nodes)
+    return number, adj, init
 
 
 def _leaf_alignment(h1, h2, pairs, backtracks: int) -> Alignment | None:
     """The alignment that the matched incidence vertices ``pairs`` give, if it maps ``h1`` onto ``h2``."""
-    pairs = [(v[1], w) for v, w in pairs if v[0] == "n"]
-    if any(w[0] != "n" for _, w in pairs):
+    pairs = [(v, w) for v, w in pairs if isinstance(v, str)]
+    if not all(isinstance(w, str) for _, w in pairs):
         return None
-    phi = NodeRelabeling({v: w[1] for v, w in pairs})
+    phi = NodeRelabeling(dict(pairs))
     mapped = relabel(h1, phi)
     edges1, edges2 = mapped.edges, h2.edges
     if edges1.keys() != edges2.keys():
@@ -552,7 +537,8 @@ def _ir_search(part: _Partition, next_color: int, h1, h2, keys) -> Alignment | N
     """Depth-first individualization-refinement over an explicit stack.
 
     ``part`` is the ordered partition of both incidence graphs, refined;
-    ``keys`` are each side's sorted incidence vertices. After each
+    ``keys`` lists each side's incidence vertices in the order they are
+    numbered: hyperedges by ``key``, then node tokens. After each
     individualization :meth:`_Partition.refine` examines only the cells next
     to what moved. A frame is the trail length of one search node's
     partition, the side-1 vertex it individualizes and an iterator over the
@@ -627,31 +613,28 @@ def align_wl_anchored(
     if h1.n != h2.n:
         raise SizeMismatch(f"node counts differ: {h1.n} vs {h2.n}")
     buckets = _weight_buckets(h1, h2)
-    adj1, init1 = _incidence(h1, buckets)
-    adj2, init2 = _incidence(h2, buckets)
-    ids = {k: i for i, k in enumerate(sorted(set(init1.values()) | set(init2.values())))}
-    colors1 = {v: ids[k] for v, k in init1.items()}
-    colors2 = {v: ids[k] for v, k in init2.items()}
+    number1, adj1, init1 = _incidence(h1, buckets, 0)
+    number2, adj2, init2 = _incidence(h2, buckets, len(adj1))
+    ids = {k: i for i, k in enumerate(sorted(set(init1) | set(init2)))}
+    colors = [ids[k] for k in chain(init1, init2)]
+    adj, side1 = adj1 + adj2, len(adj1)
 
-    anchor_vertices = [(("n", a), ("n", b)) for a, b in anchors.node_pairs]
-    anchor_vertices += [(("e", ea.key), ("e", eb.key)) for ea, eb in anchors.edge_pairs]
+    def name(v) -> str:
+        return v if isinstance(v, str) else v.key
+
+    anchor_vertices = [*anchors.node_pairs, *anchors.edge_pairs]
     for va, vb in anchor_vertices:
-        if va not in adj1:
-            raise InconsistentAnchors(f"anchor {va[1]!r} does not exist in the first hypergraph")
-        if vb not in adj2:
-            raise InconsistentAnchors(f"anchor {vb[1]!r} does not exist in the second hypergraph")
-
-    adj, colors, keys = _number((adj1, adj2), (colors1, colors2))
-    side1 = len(keys[0])
-    index1 = {v: i for i, v in enumerate(keys[0])}
-    index2 = {v: side1 + i for i, v in enumerate(keys[1])}
-    anchor_pairs = [(index1[va], index2[vb]) for va, vb in anchor_vertices]
+        if va not in number1:
+            raise InconsistentAnchors(f"anchor {name(va)!r} does not exist in the first hypergraph")
+        if vb not in number2:
+            raise InconsistentAnchors(f"anchor {name(vb)!r} does not exist in the second hypergraph")
+    anchor_pairs = [(number1[va], number2[vb]) for va, vb in anchor_vertices]
     if anchor_pairs:
         base = _Partition(adj, colors, side1)
         for (va, vb), (a, b) in zip(anchor_vertices, anchor_pairs):
             if base.cell_of[a] != base.cell_of[b]:
                 raise InconsistentAnchors(
-                    f"anchor pair ({va[1]!r}, {vb[1]!r}) has mismatched refined colors"
+                    f"anchor pair ({name(va)!r}, {name(vb)!r}) has mismatched refined colors"
                 )
 
     next_color = len(ids)
@@ -659,6 +642,7 @@ def align_wl_anchored(
         colors[a] = colors[b] = next_color
         next_color += 1
 
+    keys = (list(number1), list(number2))
     return _ir_search(_Partition(adj, colors, side1), next_color, h1, h2, keys)
 
 

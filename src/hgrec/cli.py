@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import load_hypergraph, read_json, read_text, save_hypergraph, write_text
-from .errors import HgrecError
+from .errors import HgrecError, NotAnIsomorphism
 
 # Each handler imports the modules it runs, so a stage loads only those: report,
 # bounds, kg-*, train and recover run without numpy, and only sweep loads the
@@ -140,8 +140,7 @@ def _cmd_align(args) -> int:
             anchors = parse_anchor_file(read_text(args.anchors))
         alignment = align_wl_anchored(h1, h2, anchors)
         if alignment is None:
-            print("NoIsomorphism", file=sys.stderr)
-            return 1
+            raise NotAnIsomorphism("no structural isomorphism between the two hypergraphs")
     _write(args.output, format_alignment(alignment))
     return 0
 

@@ -67,6 +67,22 @@ EDGE_LISTS = st.lists(
     unique=True,
 )
 
+# Texts for the alignment readers: any string, and lines built from the fields
+# they read, with reserved characters, a line break str.split keeps and surrogates.
+READER_TEXTS = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(
+            st.lists(st.sampled_from([
+                "node", "edge", "#", "0", "1", "a", "0+1", "1+0", "a+b", "0+0", "0+", "_", "a|b",
+                "\x85", "\udcff", "\ud800",
+            ]), min_size=2, max_size=3).map(" ".join),
+            st.text(max_size=4),
+        ),
+        max_size=4,
+    ).map("\n".join),
+)
+
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 0) -> WeightedHypergraph:
     """Random connected 2-uniform hypergraph with integer weights, normalized."""

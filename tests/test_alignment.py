@@ -1,9 +1,10 @@
 import inspect
 import logging
 import random
+import re
 import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from hgrec import alignment
 from hgrec.alignment import format_alignment, parse_anchor_file, parse_edge_pairs, parse_node_mapping
 from hgrec.errors import (
     AmbiguousLabels,
+    HgrecError,
     InconsistentAnchors,
     IncompleteMapping,
     NotABijection,
@@ -43,7 +45,7 @@ from hgrec.errors import (
     TooLarge,
 )
 from hgrec.generators import GeneratorSpec, chain, frucht, star, x_graph
-from conftest import EDGE_LISTS, random_connected_graph, random_relabeling
+from conftest import EDGE_LISTS, READER_TEXTS, random_connected_graph, random_relabeling
 
 
 def simple(h):
@@ -514,7 +516,42 @@ def test_ir_aligns_star_1200():
 #
 # ``_refine`` and ``_ir_search`` below are the whole-graph refinement and the
 # dict-snapshot search that ``alignment._Partition`` replaced, kept verbatim as
-# the reference; ``_leaf_alignment`` adapts their colorings to the shared leaf check.
+# the reference, and ``_incidence`` and ``_number`` are the tagged-tuple
+# incidence graph and the renumbering pass that the search once ran on, so the
+# reference shares no numbering code with the search it checks;
+# ``_leaf_alignment`` adapts their colorings to the shared leaf check.
+
+
+def _incidence(h: WeightedHypergraph, buckets: dict[float, int]):
+    """Bipartite incidence adjacency plus initial color keys per vertex."""
+    adj: dict[tuple, list[tuple]] = {}
+    init: dict[tuple, tuple] = {}
+    for v in h.nodes:
+        adj[("n", v)] = []
+        init[("n", v)] = ("node",)
+    for e, w in h.edges.items():
+        ev = ("e", e.key)
+        adj[ev] = []
+        init[ev] = ("edge", len(e), buckets[w])
+        for v in e:
+            adj[ev].append(("n", v))
+            adj[("n", v)].append(ev)
+    return {v: tuple(sorted(nb)) for v, nb in adj.items()}, init
+
+
+def _number(adjs, colorings):
+    """Integer vertices for one or more graphs: each side's sorted vertices, side after side.
+
+    Returns the adjacency lists, the colors and each side's sorted vertices.
+    """
+    adj: list[list[int]] = []
+    colors: list = []
+    keys = [sorted(side) for side in adjs]
+    for side_keys, side, coloring in zip(keys, adjs, colorings):
+        index = {v: len(adj) + i for i, v in enumerate(side_keys)}
+        adj += [[index[u] for u in side[v]] for v in side_keys]
+        colors += [coloring[v] for v in side_keys]
+    return adj, colors, keys
 
 
 def _refine(adjs, colorings):
@@ -538,8 +575,12 @@ def _refine(adjs, colorings):
 
 
 def _leaf_alignment(h1, h2, colors1, colors2, backtracks):
+    def plain(v):
+        tag, name = v
+        return name if tag == "n" else Hyperedge.from_key(name)
+
     partner = {c: v for v, c in colors2.items()}
-    pairs = [(v, partner[c]) for v, c in colors1.items()]
+    pairs = [(plain(v), plain(partner[c])) for v, c in colors1.items()]
     return alignment._leaf_alignment(h1, h2, pairs, backtracks)
 
 
@@ -583,8 +624,8 @@ def reference_align(h1, h2, anchors):
     if h1.n != h2.n:
         raise SizeMismatch(f"node counts differ: {h1.n} vs {h2.n}")
     buckets = alignment._weight_buckets(h1, h2)
-    adj1, init1 = alignment._incidence(h1, buckets)
-    adj2, init2 = alignment._incidence(h2, buckets)
+    adj1, init1 = _incidence(h1, buckets)
+    adj2, init2 = _incidence(h2, buckets)
     ids = {k: i for i, k in enumerate(sorted(set(init1.values()) | set(init2.values())))}
     colors1 = {v: ids[k] for v, k in init1.items()}
     colors2 = {v: ids[k] for v, k in init2.items()}
@@ -653,6 +694,34 @@ def test_anchored_search_matches_reference(case):
     )
 
 
+#: Tokens with characters that sort below ``+``: for edges over them the tuple
+#: order and the ``key`` order disagree (``("a", "b") < ("a!", "b")`` but
+#: ``"a!+b" < "a+b"``), so the search must number edges by ``key``.
+KEY_ORDER_TOKENS = ("a", "a!", "a*", "b#", "c)")
+
+
+@pytest.mark.parametrize("anchored", ["none", "node", "edge"])
+def test_key_order_search_matches_reference(anchored):
+    rng = random.Random(len(anchored))
+    pool = [Hyperedge(c) for r in (2, 3) for c in combinations(KEY_ORDER_TOKENS, r)]
+    assert sorted(pool) != sorted(pool, key=lambda e: e.key)
+    for _ in range(60):
+        h1 = WeightedHypergraph({e: rng.choice([1.0, 2.0]) for e in rng.sample(pool, rng.randint(1, 8))})
+        phi = NodeRelabeling(dict(zip(h1.nodes, rng.sample(KEY_ORDER_TOKENS, h1.n))))
+        h2 = relabel(h1, phi)
+        if anchored == "node":
+            v = rng.choice(h1.nodes)
+            anchors = AnchorSet(node_pairs=((v, rng.choice([phi[v], rng.choice(h2.nodes)])),))
+        elif anchored == "edge":
+            e = rng.choice(h1.edge_set)
+            anchors = AnchorSet(edge_pairs=((e, rng.choice([phi.apply_edge(e), rng.choice(h2.edge_set)])),))
+        else:
+            anchors = AnchorSet()
+        assert search_outcome(align_wl_anchored, h1, h2, anchors) == search_outcome(
+            reference_align, h1, h2, anchors
+        )
+
+
 @st.composite
 def partition_inputs(draw):
     """One or two random graphs on up to 9 vertices, each with colors 0 to 2."""
@@ -697,7 +766,7 @@ def partition_colors(part, keys):
 @given(partition_inputs())
 def test_partition_matches_plain_refinement(case):
     adjs, colorings, rnd = case
-    adj, colors, keys = alignment._number(adjs, colorings)
+    adj, colors, keys = _number(adjs, colorings)
     side1 = len(keys[0])
     part = alignment._Partition(adj, colors, side1)
     expected = _refine(adjs, colorings)
@@ -796,13 +865,12 @@ def leaf_individualization_reads(n: int) -> int:
     h1 = star(n)
     h2 = relabel(h1, random_relabeling(random.Random(n), h1))
     buckets = alignment._weight_buckets(h1, h2)
-    (adj1, init1), (adj2, init2) = alignment._incidence(h1, buckets), alignment._incidence(h2, buckets)
-    ids = {k: i for i, k in enumerate(sorted(set(init1.values()) | set(init2.values())))}
-    adj, colors, keys = alignment._number(
-        (adj1, adj2), ({v: ids[k] for v, k in init1.items()}, {v: ids[k] for v, k in init2.items()})
-    )
-    part = alignment._Partition([Counting(nbrs) for nbrs in adj], colors, len(keys[0]))
-    v1 = keys[0].index(("n", "1"))
+    number1, adj1, init1 = alignment._incidence(h1, buckets, 0)
+    _, adj2, init2 = alignment._incidence(h2, buckets, len(adj1))
+    ids = {k: i for i, k in enumerate(sorted(set(init1) | set(init2)))}
+    colors = [ids[k] for k in init1 + init2]
+    part = alignment._Partition([Counting(nbrs) for nbrs in adj1 + adj2], colors, len(adj1))
+    v1 = number1["1"]
     v2 = next(v for v in part.members[part.cell_of[v1]] if v >= part.side1)
     reads = 0
     part.individualize(v1, v2, len(part.cells))
@@ -829,6 +897,16 @@ def test_alignment_readers_name_the_line(parse, text, line):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line_number == line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([parse_node_mapping, parse_anchor_file, parse_edge_pairs]), READER_TEXTS)
+def test_alignment_readers_parse_or_name_a_line(parse, text):
+    try:
+        parse(text)
+    except HgrecError as exc:
+        found = re.match(r"line (\d+): ", str(exc))
+        assert found and 1 <= int(found[1]) <= text.count("\n") + 1
 
 
 @pytest.mark.parametrize("parse, text, message", [
