@@ -607,7 +607,9 @@ def align_wl_anchored(
     class, refining after each individualization. Returns ``None`` when the
     pruned tree is exhausted without finding an isomorphism. Anchor pairs
     whose anchor-free refined colors already differ raise
-    :class:`InconsistentAnchors`.
+    :class:`InconsistentAnchors`. Such a pair leaves the anchored partition
+    unbalanced unless it starts in two initial classes, so the anchor-free
+    refinement runs only in those two cases.
     """
     anchors = anchors or AnchorSet()
     if h1.n != h2.n:
@@ -629,21 +631,22 @@ def align_wl_anchored(
         if vb not in number2:
             raise InconsistentAnchors(f"anchor {name(vb)!r} does not exist in the second hypergraph")
     anchor_pairs = [(number1[va], number2[vb]) for va, vb in anchor_vertices]
-    if anchor_pairs:
+    anchored = colors[:]
+    for color, (a, b) in enumerate(anchor_pairs, len(ids)):
+        anchored[a] = anchored[b] = color
+    part = _Partition(adj, anchored, side1)
+    if anchor_pairs and (
+        any(colors[a] != colors[b] for a, b in anchor_pairs)
+        or not all(part.balanced(c) for c in part.cells)
+    ):
         base = _Partition(adj, colors, side1)
         for (va, vb), (a, b) in zip(anchor_vertices, anchor_pairs):
             if base.cell_of[a] != base.cell_of[b]:
                 raise InconsistentAnchors(
                     f"anchor pair ({name(va)!r}, {name(vb)!r}) has mismatched refined colors"
                 )
-
-    next_color = len(ids)
-    for a, b in anchor_pairs:
-        colors[a] = colors[b] = next_color
-        next_color += 1
-
     keys = (list(number1), list(number2))
-    return _ir_search(_Partition(adj, colors, side1), next_color, h1, h2, keys)
+    return _ir_search(part, len(ids) + len(anchor_pairs), h1, h2, keys)
 
 
 def fuse_datasets(d1: Dataset, d2: Dataset, phi_star: NodeRelabeling) -> Dataset:

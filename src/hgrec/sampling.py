@@ -361,14 +361,6 @@ class MetaGraph:
                 owners.setdefault(form, []).append(e)
         return cls(vertices, forms, {f: tuple(es) for f, es in owners.items()})
 
-    @cached_property
-    def adjacency(self) -> Mapping[Hyperedge, tuple[Hyperedge, ...]]:
-        """Sorted neighbours of each edge; built on first read, it costs the sum of owners squared."""
-        return {
-            e: tuple(sorted({u for f in fs for u in self.owners[f] if u != e}))
-            for e, fs in self.forms.items()
-        }
-
 
 def build_meta_graph(h: WeightedHypergraph, strategy: MaskingStrategy) -> MetaGraph:
     """The share-a-mask relation over the hyperedges of ``h``."""

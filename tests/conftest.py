@@ -14,6 +14,7 @@ from hgrec import (
     Hyperedge,
     MaskedHyperedge,
     MaskingStrategy,
+    MetaGraph,
     NodeRelabeling,
     WeightedHypergraph,
     normalize,
@@ -98,7 +99,15 @@ def random_connected_graph(rng: random.Random, n: int, extra: int = 0) -> Weight
         if len(edges) >= n - 1 + extra:
             break
         edges.add(e)
-    return normalize(WeightedHypergraph({e: float(rng.randint(1, 9)) for e in edges}))
+    return normalize(WeightedHypergraph({e: float(rng.randint(1, 9)) for e in sorted(edges)}))
+
+
+def meta_neighbours(mg: MetaGraph) -> dict[Hyperedge, tuple[Hyperedge, ...]]:
+    """Each edge of ``mg`` to the sorted edges it shares a masked form with."""
+    return {
+        e: tuple(sorted({u for f in fs for u in mg.owners[f] if u != e}))
+        for e, fs in mg.forms.items()
+    }
 
 
 def random_relabeling(rng: random.Random, h: WeightedHypergraph, prefix: str = "y") -> NodeRelabeling:

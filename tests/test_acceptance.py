@@ -49,7 +49,7 @@ from hgrec import (
 from hgrec.bounds import BoundsInput
 from hgrec.generators import assign_weights, chain, frucht, star, wcgnm, x_graph
 from hgrec.rng import derive_seed
-from conftest import random_connected_graph, random_relabeling
+from conftest import meta_neighbours, random_connected_graph, random_relabeling
 
 STRATEGY = uniform_single_mask()
 MASK64 = (1 << 64) - 1
@@ -231,7 +231,7 @@ def test_criterion_7_meta_graph_facts():
     ]:
         mg = build_meta_graph(h, STRATEGY)
         meta_edges = {
-            tuple(sorted((a.key, b.key))) for a, nb in mg.adjacency.items() for b in nb
+            tuple(sorted((a.key, b.key))) for a, nb in meta_neighbours(mg).items() for b in nb
         }
         if meta_edges != set(line_graph(h).edges):
             line_match = False

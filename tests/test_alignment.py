@@ -439,6 +439,15 @@ def test_ir_inconsistent_anchor():
         align_wl_anchored(h, h, AnchorSet(node_pairs=(("0", "1"),)))
 
 
+def test_ir_anchor_across_weight_buckets():
+    # Anchoring the two edges into one class leaves every cell balanced, though
+    # their anchor-free colors differ from the start.
+    e1, e2 = edge("a", "b", "c"), edge("x", "y", "z")
+    with pytest.raises(InconsistentAnchors, match="mismatched refined colors"):
+        align_wl_anchored(WeightedHypergraph({e1: 1.0}), WeightedHypergraph({e2: 2.0}),
+                          AnchorSet(edge_pairs=((e1, e2),)))
+
+
 def test_ir_unknown_anchor():
     h = normalize(star(4))
     with pytest.raises(InconsistentAnchors):
@@ -798,9 +807,9 @@ def test_partition_matches_plain_refinement(case):
         assert partition_colors(part, keys) == before
 
 
-def cycles(*lengths):
-    """A disjoint union of equal-weight cycles, numbered one after the other."""
-    edges, start = [], 0
+def cycles(*lengths, start=0):
+    """A disjoint union of equal-weight cycles, numbered one after the other from ``start``."""
+    edges = []
     for n in lengths:
         edges += [(Hyperedge((str(start + i), str(start + (i + 1) % n))), 1.0) for i in range(n)]
         start += n
@@ -816,24 +825,54 @@ DEEP_SEARCH_INPUTS = {
     "c3+c4+c5": cycles(3, 4, 5), "c5+c6": cycles(5, 6), "c5x3+c6x3": cycles(5, 5, 5, 6, 6, 6),
     "c3..c8": cycles(3, 4, 5, 6, 7, 8), "c9+c10+c10+c11": cycles(9, 10, 10, 11),
     "c10x4": cycles(10, 10, 10, 10), "c8x5": cycles(8, 8, 8, 8, 8),
+    # The ends of chain(3) form one refined class of two nodes a side, next to
+    # cycles that keep the search branching.
+    "p3+c4": WeightedHypergraph([*chain(3).edges.items(), *cycles(4, start=3).edges.items()]),
+    "p3+c3+c5": WeightedHypergraph([*chain(3).edges.items(), *cycles(3, 5, start=3).edges.items()]),
+    # Individualizing a chain anchor on the anchor-free refinement, instead of
+    # before refining from scratch, gives the same classes in another order here,
+    # and the search then finds another mapping.
+    "p6+c6": WeightedHypergraph([*chain(6).edges.items(), *cycles(6, start=6).edges.items()]),
 }
 
 
-@pytest.mark.parametrize("anchored", ["none", "right", "wrong"])
+@pytest.mark.parametrize("anchored", ["none", "right", "wrong", "ends", "crossed"])
 @pytest.mark.parametrize("name", list(DEEP_SEARCH_INPUTS))
 def test_deep_search_matches_reference(name, anchored):
     # These inputs stay symmetric after refinement, so the search individualizes
     # many levels deep; on unions of cycles of different lengths it backtracks
-    # through undo.
+    # through undo. The "ends" and "crossed" anchors pair nodes 0 and 2, which on
+    # the "p3+" inputs share an anchor-free refined class of exactly two pairs.
     h1 = DEEP_SEARCH_INPUTS[name]
     phi = random_relabeling(random.Random(len(name)), h1)
     h2 = relabel(h1, phi)
     pairs = {"none": (), "right": ((h1.nodes[1], phi[h1.nodes[1]]),),
-             "wrong": ((h1.nodes[1], phi[h1.nodes[-1]]),)}[anchored]
+             "wrong": ((h1.nodes[1], phi[h1.nodes[-1]]),),
+             "ends": (("0", phi["0"]), ("2", phi["2"])),
+             "crossed": (("0", phi["2"]), ("2", phi["0"]))}[anchored]
     anchors = AnchorSet(node_pairs=pairs)
     assert search_outcome(align_wl_anchored, h1, h2, anchors) == search_outcome(
         reference_align, h1, h2, anchors
     )
+
+
+def test_anchored_search_builds_one_partition(monkeypatch):
+    # Consistent anchors need no anchor-free refinement: the search starts from
+    # the one anchored refinement.
+    builds = 0
+    init = alignment._Partition.__init__
+
+    def counting(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    monkeypatch.setattr(alignment._Partition, "__init__", counting)
+    h1 = DEEP_SEARCH_INPUTS["p3+c3+c5"]
+    phi = random_relabeling(random.Random(1), h1)
+    anchors = AnchorSet(node_pairs=(("0", phi["0"]), ("3", phi["3"])))
+    assert align_wl_anchored(h1, relabel(h1, phi), anchors) is not None
+    assert builds == 1
 
 
 @pytest.mark.parametrize("name, anchored, message", [

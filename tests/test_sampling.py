@@ -33,7 +33,14 @@ from hgrec.core import _CHUNK
 from hgrec.errors import EmptyHypergraph, NotNormalized, ParseError
 from hgrec.generators import chain, star
 from hgrec.rng import AliasSampler, rng_stream
-from conftest import EDGE_LISTS, HideOneOrTwo, random_connected_graph, traced_peak, write_repeated_records
+from conftest import (
+    EDGE_LISTS,
+    HideOneOrTwo,
+    meta_neighbours,
+    random_connected_graph,
+    traced_peak,
+    write_repeated_records,
+)
 
 STRATEGY = uniform_single_mask()
 
@@ -470,8 +477,9 @@ def test_mm_decode_rejects_incompatible():
 def test_meta_graph_star_is_complete():
     h = normalize(star(6))
     mg = build_meta_graph(h, STRATEGY)
+    neighbours = meta_neighbours(mg)
     for e in mg.vertices:
-        assert len(mg.adjacency[e]) == len(mg.vertices) - 1
+        assert len(neighbours[e]) == len(mg.vertices) - 1
     assert mg.owners[MaskedHyperedge(["0"], 1)] == mg.vertices
 
 
@@ -487,7 +495,7 @@ def test_meta_graph_chain4_is_path():
 def test_meta_graph_disjoint():
     h = wh([(("a", "b"), 0.5), (("c", "d"), 0.5)])
     mg = build_meta_graph(h, STRATEGY)
-    assert all(not nb for nb in mg.adjacency.values())
+    assert all(not nb for nb in meta_neighbours(mg).values())
     _, _, comps, _ = brute_force_meta_graph(mg.vertices, STRATEGY)
     assert len(comps) == 2
     oracle = ExactOracle(normalize(h), STRATEGY)
@@ -497,10 +505,10 @@ def test_meta_graph_disjoint():
 def test_meta_adjacency_symmetric():
     rng = random.Random(0)
     h = random_connected_graph(rng, 7, extra=3)
-    mg = build_meta_graph(h, STRATEGY)
-    for e, nbrs in mg.adjacency.items():
+    neighbours = meta_neighbours(build_meta_graph(h, STRATEGY))
+    for e, nbrs in neighbours.items():
         for u in nbrs:
-            assert e in mg.adjacency[u]
+            assert e in neighbours[u]
 
 
 def test_meta_graph_equals_line_graph_on_pairs():
@@ -511,7 +519,7 @@ def test_meta_graph_equals_line_graph_on_pairs():
         lg = line_graph(h)
         meta_edges = {
             tuple(sorted((a.key, b.key)))
-            for a, nbrs in mg.adjacency.items()
+            for a, nbrs in meta_neighbours(mg).items()
             for b in nbrs
         }
         assert meta_edges == set(lg.edges)
@@ -557,7 +565,7 @@ def test_meta_graph_matches_brute_force(edges, strategy):
     h = WeightedHypergraph({e: 1.0 for e in edges})
     mg = build_meta_graph(h, strategy)
     assert mg.vertices == tuple(edges)
-    assert mg.adjacency == adjacency
+    assert meta_neighbours(mg) == adjacency
     assert mg.forms == {e: tuple(sorted(support[e])) for e in edges}
     assert mg.owners == {
         f: tuple(e for e in edges if f in support[e]) for f in set().union(*support.values())
