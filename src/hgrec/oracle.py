@@ -132,7 +132,6 @@ class ExactOracle:
         if not hypergraph.normalized:
             raise NotNormalized("ExactOracle requires a normalized hypergraph")
         self.hypergraph = hypergraph
-        self.strategy = strategy
         support_map: dict[MaskedHyperedge, list[tuple[Hyperedge, float]]] = {}
         for e in hypergraph.edge_set:
             for form, p in strategy.support(e):

@@ -285,13 +285,10 @@ def sample_mm_dataset(
     """Draw N outer hyperedges, then K masked variants of each; each draw writes K consecutive records.
 
     A record's form is the first support entry whose cumulative probability
-    exceeds its uniform draw (the last entry if none does). Edges whose
-    supports have the same probabilities share a shape. Each column of draws
-    is searched once against the sorted cdf values of all shapes: as every
-    cdf value is among those thresholds, a shape's cdf values at or below a
-    draw are those at or below the largest threshold at or below it, and
-    ``pick`` holds their count, capped at the last entry, per shape and
-    threshold rank.
+    exceeds its uniform draw (the last entry if none does): its index is the
+    number of the support's cdf values, the last one aside, at or below the
+    draw. Edges whose supports have the same probabilities share a shape and
+    one row of ``cdf``.
     """
     if not h.normalized:
         raise NotNormalized("sample_mm_dataset requires a normalized hypergraph")
@@ -316,19 +313,14 @@ def sample_mm_dataset(
         offset[ei] = len(table)
         shape[ei] = shapes.setdefault(tuple([p for _, p in support]), len(shapes))
         table.extend([(e, f) for f, _ in support])
-    cdfs = [np.cumsum(probs) for probs in shapes]
-    thresholds = np.sort(np.concatenate(cdfs))
-    pick = np.zeros((len(cdfs), len(thresholds) + 1), dtype=np.int32)
-    for s, cdf in enumerate(cdfs):
-        pick[s, 1:] = np.minimum(np.searchsorted(cdf, thresholds, side="right"), len(cdf) - 1)
+    cdf = np.full((len(shapes), max(map(len, shapes)) - 1), np.inf)  # padding counts no draw
+    for s, probs in enumerate(shapes):
+        cdf[s, : len(probs) - 1] = np.cumsum(probs[:-1])
 
-    flat = pick.ravel()
-    row = shape[outer] * pick.shape[1]  # each draw's row of ``pick`` in ``flat``
-    ids = np.empty((n_outer, k_inner), dtype=np.int32)
-    for k in range(k_inner):  # one column at a time keeps the temporaries at N entries
-        rank = np.searchsorted(thresholds, u[:, k], side="right")
-        rank += row
-        ids[:, k] = flat[rank]
+    row = shape[outer]
+    ids = np.zeros((n_outer, k_inner), dtype=np.int32)
+    for j in range(cdf.shape[1]):
+        ids += cdf[row, j][:, None] <= u
     ids += offset[outer][:, None]
     return MMDataset._from_columns(table, ids.ravel())
 

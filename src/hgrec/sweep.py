@@ -229,14 +229,7 @@ def _run_group(cfg: SweepConfig, master: int, cells: list[tuple[int, int, int, i
     )
     try:
         weight_seed = derive_seed(master, "sweep-weights", inst_idx, seed_idx) & _MASK64
-        truth = GeneratorSpec(
-            structure=inst.structure,
-            n=inst.n,
-            p=inst.p,
-            w_min=inst.w_min,
-            w_max=inst.w_max,
-            seed=weight_seed,
-        ).build()
+        truth = GeneratorSpec(**asdict(inst), seed=weight_seed).build()
         strategy = make_masking_strategy(cfg.masking)
         c_pi, big_c_pi = strategy_constants(truth, strategy)
         length_bound = mm_path_length_bound(build_meta_graph(truth, strategy))

@@ -60,6 +60,21 @@ class HideOneOrTwo(MaskingStrategy):
         return tuple((f, 1.0 / len(forms)) for f in sorted(forms))
 
 
+class HideOneUnequally(MaskingStrategy):
+    """Hide node i of the sorted tuple with probability (i + 1) / (1 + 2 + ... + len(e)).
+
+    Its cdf values are not the multiples of 1/len(e) that uniform supports give,
+    and each edge size has its own shape.
+    """
+
+    def support(self, e):
+        total = len(e) * (len(e) + 1) // 2
+        nodes = e.nodes
+        return tuple(sorted(
+            (MaskedHyperedge(nodes[:i] + nodes[i + 1:], 1), (i + 1) / total) for i in range(len(nodes))
+        ))
+
+
 # Mixed-size edge lists over 7 nodes, for checks against brute-force definitions.
 EDGE_LISTS = st.lists(
     st.sets(st.sampled_from([str(i) for i in range(7)]), min_size=2, max_size=4).map(Hyperedge),

@@ -36,6 +36,7 @@ from hgrec.rng import AliasSampler, rng_stream
 from conftest import (
     EDGE_LISTS,
     HideOneOrTwo,
+    HideOneUnequally,
     meta_neighbours,
     random_connected_graph,
     traced_peak,
@@ -273,7 +274,8 @@ def reference_mm_encode(records):
 
 
 @settings(max_examples=100, deadline=None)
-@given(EDGE_LISTS, st.integers(1, 40), st.integers(1, 3), st.sampled_from([STRATEGY, HideOneOrTwo()]))
+@given(EDGE_LISTS, st.integers(1, 40), st.integers(1, 3),
+       st.sampled_from([STRATEGY, HideOneOrTwo(), HideOneUnequally()]))
 def test_sample_mm_matches_per_record_loop(edges, n_outer, k_inner, strategy):
     h = normalize(WeightedHypergraph({e: float(1 + i % 3) for i, e in enumerate(sorted(edges))}))
     mm = sample_mm_dataset(h, n_outer, k_inner, strategy, seed=n_outer)
@@ -354,7 +356,7 @@ MM_LINES = ["0 1\t0 _", "1 0\t0 _", " 0  1\t 1 _ ", "1 2\t2 _", "0 1 2\t0 _ _", 
 def assert_reads_match_decode(folder, cls, text: str) -> None:
     """``load`` and ``load_counts`` of ``text``'s bytes give what ``decode`` gives, or the same ``ParseError``."""
     path = folder / "records"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
 
     def outcome(read):
         try:
@@ -379,6 +381,31 @@ def texts_of(lines: list[str]):
 def test_mm_load_counts_matches_decode(tmp_path_factory, text):
     """Within one chunk, ``load`` and ``load_counts`` read as ``decode`` does."""
     assert_reads_match_decode(tmp_path_factory.mktemp("mm"), MMDataset, text)
+
+
+# Any text, and lines of tokens, slots, tabs, line ends the readers do not split
+# on, a byte that is never UTF-8 and a surrogate that stands for no byte.
+RECORD_TEXTS = st.one_of(
+    st.text(),
+    st.lists(
+        st.lists(st.sampled_from([
+            "0", "1", "2", "é", "_", "0+1", "a|1", "#", "\t", "\r", "\x85", "\u2028", "\x00", "\udcff", "\ud800",
+        ]), max_size=5).map(" ".join),
+        max_size=5,
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Dataset, MMDataset]), RECORD_TEXTS)
+def test_record_readers_parse_or_name_a_line(tmp_path_factory, cls, text):
+    """Any text decodes or raises a ``ParseError`` on one of its lines, and its file reads the same."""
+    try:
+        cls.decode(text)
+    except ParseError as exc:
+        assert 1 <= exc.line_number <= text.count("\n") + 1
+    if "\ud800" not in text:  # only a surrogate that escapes a byte can be written to a file
+        assert_reads_match_decode(tmp_path_factory.mktemp("fuzz"), cls, text)
 
 
 DS_LINES = ["0 1", "1 0", " 0  1 ", "1 2 0", "", "  ", "0 0", "0", "0 _", "0 +1", "é 1", "0\t1"]
