@@ -350,17 +350,16 @@ def encode(h: WeightedHypergraph) -> str:
 
 def decode(text: str) -> WeightedHypergraph:
     lines = text.split("\n")
-    if not lines or lines[0].strip() != _HG_HEADER:
+    if lines[0].strip() != _HG_HEADER:
         raise ParseError(1, f"missing {_HG_HEADER!r} header")
     normalized = False
-    pairs: list[tuple[Hyperedge, float]] = []
-    seen: set[Hyperedge] = set()
+    edges: dict[Hyperedge, float] = {}
     for num, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
         if not line:
             continue
         if line == "#normalized":
-            if pairs:
+            if edges:
                 raise ParseError(num, "#normalized must appear before the first edge")
             normalized = True
             continue
@@ -378,11 +377,10 @@ def decode(text: str) -> WeightedHypergraph:
         if not math.isfinite(w) or w <= 0.0:
             raise ParseError(num, f"weight must be a positive finite real, got {parts[-1]}")
         e = _parsed(num, Hyperedge, parts[1:-1])
-        if e in seen:
+        if e in edges:
             raise DuplicateEdge(f"line {num}: duplicate hyperedge {e.key}")
-        seen.add(e)
-        pairs.append((e, w))
-    return WeightedHypergraph(pairs, normalized=normalized)
+        edges[e] = w
+    return WeightedHypergraph(edges, normalized=normalized)
 
 
 def save_hypergraph(h: WeightedHypergraph, path: str | Path) -> None:

@@ -112,25 +112,18 @@ def extract_subgraph(kg: KnowledgeGraph, spec: SubgraphSpec) -> tuple[SimpleGrap
     if spec.source not in kg:
         raise UnknownEntity(f"source entity {spec.source!r} not in the knowledge graph")
     chosen = [spec.source]
-    chosen_set = {spec.source}
     depth = {spec.source: 0}
-    queue = [spec.source]
-    head = 0
-    while head < len(queue):
-        entity = queue[head]
-        head += 1
+    for entity in chosen:  # grows as it is read: chosen is the breadth-first queue
         if depth[entity] >= spec.d:
             continue
         added = 0
         for nbr, _ in kg.most_related(entity):
             if added == spec.k:
                 break
-            if nbr in chosen_set:
+            if nbr in depth:
                 continue
             chosen.append(nbr)
-            chosen_set.add(nbr)
             depth[nbr] = depth[entity] + 1
-            queue.append(nbr)
             added += 1
 
     edges: set[tuple[str, str]] = set()
@@ -139,7 +132,7 @@ def extract_subgraph(kg: KnowledgeGraph, spec: SubgraphSpec) -> tuple[SimpleGrap
         for nbr, _ in kg.most_related(entity):
             if votes == spec.k:
                 break
-            if nbr in chosen_set:
+            if nbr in depth:
                 edges.add((entity, nbr) if entity < nbr else (nbr, entity))
                 votes += 1
     return SimpleGraph(chosen, edges), chosen

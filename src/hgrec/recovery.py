@@ -2,11 +2,11 @@
 
 The oracle path first keeps every candidate hyperedge the oracle assigns
 positive belief to under at least one of its masked forms. It finds them as a
-join: each form in the oracle's own table is read once, every completion with
-positive belief whose support contains that form is believed, and the
-candidates are filtered by that set, so no candidate is probed form by form.
-It then propagates relative weights outward from a seed edge per share-a-mask
-component via breadth-first search, and finally normalizes globally.
+join: each form in the oracle's own table is read once, and a believed
+completion is kept when it is a candidate (checked first, so only candidates'
+supports are read) whose support contains that form. It then propagates
+relative weights outward from a seed edge per share-a-mask component via
+breadth-first search, and finally normalizes globally.
 """
 
 from __future__ import annotations
@@ -42,28 +42,6 @@ def recover_from_dataset(d: Dataset) -> WeightedHypergraph:
     return WeightedHypergraph({e: c / n for e, c in counts.items()}, normalized=True)
 
 
-def _expand_candidates(candidates) -> tuple[Hyperedge, ...] | None:
-    """The sorted distinct candidates of an explicit list; ``None`` for ``ALL_PAIRS``."""
-    if isinstance(candidates, str):
-        if candidates != ALL_PAIRS:
-            raise ValueError(f"unknown candidate set {candidates!r}")
-        return None
-    expanded = tuple(sorted(set(candidates)))
-    if not expanded:
-        raise NothingRecovered("empty candidate set")
-    return expanded
-
-
-def _believed(beliefs, strategy: MaskingStrategy) -> set[Hyperedge]:
-    """Completions with positive belief under some form of their own support."""
-    believed: set[Hyperedge] = set()
-    for form, dist in beliefs.items():
-        for e, belief in dist.items():
-            if belief > 0.0 and e not in believed and any(f == form for f, _ in strategy.support(e)):
-                believed.add(e)
-    return believed
-
-
 def bf_weight_estimation(
     e_init: Hyperedge,
     mg: MetaGraph,
@@ -95,9 +73,8 @@ def bf_weight_estimation(
         raise ValueError(f"{e_init.key} is not a vertex of the share-a-mask incidence")
     if w_tilde.get(e_init, 0.0) != 1.0:
         raise ValueError("w_tilde[e_init] must be 1.0 before propagation")
-    # Per form, the owners still unweighted; pruned each time the form is read.
+    # Per form read, its owners still unweighted: a neighbour stays listed until it is weighted.
     pending: dict[MaskedHyperedge, list[Hyperedge]] = {}
-    read: set[Hyperedge] = set()
 
     queue = [e_init]
     head = 0
@@ -111,9 +88,7 @@ def bf_weight_estimation(
             ]
             pending[form] = unweighted
             for nb in unweighted:
-                if nb != e:
-                    shared.setdefault(nb, []).append(form)
-        read.update(shared)
+                shared.setdefault(nb, []).append(form)
         for nb in sorted(shared):
             for form in shared[nb]:
                 dist = beliefs.get(form) or {}
@@ -131,7 +106,7 @@ def bf_weight_estimation(
                 )
             queue.append(nb)
 
-    stranded = [u for u in read if w_tilde.get(u, 0.0) <= 0.0]
+    stranded = [u for us in pending.values() for u in us if w_tilde.get(u, 0.0) <= 0.0]
     if stranded:
         raise UndefinedRatio(
             f"{min(stranded).key} shares masked forms with reached edges but none carries "
@@ -146,10 +121,10 @@ def recover_from_oracle(
     """Two-phase estimation from a masked-modeling oracle.
 
     Phase 1 keeps each candidate with positive belief under some masked form in
-    its support. It queries each form the oracle holds once and collects the
-    completions believed under a form of their own support; ``ALL_PAIRS``
-    keeps the believed 2-node edges (all over the oracle's known nodes),
-    sorted, and an explicit list keeps its believed members in sorted order.
+    its support. It checks ``candidates`` before any query, queries each form
+    the oracle holds once, and keeps, sorted, each completion with positive
+    belief that is a candidate (under ``ALL_PAIRS``, a 2-node edge over the
+    oracle's known nodes) and, checked after that, has the form in its support.
     Its cost follows the oracle's form table, not the n(n-1)/2 pairs of
     ``ALL_PAIRS``. Phase 2 passes the share-a-mask incidence over the kept
     edges and phase 1's belief table to :func:`bf_weight_estimation` once per
@@ -159,13 +134,26 @@ def recover_from_oracle(
     sum to inf or one normalizes to 0.0. Returns the estimate and whether the
     kept edges formed a single component.
     """
-    cand = _expand_candidates(candidates)
-    beliefs = {form: oracle.query(form) for form in oracle.forms()}
-    believed = _believed(beliefs, strategy)
-    if cand is None:
-        kept = sorted(e for e in believed if len(e) == 2)
+    if isinstance(candidates, str):
+        if candidates != ALL_PAIRS:
+            raise ValueError(f"unknown candidate set {candidates!r}")
+        wanted = None
     else:
-        kept = [e for e in cand if e in believed]
+        wanted = set(candidates)
+        if not wanted:
+            raise NothingRecovered("empty candidate set")
+    beliefs = {form: oracle.query(form) for form in oracle.forms()}
+    believed: set[Hyperedge] = set()
+    for form, dist in beliefs.items():
+        for e, belief in dist.items():
+            if (
+                belief > 0.0
+                and e not in believed
+                and (len(e) == 2 if wanted is None else e in wanted)
+                and any(f == form for f, _ in strategy.support(e))
+            ):
+                believed.add(e)
+    kept = sorted(believed)
     if not kept:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hgrec
 from hgrec import (
@@ -28,6 +28,7 @@ from hgrec.core import _CHUNK, check_token, parse_lines, read_chunks, read_json,
 from hgrec.errors import (
     DuplicateEdge,
     EmptyHypergraph,
+    HgrecError,
     IncompleteMapping,
     NotABijection,
     ParseError,
@@ -298,6 +299,40 @@ def test_decode_names_the_line_of_a_bad_edge(text, message):
     with pytest.raises(ParseError) as err:
         decode(text)
     assert str(err.value) == message
+
+
+# Any text, and a header line over lines of directives, tokens and weights the reader
+# must refuse or accept.
+HG_LINES = st.builds(
+    lambda head, tail: " ".join([head, *tail]),
+    st.sampled_from(["edge", "edge", "#normalized", "node", "#", ""]),
+    st.lists(st.sampled_from([
+        "a", "b", "c", "é", "_", "a|b", "a+b", "\t", "\r", "\x85", "\x00",
+        "1", "0.5", "0", "-1", "nan", "inf", "1e400", "1e-400", "heavy",
+    ]), max_size=5),
+)
+HG_TEXTS = st.one_of(
+    st.text(),
+    st.builds(
+        lambda header, lines: "\n".join([header, *lines]),
+        st.sampled_from(["#hg v1", " #hg v1\r", "#hg v2", ""]),
+        st.lists(HG_LINES, max_size=6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(HG_TEXTS)
+def test_hg_decode_parses_or_names_a_line(text):
+    """Any text decodes to a hypergraph that encodes back to itself, or raises a domain error."""
+    try:
+        h = decode(text)
+    except ParseError as exc:
+        assert 1 <= exc.line_number <= text.count("\n") + 1
+    except (HgrecError, ValueError):
+        pass
+    else:
+        assert encode(decode(encode(h))) == encode(h)
 
 
 @given(hypergraphs())

@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrec import (
     ExactOracle,
@@ -12,7 +15,7 @@ from hgrec import (
     train_tabular,
     uniform_single_mask,
 )
-from hgrec.errors import NotNormalized
+from hgrec.errors import HgrecError, NotNormalized
 from hgrec.generators import assign_weights, star
 
 STRATEGY = uniform_single_mask()
@@ -145,6 +148,49 @@ def test_oracle_rejects_counts_it_cannot_hold(counts, message):
     with pytest.raises(ValueError) as err:
         TabularOracle.from_json('{"format": "hgrec-oracle-v1", "counts": ' + counts + "}")
     assert str(err.value) == message
+
+
+# Oracle documents whose format, forms, completions and counts may each be wrong,
+# any JSON value, and any text.
+ORACLE_COUNTS = st.one_of(
+    st.integers(1, 9),
+    st.integers(1, 10**30),
+    st.one_of(st.integers(-2, 0), st.floats(), st.booleans(), st.none(), st.text(max_size=2)),
+)
+# (form, completion) keys: five that fit, and a completion the form cannot hide, a key
+# that does not parse, a bad token, a repeat of a+b and a form with a repeated node.
+ORACLE_KEYS = st.sampled_from(
+    [("a|1", "a+b"), ("a|1", "a+c"), ("b|1", "a+b"), ("|2", "b+c"), ("a+b|1", "a+b+c")] * 3
+    + [("a|1", "b+c"), ("a|x", "a+b"), ("a|1", "a+_"), ("a|1", "b+a"), ("a+a|1", "a+b")]
+)
+ORACLE_TABLES = st.lists(st.tuples(ORACLE_KEYS, ORACLE_COUNTS), max_size=4).map(
+    lambda entries: {form: {e: c for (f, e), c in entries if f == form} for (form, _), _ in entries}
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+ORACLE_DOCS = st.builds(
+    lambda fmt, counts: json.dumps({"format": fmt, "counts": counts}),
+    st.sampled_from(["hgrec-oracle-v1"] * 3 + ["v999"]),
+    st.one_of(ORACLE_TABLES, JSON_VALUES),
+)
+ORACLE_TEXTS = st.one_of(st.text(), st.builds(json.dumps, JSON_VALUES), ORACLE_DOCS, ORACLE_DOCS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ORACLE_TEXTS)
+def test_oracle_json_parses_or_raises_a_domain_error(text):
+    """Any text reads as an oracle of positive integer counts that writes itself back, or raises a domain error."""
+    try:
+        oracle = TabularOracle.from_json(text)
+    except (HgrecError, ValueError):
+        return
+    for masked, per in oracle.counts.items():
+        for e, c in per.items():
+            assert type(c) is int and c > 0 and masked.is_mask_of(e)
+    assert TabularOracle.from_json(oracle.to_json()).to_json() == oracle.to_json()
 
 
 @pytest.mark.parametrize("count", [0.5, 2.7, True, "3"])

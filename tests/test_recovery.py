@@ -152,6 +152,35 @@ def test_all_pairs_recovery_queries_each_form_once(oracle):
     assert counting.queries == len(oracle.forms())
 
 
+def supports_read(truth, candidates):
+    """The distinct edges whose support ``recover_from_oracle`` asks its strategy for."""
+    oracle = ExactOracle(truth, uniform_single_mask())  # its own reads go to another instance
+    strategy = uniform_single_mask()
+    asked = set()
+    support = strategy.support
+
+    def counting(e):
+        asked.add(e)
+        return support(e)
+
+    strategy.support = counting
+    recover_from_oracle(oracle, candidates, strategy)
+    return asked
+
+
+def test_phase1_reads_the_supports_of_the_candidates_only():
+    # star(400) holds 399 believed edges; recovery of 3 of them reads 3 supports.
+    truth = normalize(star(400))
+    assert supports_read(truth, truth.edge_set[:3]) == set(truth.edge_set[:3])
+
+
+def test_all_pairs_phase1_reads_no_support_of_a_larger_edge():
+    # ALL_PAIRS wants 2-node edges, so the believed 3-node edge's support is never read.
+    e_cde = edge("c", "d", "e")
+    truth = normalize(WeightedHypergraph({E_AB: 1.0, E_BC: 2.0, e_cde: 3.0}))
+    assert supports_read(truth, ALL_PAIRS) == {E_AB, E_BC}
+
+
 def probe_recover_from_oracle(oracle, candidates, strategy):
     """Reference: recovery whose phase 1 builds every candidate and probes each of its forms."""
     if isinstance(candidates, str):
