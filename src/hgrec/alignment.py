@@ -387,33 +387,29 @@ class _Partition:
 
         As with plain color ids, a ``color`` below the number of cells puts
         the pair into the cell of that rank, and a larger one into a new last
-        cell. Returns whether every cell split on the way is balanced.
+        cell, which starts empty at offset n. Returns whether every cell split
+        on the way is balanced.
         """
         cells, label, members, size1 = self.cells, self.label, self.members, self.size1
         source = self.cell_of[v1]
         joins = color < len(cells)
+        if not joins:
+            color = len(cells)
+            cells.append(self._new_cell((), len(self.adj)))
+        dest = cells[color]
         pair = (v1, v2)
         i = bisect_left(cells, label[source], key=label.__getitem__)
-        members[source].difference_update(pair)
-        size1[source] -= 1
         # The offsets of the cells between the source and the destination move by the pair.
-        if not joins:
-            lo, hi, shift = i + 1, len(cells), -2
-        elif i < color:
-            lo, hi, shift = i + 1, color + 1, -2
-        else:
-            lo, hi, shift = color + 1, i + 1, 2
+        lo, hi, shift = (i + 1, color + 1, -2) if i < color else (color + 1, i + 1, 2)
         for c in cells[lo:hi]:
             label[c] += shift
-        if joins:
-            dest = cells[color]
-            members[dest].update(pair)
-            size1[dest] += 1
-            self.cell_of[v1] = self.cell_of[v2] = dest
-        else:
-            dest = self._new_cell(pair, len(self.adj) - 2)
-            cells.append(dest)
-        self.trail.append(("move", v1, v2, source, dest, lo, hi, shift, joins))
+        # Out of the source first: the destination may be the source itself.
+        members[source].difference_update(pair)
+        size1[source] -= 1
+        members[dest].update(pair)
+        size1[dest] += 1
+        self.cell_of[v1] = self.cell_of[v2] = dest
+        self.trail.append(("move", v1, v2, source, dest, lo, hi, shift))
         changes: dict[int, list[int] | None] = {}
         if dest != source:
             for u in chain(self.adj[v1], self.adj[v2]):
@@ -442,19 +438,19 @@ class _Partition:
                 label[c] = old
                 self._drop_newest(count - 1)
             else:
-                _, v1, v2, source, dest, lo, hi, shift, joins = record
+                _, v1, v2, source, dest, lo, hi, shift = record
                 pair = (v1, v2)
-                if joins:
-                    members[dest].difference_update(pair)
-                    size1[dest] -= 1
-                else:
-                    cells.pop()
-                    self._drop_newest(1)
-                for c in cells[lo:hi]:
-                    label[c] -= shift
+                members[dest].difference_update(pair)
+                size1[dest] -= 1
                 members[source].update(pair)
                 size1[source] += 1
                 cell_of[v1] = cell_of[v2] = source
+                for c in cells[lo:hi]:
+                    label[c] -= shift
+                if not members[dest]:
+                    # A class is never empty before a pair joins it, so this one was new.
+                    cells.pop()
+                    self._drop_newest(1)
 
 
 def wl_refine(g: SimpleGraph, initial: Mapping[str, int] | None = None) -> dict[str, int]:

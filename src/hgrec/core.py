@@ -352,7 +352,7 @@ def decode(text: str) -> WeightedHypergraph:
     lines = text.split("\n")
     if lines[0].strip() != _HG_HEADER:
         raise ParseError(1, f"missing {_HG_HEADER!r} header")
-    normalized = False
+    normalized = 0  # the line of ``#normalized``, if any
     edges: dict[Hyperedge, float] = {}
     for num, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -361,7 +361,7 @@ def decode(text: str) -> WeightedHypergraph:
         if line == "#normalized":
             if edges:
                 raise ParseError(num, "#normalized must appear before the first edge")
-            normalized = True
+            normalized = num
             continue
         if line.startswith("#"):
             continue
@@ -380,7 +380,10 @@ def decode(text: str) -> WeightedHypergraph:
         if e in edges:
             raise DuplicateEdge(f"line {num}: duplicate hyperedge {e.key}")
         edges[e] = w
-    return WeightedHypergraph(edges, normalized=normalized)
+    try:
+        return WeightedHypergraph(edges, normalized=bool(normalized))
+    except ValueError as exc:  # every weight is checked above, so only the sum check is left
+        raise ParseError(normalized, str(exc)) from None
 
 
 def save_hypergraph(h: WeightedHypergraph, path: str | Path) -> None:

@@ -77,10 +77,7 @@ def bf_weight_estimation(
     pending: dict[MaskedHyperedge, list[Hyperedge]] = {}
 
     queue = [e_init]
-    head = 0
-    while head < len(queue):
-        e = queue[head]
-        head += 1
+    for e in queue:  # a list iterator sees the edges appended below
         shared: dict[Hyperedge, list[MaskedHyperedge]] = {}
         for form in mg.forms[e]:
             unweighted = [
@@ -122,17 +119,17 @@ def recover_from_oracle(
 
     Phase 1 keeps each candidate with positive belief under some masked form in
     its support. It checks ``candidates`` before any query, queries each form
-    the oracle holds once, and keeps, sorted, each completion with positive
-    belief that is a candidate (under ``ALL_PAIRS``, a 2-node edge over the
-    oracle's known nodes) and, checked after that, has the form in its support.
-    Its cost follows the oracle's form table, not the n(n-1)/2 pairs of
-    ``ALL_PAIRS``. Phase 2 passes the share-a-mask incidence over the kept
-    edges and phase 1's belief table to :func:`bf_weight_estimation` once per
-    component, seeding each walk with scale 1 at the smallest kept edge still
-    unweighted (a walk weights its whole component or raises), and normalizes
-    globally. Raises :class:`UndefinedRatio` naming an edge when the weights
-    sum to inf or one normalizes to 0.0. Returns the estimate and whether the
-    kept edges formed a single component.
+    the oracle holds once, and keeps each completion with positive belief that
+    is a candidate (under ``ALL_PAIRS``, a 2-node edge over the oracle's known
+    nodes) and, checked after that, has the form in its support. Its cost
+    follows the oracle's form table, not the n(n-1)/2 pairs of ``ALL_PAIRS``.
+    Phase 2 passes the share-a-mask incidence over the kept edges and phase 1's
+    belief table to :func:`bf_weight_estimation` once per component, seeding
+    each walk with scale 1 at the smallest kept edge still unweighted (a walk
+    weights its whole component or raises), and normalizes globally. Raises
+    :class:`UndefinedRatio` naming an edge when the weights sum to inf or one
+    normalizes to 0.0. Returns the estimate and whether the kept edges formed a
+    single component.
     """
     if isinstance(candidates, str):
         if candidates != ALL_PAIRS:
@@ -153,14 +150,13 @@ def recover_from_oracle(
                 and any(f == form for f, _ in strategy.support(e))
             ):
                 believed.add(e)
-    kept = sorted(believed)
-    if not kept:
+    if not believed:
         raise NothingRecovered("no candidate hyperedge has positive belief under the oracle")
 
     from .sampling import MetaGraph
 
-    mg = MetaGraph.over(kept, strategy)
-    w_tilde: dict[Hyperedge, float] = {e: 0.0 for e in kept}
+    mg = MetaGraph.over(believed, strategy)
+    w_tilde: dict[Hyperedge, float] = dict.fromkeys(mg.vertices, 0.0)
     seeds = 0
     for seed in mg.vertices:
         if w_tilde[seed] <= 0.0:
@@ -169,7 +165,7 @@ def recover_from_oracle(
             bf_weight_estimation(seed, mg, beliefs, strategy, w_tilde)
     total = sum(w_tilde.values())
     if total == math.inf:
-        big = max(kept, key=w_tilde.get)
+        big = max(mg.vertices, key=w_tilde.get)
         raise UndefinedRatio(f"{big.key} has the largest weight, and the weights sum to inf")
     weights = {e: w / total for e, w in w_tilde.items()}
     if 0.0 in weights.values():

@@ -15,12 +15,13 @@ Each (instance, seed) group generates its truth and builds the masking
 strategy, its constants, the meta-graph and ``L`` once. Each cell (instance,
 N, K, seed) of the group then draws a masked-modeling dataset, trains the
 count-ratio oracle, recovers along both routes (plug-in on the same N outer
-draws, and the two-phase oracle path), and reports both errors. Cell
-randomness is derived from the SHA-256 hash of the canonical config text, so
-replaying a config reproduces every row; the ``runtime_ms`` column, the cell's
-own time plus its group's shared set-up time, is the one wall-clock field and
-is excluded from reproducibility guarantees. Failed cells keep their row with
-the error name in ``status``; a set-up error marks every cell of its group.
+draws, and the two-phase oracle path), and reports both errors. Rows come back
+sorted by cell, whatever order the groups ran in. Cell randomness is derived
+from the SHA-256 hash of the canonical config text, so replaying a config
+reproduces every row; the ``runtime_ms`` column, the cell's own time plus its
+group's shared set-up time, is the one wall-clock field and is excluded from
+reproducibility guarantees. Failed cells keep their row with the error name in
+``status``; a set-up error marks every cell of its group.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, product, repeat
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -107,15 +109,19 @@ def _instance_from_dict(index: int, doc) -> InstanceSpec:
     doc = dict(doc)
     if "n" in doc:
         doc["n"] = _integral(f"instance {index} key 'n'", doc["n"])
-    if doc.get("p") is not None and not _is_number(doc["p"]):
-        raise ValueError(
-            f"sweep config: instance {index} key 'p' must be a number or null, got {doc['p']!r}"
-        )
-    for key in ("w_min", "w_max"):
-        if key in doc and not _is_number(doc[key]):
+    for key, kind in (("p", "a number or null"), ("w_min", "a number"), ("w_max", "a number")):
+        if key not in doc or key == "p" and doc[key] is None:
+            continue
+        if not _is_number(doc[key]):
             raise ValueError(
-                f"sweep config: instance {index} key {key!r} must be a number, got {doc[key]!r}"
+                f"sweep config: instance {index} key {key!r} must be {kind}, got {doc[key]!r}"
             )
+        try:
+            float(doc[key])  # integers stay integers: they feed the master seed
+        except OverflowError:
+            raise ValueError(
+                f"sweep config: instance {index} key {key!r} is too large for a float"
+            ) from None
     return InstanceSpec(**doc)
 
 
@@ -180,16 +186,6 @@ class SweepConfig:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return int.from_bytes(hashlib.sha256(canonical.encode()).digest()[:8], "little")
 
-    def cells(self) -> list[tuple[int, int, int, int]]:
-        """(instance_idx, n_idx, k_idx, seed_idx) in deterministic row order."""
-        return [
-            (i, ni, ki, si)
-            for i in range(len(self.instances))
-            for ni in range(len(self.n_grid))
-            for ki in range(len(self.k_grid))
-            for si in range(self.num_seeds)
-        ]
-
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -209,13 +205,12 @@ class _Setup:
     strategy: MaskingStrategy | None
 
 
-def _run_group(cfg: SweepConfig, master: int, cells: list[tuple[int, int, int, int]]) -> list[dict]:
-    """The rows of ``cells``, which share one instance and seed, in the order given.
+def _run_group(cfg: SweepConfig, master: int, inst_idx: int, seed_idx: int) -> list[tuple]:
+    """``(cell, row)`` for each cell (instance, N, K, seed) of one instance and seed.
 
     The truth, the masking strategy, its constants, the meta-graph and ``L``
     are built once for all of them. A set-up error marks every cell with its name.
     """
-    inst_idx, _, _, seed_idx = cells[0]
     inst = cfg.instances[inst_idx]
     start = time.perf_counter()
     row = {c: "" for c in CSV_COLUMNS}
@@ -244,7 +239,8 @@ def _run_group(cfg: SweepConfig, master: int, cells: list[tuple[int, int, int, i
         row["status"] = type(exc).__name__
         truth = strategy = None
     setup = _Setup(row, time.perf_counter() - start, truth, strategy)
-    return [_run_cell(cfg, master, cell, setup) for cell in cells]
+    cells = product([inst_idx], range(len(cfg.n_grid)), range(len(cfg.k_grid)), [seed_idx])
+    return [(cell, _run_cell(cfg, master, cell, setup)) for cell in cells]
 
 
 def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int], setup: _Setup) -> dict:
@@ -279,26 +275,22 @@ def _run_cell(cfg: SweepConfig, master: int, cell: tuple[int, int, int, int], se
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[dict]:
-    """All cell rows in deterministic order; ``jobs > 1`` runs (instance, seed) groups in parallel.
+    """All cell rows, sorted by cell; ``jobs > 1`` runs (instance, seed) groups in parallel.
 
     The pool starts every worker at once, so it gets no more than one per group and per CPU.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     master = cfg.master_seed()
-    cells = cfg.cells()
-    groups: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
-    for cell in cells:
-        groups.setdefault((cell[0], cell[3]), []).append(cell)
-    tasks = list(groups.values())
-    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    inst_idxs, seed_idxs = zip(*product(range(len(cfg.instances)), range(cfg.num_seeds)))
+    jobs = min(jobs, len(inst_idxs), os.cpu_count() or 1)
     if jobs == 1:
-        results = [_run_group(cfg, master, task) for task in tasks]
+        results = map(_run_group, repeat(cfg), repeat(master), inst_idxs, seed_idxs)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_group, [cfg] * len(tasks), [master] * len(tasks), tasks))
-    rows = {cell: row for task, task_rows in zip(tasks, results) for cell, row in zip(task, task_rows)}
-    return [rows[cell] for cell in cells]
+            results = list(pool.map(_run_group, repeat(cfg), repeat(master), inst_idxs, seed_idxs))
+    # Cells are distinct, so the sort never compares two rows.
+    return [row for _, row in sorted(chain.from_iterable(results))]
 
 
 def rows_to_csv(rows: Iterable[Mapping]) -> str:

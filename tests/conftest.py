@@ -99,6 +99,24 @@ READER_TEXTS = st.one_of(
     ).map("\n".join),
 )
 
+# Any JSON value; JSON numbers, with integers no float can hold; and the JSON text of
+# objects that hold each of the given keys or not, its value drawn from its strategy.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+JSON_NUMBERS = st.one_of(st.integers(-2, 9), st.floats(), st.sampled_from([10 ** 400, -10 ** 400]))
+
+
+def json_objects(**keys) -> st.SearchStrategy[str]:
+    return st.fixed_dictionaries({}, optional=keys).map(json.dumps)
+
+
+def file_lines(text: str) -> int:
+    """The number of lines ``text`` has once written to a file and read back with universal newlines."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+
 
 def random_connected_graph(rng: random.Random, n: int, extra: int = 0) -> WeightedHypergraph:
     """Random connected 2-uniform hypergraph with integer weights, normalized."""

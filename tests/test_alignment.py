@@ -807,6 +807,32 @@ def test_partition_matches_plain_refinement(case):
         assert partition_colors(part, keys) == before
 
 
+def test_partition_undo_restores_a_new_cell_and_a_join_of_the_own_cell():
+    """A pair goes into a new last cell, then a pair into its own cell's rank; each undo restores every record."""
+    cycle = {f"v{i}": [f"v{(i - 1) % 6}", f"v{(i + 1) % 6}"] for i in range(6)}
+    adjs = [cycle, cycle]
+    expected = [dict.fromkeys(cycle, 0)] * 2
+    adj, colors, keys = _number(adjs, expected)
+    part = alignment._Partition(adj, colors, len(keys[0]))
+
+    def records():
+        return part.cells[:], part.label[:], [set(m) for m in part.members], part.size1[:], part.cell_of[:]
+
+    history = []
+    for v1, v2 in ((0, 6), (1, 7)):  # v0 of each side, then v1 of each side
+        color = part.cells.index(part.cell_of[v1]) if history else len(part.cells)
+        history.append((len(part.trail), records()))
+        part.individualize(v1, v2, color)
+        colors1, colors2 = expected
+        expected = _refine(adjs, ({**colors1, keys[0][v1]: color}, {**colors2, keys[1][v2 - 6]: color}))
+        check_partition(part)
+        assert partition_colors(part, keys) == expected
+    for mark, before in reversed(history):
+        part.undo(mark)
+        check_partition(part)
+        assert records() == before
+
+
 def cycles(*lengths, start=0):
     """A disjoint union of equal-weight cycles, numbered one after the other from ``start``."""
     edges = []

@@ -9,15 +9,27 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from hgrec import NodeRelabeling, WeightedHypergraph, edge, relabel
 from hgrec.alignment import parse_node_mapping
 from hgrec.bounds import load_csv
-from hgrec.cli import build_parser, main
+from hgrec.cli import _load_subgraph, build_parser, main
 from hgrec.core import load_hypergraph, save_hypergraph
+from hgrec.errors import HgrecError, ParseError
 from hgrec.kgeval import prompt_key, render_prompt
-from conftest import KG_RESPONSE, KG_TSV, READER_TEXTS, closed_port, traced_peak, write_repeated_records
+from conftest import (
+    JSON_NUMBERS,
+    JSON_VALUES,
+    KG_RESPONSE,
+    KG_TSV,
+    READER_TEXTS,
+    closed_port,
+    file_lines,
+    json_objects,
+    traced_peak,
+    write_repeated_records,
+)
 
 
 def run(*argv) -> int:
@@ -304,6 +316,18 @@ def test_sweep_wrong_value_type_exits_1(tmp_path, capsys, change, key):
     assert run("sweep", "--config", cfg, "-o", tmp_path / "rows.csv") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and key in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["w_min", "w_max"])
+def test_sweep_number_too_large_for_a_float_exits_1(tmp_path, capsys, key):
+    """A weight no float holds is a config error, not an OverflowError from the row's kappa."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": [{"structure": "star", "n": 6, key: 10 ** 400}],
+                               "n_grid": [100], "k_grid": [1], "num_seeds": 1}), encoding="utf-8")
+    out = tmp_path / "rows.csv"
+    assert run("sweep", "--config", cfg, "-o", out) == 1
+    assert_one_error_line(capsys, f"instance 0 key '{key}' is too large for a float")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -711,6 +735,34 @@ def test_kg_prompt_malformed_subgraph_exits_1(tmp_path, capsys, doc, what):
     sub.write_text(json.dumps(doc), encoding="utf-8")
     assert run("kg-prompt", "--subgraph", sub, "-o", tmp_path / "prompt.txt") == 1
     assert_one_error_line(capsys, what)
+
+
+# Any text, any JSON value, subgraph documents whose keys may each be missing or wrong,
+# and a good document pieced with line ends and a byte that is not UTF-8.
+SUBGRAPH_TEXTS = st.one_of(
+    st.text(),
+    st.builds(json.dumps, JSON_VALUES),
+    json_objects(entities=st.one_of(st.lists(st.text(max_size=3), max_size=3), JSON_VALUES),
+                 k=st.one_of(JSON_NUMBERS, JSON_VALUES)),
+    st.lists(st.sampled_from(['{"entities": ["a"], "k": 2}', "\r", "\n", "\r\n", "\udcff", "é"]),
+             max_size=4).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=SUBGRAPH_TEXTS, need_k=st.booleans())
+def test_subgraph_reader_loads_or_names_a_line(tmp_path_factory, text, need_k):
+    path = tmp_path_factory.mktemp("subgraph") / "sub.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    try:
+        doc = _load_subgraph(str(path), need_k)
+    except ParseError as exc:
+        assert 1 <= exc.line_number <= file_lines(text)
+    except (HgrecError, ValueError):
+        pass
+    else:
+        assert all(isinstance(e, str) for e in doc["entities"])
+        assert not need_k or type(doc["k"]) is int
 
 
 def test_kg_prompt_k_flag_overrides_missing_k(tmp_path):

@@ -8,7 +8,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hgrec
 from hgrec import (
@@ -294,6 +294,8 @@ def test_normalized_flag_after_edges_rejected():
     ("#hg v1\nedge a b 0\n", "line 2: weight must be a positive finite real, got 0"),
     ("#hg v1\nedge a b 1\n\nedge a c -1.5\n", "line 4: weight must be a positive finite real, got -1.5"),
     ("#hg v1\n#normalized\nedge a b|c 1\n", "line 3: node token uses a reserved character: 'b|c'"),
+    ("#hg v1\n#normalized\n", "line 2: normalized flag set but weights do not sum to 1"),
+    ("#hg v1\n#normalized\nedge a b 0.5\n", "line 2: normalized flag set but weights do not sum to 1"),
 ])
 def test_decode_names_the_line_of_a_bad_edge(text, message):
     with pytest.raises(ParseError) as err:
@@ -323,13 +325,14 @@ HG_TEXTS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(HG_TEXTS)
+@example("#hg v1\n#normalized\nedge a b 0.5\n")
 def test_hg_decode_parses_or_names_a_line(text):
-    """Any text decodes to a hypergraph that encodes back to itself, or raises a domain error."""
+    """Any text decodes to a hypergraph that encodes back to itself, or raises an ``HgrecError``."""
     try:
         h = decode(text)
     except ParseError as exc:
         assert 1 <= exc.line_number <= text.count("\n") + 1
-    except (HgrecError, ValueError):
+    except HgrecError:
         pass
     else:
         assert encode(decode(encode(h))) == encode(h)

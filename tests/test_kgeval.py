@@ -1,8 +1,10 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hgrec import (
     KnowledgeGraph,
@@ -17,6 +19,7 @@ from hgrec import (
 from hgrec.errors import (
     AuthError,
     EmptyEntities,
+    HgrecError,
     InvalidWeight,
     ParseError,
     RequestFailed,
@@ -32,7 +35,7 @@ from hgrec.kgeval import (
     prompt_key,
     replay_completion,
 )
-from conftest import KG_RESPONSE, KG_TSV, closed_port
+from conftest import JSON_NUMBERS, JSON_VALUES, KG_RESPONSE, KG_TSV, closed_port, file_lines, json_objects
 
 GOLDEN = Path(__file__).parent / "data" / "prompt_golden.txt"
 
@@ -103,6 +106,40 @@ def test_ingest_lowercases_and_trims(tmp_path):
     path.write_text(" Table \tFURNITURE\t1.0\n", encoding="utf-8")
     kg = ingest_edge_list(path)
     assert kg.adjacency["table"]["furniture"] == 1.0
+
+
+# Any text, and lines of fields joined by tabs or spaces: names to trim and lowercase,
+# weights good and bad, line ends a file keeps or reads as LF, `#` and a byte not UTF-8.
+KG_FIELDS = st.sampled_from([
+    "a", " B ", "é", "", " ", "#", "# c", "0.5", "1", "0", "-1", "nan", "inf", "1e400", "heavy",
+    "\r", "\x85", "\udcff",
+])
+KG_TEXTS = st.one_of(
+    st.text(),
+    st.lists(
+        st.builds(lambda sep, fields: sep.join(fields), st.sampled_from(["\t", "\t", " "]),
+                  st.lists(KG_FIELDS, max_size=4)),
+        max_size=5,
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=KG_TEXTS)
+def test_ingest_loads_or_names_a_line(tmp_path_factory, text):
+    """A TSV file loads to trimmed, lowercased names with positive finite weights, or names a line."""
+    path = tmp_path_factory.mktemp("kg") / "kg.tsv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    try:
+        kg = ingest_edge_list(path)
+    except ParseError as exc:
+        assert 1 <= exc.line_number <= file_lines(text)
+    except (HgrecError, ValueError):
+        pass
+    else:
+        for a, nbrs in kg.adjacency.items():
+            assert a and a == a.strip().lower()
+            assert all(0.0 < w < math.inf for w in nbrs.values())
 
 
 def test_self_loops_dropped():
@@ -355,6 +392,30 @@ def test_replay_missing_response(tmp_path):
 def test_endpoint_config_rejects_malformed(text, message):
     with pytest.raises(ValueError, match=message):
         EndpointConfig.from_json(text)
+
+
+ENDPOINT_TEXTS = st.one_of(
+    st.text(),
+    st.builds(json.dumps, JSON_VALUES),
+    json_objects(
+        base_url=st.one_of(st.sampled_from(["http://x", "HTTPS://y", "ftp://z", ""]), JSON_VALUES),
+        model=st.one_of(st.just("m"), JSON_VALUES),
+        temperature=st.one_of(JSON_NUMBERS, JSON_VALUES),
+        timeout_s=st.one_of(JSON_NUMBERS, JSON_VALUES),
+        api_key_env=st.one_of(st.just("K"), JSON_VALUES),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ENDPOINT_TEXTS)
+def test_endpoint_config_loads_or_raises_a_domain_error(text):
+    try:
+        cfg = EndpointConfig.from_json(text)
+    except (HgrecError, ValueError):
+        return
+    assert all(isinstance(x, str) for x in (cfg.base_url, cfg.model, cfg.api_key_env))
+    assert math.isfinite(cfg.temperature) and 0.0 < cfg.timeout_s < math.inf
 
 
 def test_endpoint_config_checks_direct_construction():

@@ -17,6 +17,7 @@ from hgrec import (
 )
 from hgrec.errors import HgrecError, NotNormalized
 from hgrec.generators import assign_weights, star
+from conftest import JSON_VALUES
 
 STRATEGY = uniform_single_mask()
 
@@ -165,11 +166,6 @@ ORACLE_KEYS = st.sampled_from(
 )
 ORACLE_TABLES = st.lists(st.tuples(ORACLE_KEYS, ORACLE_COUNTS), max_size=4).map(
     lambda entries: {form: {e: c for (f, e), c in entries if f == form} for (form, _), _ in entries}
-)
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
-    max_leaves=6,
 )
 ORACLE_DOCS = st.builds(
     lambda fmt, counts: json.dumps({"format": fmt, "counts": counts}),

@@ -4,12 +4,14 @@ import os
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import hgrec.sweep
 from hgrec import SweepConfig, fit_scaling, run_sweep
-from hgrec.errors import InvalidForLogFit
+from hgrec.errors import HgrecError, InvalidForLogFit, ParseError
 from hgrec.generators import GeneratorSpec
 from hgrec.sweep import CSV_COLUMNS, InstanceSpec, rows_to_csv
+from conftest import JSON_NUMBERS, JSON_VALUES, json_objects
 
 SMALL = SweepConfig(
     instances=(InstanceSpec(structure="star", n=6, w_min=1.0, w_max=10.0),),
@@ -115,15 +117,26 @@ def test_truth_and_path_bound_are_built_once_per_group(monkeypatch):
 
 
 def test_parallel_matches_serial():
-    cfg = SweepConfig(
+    one_instance = SweepConfig(
         instances=(InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),),
         n_grid=(100, 200),
         k_grid=(1,),
         num_seeds=2,
     )
-    serial = rows_to_csv(run_sweep(cfg, jobs=1))
-    parallel = rows_to_csv(run_sweep(cfg, jobs=2))
-    assert strip_runtime(serial) == strip_runtime(parallel)
+    # Four groups whose rows interleave: each group's cells are spread over its instance's rows.
+    interleaved = SweepConfig(
+        instances=(
+            InstanceSpec(structure="star", n=5, w_min=1.0, w_max=3.0),
+            InstanceSpec(structure="chain", n=4, w_min=1.0, w_max=2.0),
+        ),
+        n_grid=(100,),
+        k_grid=(1, 2),
+        num_seeds=2,
+    )
+    for cfg in (one_instance, interleaved):
+        serial = rows_to_csv(run_sweep(cfg, jobs=1))
+        parallel = rows_to_csv(run_sweep(cfg, jobs=2))
+        assert strip_runtime(serial) == strip_runtime(parallel)
 
 
 def test_pool_size_is_capped_by_groups_and_cpus(monkeypatch):
@@ -219,6 +232,8 @@ def test_config_rejects_wrong_types(key, value, message):
     ("p", "dense", "instance 0 key 'p' must be a number or null, got 'dense'"),
     ("w_min", None, "instance 0 key 'w_min' must be a number, got None"),
     ("w_max", [10], "instance 0 key 'w_max' must be a number, got \\[10\\]"),
+    pytest.param("w_max", 10 ** 400, "instance 0 key 'w_max' is too large for a float", id="w_max-1e400"),
+    pytest.param("w_min", -10 ** 400, "instance 0 key 'w_min' is too large for a float", id="w_min--1e400"),
 ])
 def test_config_rejects_wrong_instance_types(key, value, message):
     doc = SMALL.to_dict()
@@ -235,6 +250,48 @@ def test_config_integral_floats_keep_the_master_seed():
     doc["instances"][0]["n"] = 6.0
     cfg = SweepConfig.from_dict(doc)
     assert cfg == SMALL and cfg.master_seed() == SMALL.master_seed()
+
+
+# Any text, any JSON value, and config documents whose keys may each be missing or wrong.
+SWEEP_NUMBERS = st.one_of(JSON_NUMBERS, JSON_NUMBERS, JSON_VALUES)
+SWEEP_INSTANCES = st.one_of(
+    st.fixed_dictionaries(
+        {"structure": st.sampled_from(["star", "chain", "wcgnm"])},
+        optional={"n": SWEEP_NUMBERS, "p": SWEEP_NUMBERS, "w_min": SWEEP_NUMBERS,
+                  "w_max": SWEEP_NUMBERS, "q": JSON_VALUES},
+    ),
+    JSON_VALUES,
+)
+SWEEP_TEXTS = st.one_of(
+    st.text(),
+    st.builds(json.dumps, JSON_VALUES),
+    json_objects(
+        instances=st.one_of(st.lists(SWEEP_INSTANCES, max_size=2), JSON_VALUES),
+        n_grid=st.one_of(st.lists(SWEEP_NUMBERS, max_size=2), JSON_VALUES),
+        k_grid=st.one_of(st.lists(SWEEP_NUMBERS, max_size=2), JSON_VALUES),
+        num_seeds=SWEEP_NUMBERS,
+        masking=st.one_of(st.just("uniform1"), JSON_VALUES),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SWEEP_TEXTS)
+@example(json.dumps({"instances": [{"structure": "star", "n": 6, "w_max": 10 ** 400}],
+                     "n_grid": [100], "k_grid": [1], "num_seeds": 1}))
+def test_config_json_loads_or_raises_a_domain_error(text):
+    """Any text loads to a config whose real numbers each convert to a float, or raises a domain error."""
+    try:
+        cfg = SweepConfig.from_json(text)
+    except ParseError as exc:
+        assert 1 <= exc.line_number <= text.count("\n") + 1
+    except (HgrecError, ValueError):
+        pass
+    else:
+        for inst in cfg.instances:
+            for x in (inst.p, inst.w_min, inst.w_max):
+                if x is not None:
+                    float(x)  # an OverflowError here would escape a sweep row
 
 
 # -- scaling fits -------------------------------------------------------------------
