@@ -7,8 +7,8 @@ Four routes, cheapest applicable first:
   keyed by the bitmask of their node indices into a dense weight table, and
   the bijections come in blocks of at most 8! in lexicographic order.
 * :func:`align_by_hyperedge_ids` uses a known edge correspondence: each node is
-  labeled by the descending tuple of its incident edge identifiers and the two
-  sorted label sequences are matched positionally.
+  labeled by the descending tuple of its incident edge identifiers and goes to
+  the node of the other side with the same label, looked up by label.
 * :func:`wl_refine` is plain 1-dimensional color refinement on a simple graph.
 * :func:`align_wl_anchored` searches for a structural isomorphism with
   individualization-refinement, pruned by anchor pairs; hyperedges of any size
@@ -181,9 +181,9 @@ def align_by_hyperedge_ids(
     """Align nodes through a complete hyperedge correspondence.
 
     Paired edges share an identifier; every node is labeled with the descending
-    tuple of its incident identifiers; the two label-sorted node sequences are
-    matched position by position. Runs in near-linear time in the incidence
-    size, so it scales to large sparse hypergraphs.
+    tuple of its incident identifiers, and each node of ``h1`` maps to the node
+    of ``h2`` with the same label, looked up by label. Runs in near-linear time
+    in the incidence size, so it scales to large sparse hypergraphs.
     """
     pairs = sorted(edge_pairs)
     lefts = [a for a, _ in pairs]
@@ -216,17 +216,13 @@ def align_by_hyperedge_ids(
             f"{len(ambiguous)} node classes share an identifier label", ambiguous
         )
 
-    seq1 = sorted(lab1, key=lab1.__getitem__)
-    seq2 = sorted(lab2, key=lab2.__getitem__)
-    if [lab1[v] for v in seq1] != [lab2[v] for v in seq2]:
+    # Labels are distinct on each side, so each node goes to the one with the
+    # same incident identifiers and every pair is preserved.
+    node2 = {label: v for v, label in lab2.items()}
+    if node2.keys() != set(lab1.values()):
         raise NotAnIsomorphism("incidence label sequences differ between the two sides")
-    # Labels are distinct and equal position by position, so each node goes to
-    # the one with the same incident identifiers and every pair is preserved.
-    mapping = dict(zip(seq1, seq2))
-    return Alignment(
-        mapping=NodeRelabeling(mapping),
-        cost=dissimilarity(relabel(h1, NodeRelabeling(mapping)), h2),
-    )
+    phi = NodeRelabeling({v: node2[label] for v, label in lab1.items()})
+    return Alignment(mapping=phi, cost=dissimilarity(relabel(h1, phi), h2))
 
 
 # -- color refinement -----------------------------------------------------------
@@ -369,11 +365,7 @@ class _Partition:
             self.size1[c] -= self.size1[child]
             children.append(child)
             for u in chain.from_iterable(adj[v] for v in groups[key]):
-                record = changes.get(u)
-                if record is None:
-                    changes[u] = [child]
-                else:
-                    record.append(child)
+                changes.setdefault(u, []).append(child)
         offset = old
         for child in children:
             label[child] = offset
@@ -381,6 +373,20 @@ class _Partition:
         self.cells[pos:pos + 1] = children
         self.trail.append(("split", pos, len(children), c, old))
         return all(self.balanced(child) for child in children)
+
+    def _move(self, v1: int, v2: int, source: int, dest: int, between: list[int], shift: int) -> None:
+        """Move the pair ``(v1, v2)`` from cell ``source`` to ``dest``, and the cells ``between`` by ``shift``.
+
+        :meth:`undo` moves it back with the two cells swapped and ``-shift``.
+        """
+        for c in between:
+            self.label[c] += shift
+        # Out of the source first: the destination may be the source itself.
+        self.members[source].difference_update((v1, v2))
+        self.size1[source] -= 1
+        self.members[dest].update((v1, v2))
+        self.size1[dest] += 1
+        self.cell_of[v1] = self.cell_of[v2] = dest
 
     def individualize(self, v1: int, v2: int, color: int) -> bool:
         """Give the pair ``(v1, v2)`` color id ``color``, then refine.
@@ -390,25 +396,17 @@ class _Partition:
         cell, which starts empty at offset n. Returns whether every cell split
         on the way is balanced.
         """
-        cells, label, members, size1 = self.cells, self.label, self.members, self.size1
+        cells, label = self.cells, self.label
         source = self.cell_of[v1]
         joins = color < len(cells)
         if not joins:
             color = len(cells)
             cells.append(self._new_cell((), len(self.adj)))
         dest = cells[color]
-        pair = (v1, v2)
         i = bisect_left(cells, label[source], key=label.__getitem__)
         # The offsets of the cells between the source and the destination move by the pair.
         lo, hi, shift = (i + 1, color + 1, -2) if i < color else (color + 1, i + 1, 2)
-        for c in cells[lo:hi]:
-            label[c] += shift
-        # Out of the source first: the destination may be the source itself.
-        members[source].difference_update(pair)
-        size1[source] -= 1
-        members[dest].update(pair)
-        size1[dest] += 1
-        self.cell_of[v1] = self.cell_of[v2] = dest
+        self._move(v1, v2, source, dest, cells[lo:hi], shift)
         self.trail.append(("move", v1, v2, source, dest, lo, hi, shift))
         changes: dict[int, list[int] | None] = {}
         if dest != source:
@@ -421,9 +419,7 @@ class _Partition:
 
     def undo(self, mark: int) -> None:
         """Roll back every change after the trail was ``mark`` records long."""
-        cells, label, members, size1, cell_of = (
-            self.cells, self.label, self.members, self.size1, self.cell_of
-        )
+        cells, members, size1, cell_of = self.cells, self.members, self.size1, self.cell_of
         while len(self.trail) > mark:
             record = self.trail.pop()
             if record[0] == "split":
@@ -435,18 +431,11 @@ class _Partition:
                         members[c] |= members[child]
                         size1[c] += size1[child]
                 cells[pos:pos + count] = [c]
-                label[c] = old
+                self.label[c] = old
                 self._drop_newest(count - 1)
             else:
                 _, v1, v2, source, dest, lo, hi, shift = record
-                pair = (v1, v2)
-                members[dest].difference_update(pair)
-                size1[dest] -= 1
-                members[source].update(pair)
-                size1[source] += 1
-                cell_of[v1] = cell_of[v2] = source
-                for c in cells[lo:hi]:
-                    label[c] -= shift
+                self._move(v1, v2, dest, source, cells[lo:hi], -shift)
                 if not members[dest]:
                     # A class is never empty before a pair joins it, so this one was new.
                     cells.pop()
@@ -689,19 +678,17 @@ def parse_node_mapping(text: str) -> NodeRelabeling:
 def parse_anchor_file(text: str) -> AnchorSet:
     """Read `node <v1> <v2>` and `edge <e1-key> <e2-key>` lines; a pair may repeat exactly."""
     pairs: dict[str, dict[tuple, None]] = {"node": {}, "edge": {}}
-    seen: set[tuple] = set()
+    partner: dict[tuple, tuple] = {}
     for num, line, parts in _fields(text):
         if len(parts) != 3 or parts[0] not in ("node", "edge"):
             raise ParseError(num, f"expected 'node <v1> <v2>' or 'edge <e1> <e2>', got {line!r}")
         tag = parts[0]
         parse = check_token if tag == "node" else Hyperedge.from_key
         pair = tuple(_parsed(num, parse, token) for token in parts[1:])
-        if pair in pairs[tag]:
-            continue
         for side in (0, 1):
-            if (tag, side, pair[side]) in seen:
+            # An exact repeat finds its own pair; a vertex anchored to another partner does not.
+            if partner.setdefault((tag, side, pair[side]), pair) != pair:
                 raise NotABijection(f"line {num}: {tag} {parts[1 + side]!r} is anchored twice")
-            seen.add((tag, side, pair[side]))
         pairs[tag][pair] = None
     return AnchorSet(tuple(pairs["node"]), tuple(pairs["edge"]))
 

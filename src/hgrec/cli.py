@@ -121,14 +121,14 @@ def _cmd_align(args) -> int:
         parse_edge_pairs,
     )
 
-    if args.edge_pairs is not None and args.method != "ids":
-        raise ValueError("--edge-pairs is read only by --method ids")
-    if args.anchors is not None and args.method != "wl-ir":
-        raise ValueError("--anchors is read only by --method wl-ir")
+    for flag, method in (("edge_pairs", "ids"), ("anchors", "wl-ir"), ("max_nodes", "exact")):
+        if getattr(args, flag) is not None and args.method != method:
+            raise ValueError(f"--{flag.replace('_', '-')} is read only by --method {method}")
     h1 = load_hypergraph(args.h1)
     h2 = load_hypergraph(args.h2)
     if args.method == "exact":
-        alignment = align_exact(h1, h2, max_nodes=args.max_nodes)
+        cap = {} if args.max_nodes is None else {"max_nodes": args.max_nodes}
+        alignment = align_exact(h1, h2, **cap)
     elif args.method == "ids":
         if args.edge_pairs is None:
             raise ValueError("--method ids needs --edge-pairs")
@@ -159,6 +159,9 @@ def _cmd_fuse(args) -> int:
 def _cmd_bounds(args) -> int:
     from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
 
+    if (args.m0 is None) != (args.kappa0 is None):
+        missing = "--m0" if args.m0 is None else "--kappa0"
+        raise ValueError(f"--m0 and --kappa0 go together: {missing} is missing")
     doc: dict = {}
     b = BoundsInput(
         m=args.m,
@@ -174,7 +177,7 @@ def _cmd_bounds(args) -> int:
     doc["N_min"] = n_min
     if args.n_samples is not None:
         doc["minimax_lower_bound"] = lower_bound_risk(args.m, args.n_samples)
-    if args.m0 is not None and args.kappa0 is not None:
+    if args.m0 is not None:
         lo, hi = lemma_rr_bounds(args.m0, args.kappa0)
         doc["weight_min_floor"] = lo
         doc["weight_max_ceiling"] = hi
@@ -280,6 +283,8 @@ def _cmd_kg_eval(args) -> int:
         render_prompt,
     )
 
+    if args.model is not None and not args.csv:
+        raise ValueError("--model is read only with --csv")
     kg = ingest_edge_list(args.kg)
     spec = SubgraphSpec(args.source.lower(), args.k, args.d)
     truth, entities = extract_subgraph(kg, spec)
@@ -288,7 +293,8 @@ def _cmd_kg_eval(args) -> int:
     result = evaluate_response(truth, entities, response)
     _write(args.output, result.to_json())
     if args.csv:
-        _write(args.csv, eval_csv_row(spec.source, spec.k, spec.d, args.model, result))
+        model = "unknown" if args.model is None else args.model
+        _write(args.csv, eval_csv_row(spec.source, spec.k, spec.d, model, result))
     return 0
 
 
@@ -365,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("exact", "ids", "wl-ir"))
     p.add_argument("--anchors", help="anchor file (wl-ir)")
     p.add_argument("--edge-pairs", help="edge correspondence file (ids)")
-    p.add_argument("--max-nodes", type=int, default=8, help="cap for the exact search")
+    p.add_argument("--max-nodes", type=int, help="node cap (exact)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_align)
 
@@ -445,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--responses-dir", help="offline replay directory")
     src.add_argument("--response", help="response text file")
     src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
-    p.add_argument("--model", default="unknown", help="model label for the CSV row")
+    p.add_argument("--model", help="model label for the CSV row (default unknown)")
     p.add_argument("--csv", help="also write a CSV row here")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_kg_eval)

@@ -133,21 +133,11 @@ class WeightedHypergraph:
         return sum(self._edges.values())
 
     @property
-    def min_weight(self) -> float:
-        if not self._edges:
-            raise EmptyHypergraph("no edges")
-        return min(self._edges.values())
-
-    @property
-    def max_weight(self) -> float:
-        if not self._edges:
-            raise EmptyHypergraph("no edges")
-        return max(self._edges.values())
-
-    @property
     def range_ratio(self) -> float:
         """max weight / min weight; always >= 1."""
-        return self.max_weight / self.min_weight
+        if not self._edges:
+            raise EmptyHypergraph("no edges")
+        return max(self._edges.values()) / min(self._edges.values())
 
     def weight(self, e: Hyperedge, default: float = 0.0) -> float:
         return self._edges.get(e, default)
@@ -314,11 +304,7 @@ def line_graph(h: WeightedHypergraph) -> SimpleGraph:
     for e in h.edge_set:
         for v in e:
             incident.setdefault(v, []).append(e)
-    pairs: set[tuple[str, str]] = set()
-    for edges_at_v in incident.values():
-        for a, b in combinations(edges_at_v, 2):
-            ka, kb = a.key, b.key
-            pairs.add((ka, kb) if ka < kb else (kb, ka))
+    pairs = ((a.key, b.key) for edges_at_v in incident.values() for a, b in combinations(edges_at_v, 2))
     return SimpleGraph((e.key for e in h.edge_set), pairs)
 
 

@@ -133,7 +133,7 @@ def extract_subgraph(kg: KnowledgeGraph, spec: SubgraphSpec) -> tuple[SimpleGrap
             if votes == spec.k:
                 break
             if nbr in depth:
-                edges.add((entity, nbr) if entity < nbr else (nbr, entity))
+                edges.add((entity, nbr))
                 votes += 1
     return SimpleGraph(chosen, edges), chosen
 

@@ -997,6 +997,10 @@ def test_anchor_file_accepts_an_exact_repeat():
     assert anchors.edge_pairs == ((edge("a", "b"), edge("x", "y")),)
 
 
+def test_anchor_file_same_vertex_on_opposite_sides_is_no_conflict():
+    assert parse_anchor_file("node a b\nnode b a\n").node_pairs == (("a", "b"), ("b", "a"))
+
+
 @pytest.mark.parametrize("text, message", [
     ("node a x\nnode a x\nnode a y\n", "line 3: node 'a' is anchored twice"),
     ("edge a+b x+y\nedge a+b x+y\n\nedge c+d x+y\n", "line 4: edge 'x+y' is anchored twice"),

@@ -161,20 +161,26 @@ def test_align_ids_without_edge_pairs_exits_1(tmp_path, capsys):
     assert err.startswith("error:") and "--edge-pairs" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("method, flag", [
-    ("wl-ir", "--edge-pairs"),
-    ("exact", "--edge-pairs"),
-    ("exact", "--anchors"),
-    ("ids", "--anchors"),
+@pytest.mark.parametrize("method, flag, value", [
+    pytest.param(method, flag, value, id=f"{method}-{flag}") for method, flag, value in [
+        ("wl-ir", "--edge-pairs", None),
+        ("exact", "--edge-pairs", None),
+        ("exact", "--anchors", None),
+        ("ids", "--anchors", None),
+        ("wl-ir", "--max-nodes", 3),
+        ("ids", "--max-nodes", 3),
+    ]
 ])
-def test_align_rejects_the_input_flag_of_another_method(tmp_path, capsys, method, flag):
+def test_align_rejects_the_input_flag_of_another_method(tmp_path, capsys, method, flag, value):
+    """``value`` None stands for a file of nonsense."""
     g, junk, pairs = tmp_path / "g.hg", tmp_path / "junk.txt", tmp_path / "pairs.txt"
     assert run("gen", "--structure", "star", "--n", 4, "-o", g) == 0
     junk.write_text("nonsense file\n", encoding="utf-8")
     pairs.write_text("0+1 0+1\n0+2 0+2\n0+3 0+3\n", encoding="utf-8")
     extra = ("--edge-pairs", pairs) if method == "ids" else ()
     capsys.readouterr()
-    assert run("align", "--h1", g, "--h2", g, "--method", method, flag, junk, *extra) == 1
+    assert run("align", "--h1", g, "--h2", g, "--method", method, flag, junk if value is None else value,
+               *extra) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ValueError:") and flag in captured.err
@@ -601,6 +607,15 @@ def test_bounds_rejects_non_finite(capsys, flag, value):
     assert_one_error_line(capsys, f"{flag.lstrip('-').replace('-', '_')} must be finite")
 
 
+@pytest.mark.parametrize("given, missing", [(("--m0", 2), "--kappa0"), (("--kappa0", 3), "--m0")])
+def test_bounds_refuses_half_of_the_lemma_pair(capsys, given, missing):
+    assert run("bounds", "--m", 10, "--kappa", 3, "-L", 2, "--c-pi", 0.5, "--C-pi", 2,
+               "--epsilon", 0.1, "--delta", 0.1, *given) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ValueError:")
+    assert f"{missing} is missing" in captured.err and captured.err.count("\n") == 1
+
+
 HUGE = "1" + "0" * 400  # parses as an int too large to convert to a float
 
 
@@ -715,6 +730,18 @@ def test_kg_eval_offline_byte_stable(tmp_path):
     doc = json.loads(outputs[0][0])
     assert doc["score"] == 0.75
     assert outputs[0][1].decode().splitlines()[1] == "table,2,2,fake,0.75,1,2"
+
+
+def test_kg_eval_refuses_a_model_label_without_csv(tmp_path, capsys):
+    kg, resp, report = tmp_path / "kg.tsv", tmp_path / "resp.txt", tmp_path / "report.json"
+    kg.write_text(KG_TSV, encoding="utf-8")
+    resp.write_text(KG_RESPONSE, encoding="utf-8")
+    argv = ("kg-eval", "--kg", kg, "--source", "table", "-k", 2, "-d", 2, "--response", resp, "-o", report)
+    assert run(*argv, "--model", "gpt-x") == 1
+    assert_one_error_line(capsys, "--model is read only with --csv")
+    assert not report.exists()
+    assert run(*argv, "--csv", tmp_path / "row.csv") == 0
+    assert (tmp_path / "row.csv").read_text(encoding="utf-8").splitlines()[1] == "table,2,2,unknown,0.75,1,2"
 
 
 def assert_one_error_line(capsys, what: str) -> None:

@@ -183,6 +183,8 @@ def test_normalized_dissimilarity_in_range(h):
 def test_range_ratio():
     assert wh([(("a", "b"), 2.0), (("b", "c"), 2.0)]).range_ratio == 1.0
     assert wh([(("a", "b"), 1.0), (("b", "c"), 4.0)]).range_ratio == 4.0
+    with pytest.raises(EmptyHypergraph):
+        WeightedHypergraph({}).range_ratio
 
 
 # -- relabel ----------------------------------------------------------------------
@@ -233,6 +235,18 @@ def test_line_graph_shared_node():
 def test_line_graph_disjoint():
     g = line_graph(wh([(("0", "1"), 1.0), (("2", "3"), 1.0)]))
     assert g.m == 0
+
+
+def test_line_graph_pair_sharing_two_nodes_is_one_edge():
+    # The pair is listed under both a and b.
+    g = line_graph(wh([(("a", "b", "c"), 1.0), (("a", "b", "d"), 1.0)]))
+    assert g.m == 1 and g.has_edge("a+b+c", "a+b+d")
+
+
+def test_line_graph_pair_whose_key_order_disagrees_with_its_edge_order():
+    # a+b sorts before a!+b as an edge, after it as a key.
+    g = line_graph(wh([(("a", "b"), 1.0), (("a!", "b"), 1.0)]))
+    assert g.m == 1 and g.has_edge("a+b", "a!+b") and g.has_edge("a!+b", "a+b")
 
 
 def test_line_graph_chain4_is_path():
