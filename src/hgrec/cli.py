@@ -24,8 +24,8 @@ from .errors import HgrecError, NotAnIsomorphism
 
 # Each handler imports the modules it runs, so a stage loads only those: report,
 # bounds, kg-*, train and recover run without numpy, and only sweep loads the
-# process pool. train and recover --candidates <file> count their file's lines in
-# chunks and never hold the whole file.
+# process pool. train and recover --candidates <file> tally the table index of each
+# line of their file, chunk by chunk, and never hold the whole file.
 
 
 def _write(path: str | None, text: str) -> None:
@@ -38,9 +38,13 @@ def _write(path: str | None, text: str) -> None:
 def _cmd_gen(args) -> int:
     from .generators import GeneratorSpec
 
+    if args.p is not None and args.structure != "wcgnm":
+        raise ValueError("--p is read only by --structure wcgnm")
+    if args.n is not None and args.structure == "frucht":
+        raise ValueError("--n is not read by --structure frucht")
     spec = GeneratorSpec(
         structure=args.structure,
-        n=args.n,
+        n=args.n or 0,
         p=args.p,
         w_min=args.w_min,
         w_max=args.w_max,
@@ -283,7 +287,7 @@ def _cmd_kg_eval(args) -> int:
         render_prompt,
     )
 
-    if args.model is not None and not args.csv:
+    if args.model is not None and args.csv is None:
         raise ValueError("--model is read only with --csv")
     kg = ingest_edge_list(args.kg)
     spec = SubgraphSpec(args.source.lower(), args.k, args.d)
@@ -292,7 +296,7 @@ def _cmd_kg_eval(args) -> int:
     response = read_text(args.response) if args.response is not None else _completion(args, prompt)
     result = evaluate_response(truth, entities, response)
     _write(args.output, result.to_json())
-    if args.csv:
+    if args.csv is not None:
         model = "unknown" if args.model is None else args.model
         _write(args.csv, eval_csv_row(spec.source, spec.k, spec.d, model, result))
     return 0
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gen", parents=[common, seeded], help="generate a weighted benchmark hypergraph (.hg)"
     )
     p.add_argument("--structure", required=True, choices=STRUCTURES)
-    p.add_argument("--n", type=int, default=0, help="node count (ignored for frucht)")
+    p.add_argument("--n", type=int, default=None, help="node count (every structure but frucht)")
     p.add_argument("--p", type=float, default=None, help="edge density (wcgnm only)")
     p.add_argument("--w-min", type=float, default=1.0)
     p.add_argument("--w-max", type=float, default=1.0)
@@ -463,6 +467,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
+        for flag, name in (("output", "-o"), ("csv", "--csv")):
+            if getattr(args, flag, None) == "":
+                raise ValueError(f"{name} is empty: it must name a file")
         if getattr(args, "output", None) not in (None, "-") and not Path(args.output).parent.is_dir():
             raise FileNotFoundError(f"no directory {str(Path(args.output).parent)!r} to write -o into")
         return args.func(args)

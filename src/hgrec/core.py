@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
@@ -410,30 +409,31 @@ def read_chunks(path: str | Path) -> Iterator[str]:
         yield from iter(lambda: f.read(_CHUNK) + f.readline(), "")
 
 
-def parse_lines(chunks: Iterable[str], parse, table: list) -> Iterator[tuple[list, Counter, dict]]:
+def parse_lines(chunks: Iterable[str], parse, table: list) -> Iterator[Iterator[int]]:
     """Parse the lines of ``chunks``, each a run of whole lines, once per distinct line.
 
-    Yields each chunk's lines, cleared when the next chunk is asked for, their
-    ``Counter`` and ``code``: every non-blank line read so far -> the index in
-    ``table`` of its record, ``parse(line)`` appended at the line's first
-    occurrence. A ``ValueError`` from ``parse`` is a ``ParseError`` on that
-    line. A chunk's bytes are checked before its lines are parsed, so a bad
-    byte is reported before a bad record in its own chunk and after one in an
-    earlier chunk.
+    Yields per chunk an iterator, read before the next chunk clears its lines,
+    of each line's index in ``table``, -1 if blank; a line's first occurrence
+    appends ``parse(line)``, whose ``ValueError`` is a ``ParseError`` on that
+    line. A chunk's bytes are checked before its lines are parsed, so a bad byte
+    is reported before a bad record in its own chunk and after one in an earlier chunk.
     """
-    code: dict[str, int] = {}
+    class Code(dict):  # every line read so far -> the index of its record
+        def __missing__(self, line: str) -> int:
+            if not line.strip():
+                return self.setdefault(line, -1)
+            try:
+                table.append(parse(line))
+            except ValueError as exc:  # the stream meets a line first here, so lines.index finds it
+                raise ParseError(num + lines.index(line), str(exc)) from None
+            return self.setdefault(line, len(table) - 1)
+
+    code = Code()
     num = 1  # the number of the chunk's first line
     for chunk in chunks:
         lines = _utf8(chunk, num).split("\n")
         del chunk  # the chunk's text, and its lines below, go before the next chunk is read
-        seen = Counter(lines)
-        new = [line for line in seen if line not in code and line.strip()]
-        if new:
-            first = dict(zip(reversed(lines), range(num + len(lines) - 1, num - 1, -1)))
-            for line in new:
-                table.append(_parsed(first[line], parse, line))
-                code[line] = len(table) - 1
-        yield lines, seen, code
+        yield map(code.__getitem__, lines)
         num += len(lines) - 1
         lines.clear()
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -123,10 +124,10 @@ class _Records:
     """Records stored by columns and written one text line each.
 
     ``table`` holds each distinct record once and ``ids`` (read-only ``int32``,
-    one per record, in order) indexes into it. A table built from columns may
-    also repeat a record or hold one that never occurs. ``records`` is built
-    from the columns on first read. Each subclass names its line parser,
-    ``_parse``, through which ``load``, ``decode`` and ``load_counts`` read.
+    one per record, in order) indexes into it; a table built from columns may
+    also repeat a record or hold one that never occurs. ``records`` is built on
+    first read. Each subclass names its line parser, ``_parse``: ``load`` and
+    ``decode`` keep each line's table index as its id, ``load_counts`` tallies them.
     """
 
     def __init__(self, records: Iterable):
@@ -193,19 +194,17 @@ class _Records:
         import numpy as np
 
         table: list = []
-        codes = (map(code.get, lines, repeat(-1)) for lines, _, code in parse_lines(chunks, cls._parse, table))
-        ids = np.fromiter(chain.from_iterable(codes), dtype=np.int32)  # -1 marks a blank line
-        return cls._from_columns(table, ids[ids >= 0])
+        ids = np.fromiter(chain.from_iterable(parse_lines(chunks, cls._parse, table)), dtype=np.int32)
+        return cls._from_columns(table, ids[ids >= 0])  # -1 marks a blank line
 
     @classmethod
     def load_counts(cls, path: str | Path) -> dict:
         """``load(path).counts()`` without numpy, in chunks: memory grows with the distinct lines, not the records."""
         table: list = []
+        tally = Counter(chain.from_iterable(parse_lines(read_chunks(path), cls._parse, table)))
         counts: dict = {}
-        for _, seen, code in parse_lines(read_chunks(path), cls._parse, table):
-            for line, c in seen.items():
-                if (i := code.get(line, -1)) >= 0:
-                    counts[table[i]] = counts.get(table[i], 0) + c
+        for i, record in enumerate(table):  # each entry's line was read, so its tally is positive
+            counts[record] = counts.get(record, 0) + tally[i]
         return counts
 
 

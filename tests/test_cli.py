@@ -744,6 +744,43 @@ def test_kg_eval_refuses_a_model_label_without_csv(tmp_path, capsys):
     assert (tmp_path / "row.csv").read_text(encoding="utf-8").splitlines()[1] == "table,2,2,unknown,0.75,1,2"
 
 
+@pytest.mark.parametrize("model", [(), ("--model", "gpt-x")])
+def test_kg_eval_refuses_an_empty_csv_path(tmp_path, capsys, monkeypatch, model):
+    """An empty ``--csv`` exits 1 naming it, before the knowledge graph is read."""
+    resp = tmp_path / "resp.txt"
+    resp.write_text(KG_RESPONSE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ("kg-eval", "--kg", "missing.tsv", "--source", "table", "-k", 2, "-d", 2, "--response", resp)
+    assert run(*argv, *model, "--csv", "") == 1
+    assert_one_error_line(capsys, "--csv is empty: it must name a file")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--structure", "star", "--n", 4),
+    ("report", "--truth", "missing.hg", "--rec", "missing.hg"),
+    ("kg-eval", "--kg", "missing.tsv", "--source", "table", "-k", 2, "-d", 2, "--responses-dir", "missing"),
+    ("bounds", "--m", 10, "--kappa", 3, "-L", 2, "--c-pi", 0.5, "--C-pi", 2, "--epsilon", 0.1, "--delta", 0.1),
+], ids=["gen", "report", "kg-eval", "bounds"])
+def test_empty_output_path_exits_1_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, "-o", "") == 1
+    assert_one_error_line(capsys, "-o is empty: it must name a file")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("--structure", "star", "--n", 6, "--p", 0.4), "--p is read only by --structure wcgnm"),
+    (("--structure", "chain", "--n", 6, "--p", 0.4), "--p is read only by --structure wcgnm"),
+    (("--structure", "frucht", "--n", 99), "--n is not read by --structure frucht"),
+])
+def test_gen_refuses_a_flag_its_structure_does_not_read(tmp_path, capsys, argv, what):
+    out = tmp_path / "g.hg"
+    assert run("gen", *argv, "-o", out) == 1
+    assert_one_error_line(capsys, what)
+    assert not out.exists()
+    assert run("gen", *argv[:-2], "-o", out) == 0
+
+
 def assert_one_error_line(capsys, what: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and what in err and err.count("\n") == 1

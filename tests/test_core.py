@@ -414,15 +414,14 @@ def lines_past_a_chunk(ends: list[str], at: int) -> str:
 @pytest.mark.parametrize("at", [_CHUNK - 1, _CHUNK])
 @pytest.mark.parametrize("ends", [["\n"], ["\r\n"], ["\r"], ["\r\n", "\n", "\r"]])
 def test_count_records_reads_lines_as_read_text_does(tmp_path, ends, at):
-    """``read_chunks`` cuts ``read_text``'s text at line ends, and ``parse_lines`` counts its lines."""
+    """``read_chunks`` cuts ``read_text``'s text at line ends, and ``parse_lines`` indexes its lines."""
     path = tmp_path / "f"
     path.write_bytes(lines_past_a_chunk(ends, at).encode("utf-8"))
     assert path.read_bytes()[at:at + len(ends[0])] == ends[0].encode()
     chunks = list(read_chunks(path))
     assert all(chunk.endswith("\n") for chunk in chunks[:-1]) and "".join(chunks) == read_text(path)
-    table, counts = [], Counter()
-    for _, seen, code in parse_lines(chunks, str, table):
-        counts.update({table[code[line]]: c for line, c in seen.items() if line in code})
+    table = []
+    counts = Counter(table[i] for codes in parse_lines(chunks, str, table) for i in codes if i >= 0)
     assert counts == Counter(line for line in read_text(path).split("\n") if line.strip())
 
 
