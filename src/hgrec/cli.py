@@ -8,6 +8,10 @@ deeply is a ``ValueError``. The three subcommands that draw,
 ``gen``, ``sample`` and ``mm-sample``, take ``--seed`` (default 0), and all
 their randomness flows from it through the documented stream-splitting rule,
 so reruns are byte-reproducible. No other subcommand accepts ``--seed``.
+Every output goes through ``core.write_text``, where the path ``-`` is stdout:
+``-o -`` writes there the bytes ``-o FILE`` writes, and a subcommand whose
+``-o`` is optional writes there when it is left out. A file named ``-`` is
+``./-``. ``recover`` refuses ``-o -``, since it prints ``meta_connected`` on stdout.
 """
 
 from __future__ import annotations
@@ -27,12 +31,7 @@ from .errors import HgrecError, NotAnIsomorphism
 # process pool. train and recover --candidates <file> tally the table index of each
 # line of their file, chunk by chunk, and never hold the whole file.
 
-
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        write_text(path, text)
+OUTPUT = "the file to write, or - for stdout"
 
 
 def _cmd_gen(args) -> int:
@@ -42,9 +41,11 @@ def _cmd_gen(args) -> int:
         raise ValueError("--p is read only by --structure wcgnm")
     if args.n is not None and args.structure == "frucht":
         raise ValueError("--n is not read by --structure frucht")
+    if args.n is None and args.structure != "frucht":
+        raise ValueError(f"--structure {args.structure} needs --n")
     spec = GeneratorSpec(
         structure=args.structure,
-        n=args.n or 0,
+        n=args.n,
         p=args.p,
         w_min=args.w_min,
         w_max=args.w_max,
@@ -84,6 +85,8 @@ def _cmd_recover(args) -> int:
     from .recovery import ALL_PAIRS, recover_from_oracle
     from .sampling import Dataset, make_masking_strategy
 
+    if args.output == "-":
+        raise ValueError("recover writes meta_connected to stdout, so -o must name a file")
     strategy = make_masking_strategy(args.mask)
     if args.oracle:
         oracle = TabularOracle.load(args.oracle)
@@ -110,7 +113,7 @@ def _cmd_report(args) -> int:
 
         relabeling = parse_node_mapping(read_text(args.relabel))
     report = recovery_report(rec, truth, relabeling, meta_connected=not args.disconnected)
-    _write(args.output, report.to_json())
+    write_text(args.output, report.to_json())
     return 0
 
 
@@ -145,7 +148,7 @@ def _cmd_align(args) -> int:
         alignment = align_wl_anchored(h1, h2, anchors)
         if alignment is None:
             raise NotAnIsomorphism("no structural isomorphism between the two hypergraphs")
-    _write(args.output, format_alignment(alignment))
+    write_text(args.output, format_alignment(alignment))
     return 0
 
 
@@ -185,7 +188,7 @@ def _cmd_bounds(args) -> int:
         lo, hi = lemma_rr_bounds(args.m0, args.kappa0)
         doc["weight_min_floor"] = lo
         doc["weight_max_ceiling"] = hi
-    _write(args.output, json.dumps(doc, indent=2) + "\n")
+    write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -202,7 +205,7 @@ def _cmd_fit(args) -> int:
     from .bounds import fit_scaling, load_csv
 
     slope, intercept = fit_scaling(load_csv(args.csv), args.x_field, args.y_field)
-    _write(args.output, json.dumps({"slope": slope, "intercept": intercept}, indent=2) + "\n")
+    write_text(args.output, json.dumps({"slope": slope, "intercept": intercept}, indent=2) + "\n")
     return 0
 
 
@@ -210,7 +213,7 @@ def _cmd_kg_ingest(args) -> int:
     from .kgeval import ingest_edge_list
 
     kg = ingest_edge_list(args.tsv)
-    _write(args.output, kg.to_tsv())
+    write_text(args.output, kg.to_tsv())
     return 0
 
 
@@ -226,7 +229,7 @@ def _cmd_kg_extract(args) -> int:
         "entities": entities,
         "edges": [list(e) for e in sorted(truth.edges)],
     }
-    _write(args.output, json.dumps(doc, indent=2) + "\n")
+    write_text(args.output, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -248,7 +251,7 @@ def _cmd_kg_prompt(args) -> int:
 
     doc = _load_subgraph(args.subgraph, need_k=args.k is None)
     k = args.k if args.k is not None else doc["k"]
-    _write(args.output, render_prompt(doc["entities"], k))
+    write_text(args.output, render_prompt(doc["entities"], k))
     return 0
 
 
@@ -259,7 +262,7 @@ def _cmd_kg_parse(args) -> int:
     response = read_text(args.response)
     pairs, unparsed = parse_edgelist(response, doc["entities"])
     out = {"pairs": [list(p) for p in sorted(pairs)], "unparsed": unparsed}
-    _write(args.output, json.dumps(out, indent=2) + "\n")
+    write_text(args.output, json.dumps(out, indent=2) + "\n")
     return 0
 
 
@@ -273,7 +276,7 @@ def _completion(args, prompt: str) -> str:
 
 
 def _cmd_kg_chat(args) -> int:
-    _write(args.output, _completion(args, read_text(args.prompt_file)))
+    write_text(args.output, _completion(args, read_text(args.prompt_file)))
     return 0
 
 
@@ -295,10 +298,10 @@ def _cmd_kg_eval(args) -> int:
     prompt = render_prompt(entities, args.k)
     response = read_text(args.response) if args.response is not None else _completion(args, prompt)
     result = evaluate_response(truth, entities, response)
-    _write(args.output, result.to_json())
+    write_text(args.output, result.to_json())
     if args.csv is not None:
         model = "unknown" if args.model is None else args.model
-        _write(args.csv, eval_csv_row(spec.source, spec.k, spec.d, model, result))
+        write_text(args.csv, eval_csv_row(spec.source, spec.k, spec.d, model, result))
     return 0
 
 
@@ -330,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="edge density (wcgnm only)")
     p.add_argument("--w-min", type=float, default=1.0)
     p.add_argument("--w-max", type=float, default=1.0)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sample", parents=[common, seeded], help="draw i.i.d. hyperedge samples (.ds)")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-n", "--n-samples", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("mm-sample", parents=[common, seeded], help="draw masked-modeling records (.mm)")
@@ -344,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n-samples", type=int, required=True, help="outer draws N")
     p.add_argument("-k", "--k-inner", type=int, default=1, help="masked variants per draw K")
     p.add_argument("--mask", default="uniform1")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_mm_sample)
 
     p = sub.add_parser("train", parents=[common], help="train the count-ratio oracle from .mm data")
     p.add_argument("--mm-data", required=True)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("recover", parents=[common], help="two-phase recovery from an oracle")
@@ -358,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--exact-from", help="hypergraph file for an exact population oracle")
     p.add_argument("--candidates", default="pairs", help="'pairs' or a candidate edge file")
     p.add_argument("--mask", default="uniform1")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help="the .hg file to write (not -: stdout gets meta_connected)")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("report", parents=[common], help="recovery error report vs a truth file")
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rec", required=True)
     p.add_argument("--relabel", help="node mapping file applied to the recovered hypergraph")
     p.add_argument("--disconnected", action="store_true", help="mark the meta-graph as disconnected")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("align", parents=[common], help="align the entities of two hypergraphs")
@@ -376,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--anchors", help="anchor file (wl-ir)")
     p.add_argument("--edge-pairs", help="edge correspondence file (ids)")
     p.add_argument("--max-nodes", type=int, help="node cap (exact)")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("fuse", parents=[common], help="relabel one dataset and append another")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
     p.add_argument("--mapping", required=True, help="node mapping file (alignment output)")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("bounds", parents=[common], help="evaluate the closed-form sample bounds")
@@ -397,25 +400,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=int, default=None, help="evaluate the minimax floor at N")
     p.add_argument("--m0", type=int, default=None, help="lemma bounds: distribution size")
     p.add_argument("--kappa0", type=float, default=None, help="lemma bounds: range ratio")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("sweep", parents=[common], help="run a recovery-error sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("fit", parents=[common], help="log-log scaling fit over sweep rows")
     p.add_argument("--csv", required=True)
     p.add_argument("--x-field", default="N")
     p.add_argument("--y-field", default="d_plugin")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("kg-ingest", parents=[common], help="normalize a relatedness TSV")
     p.add_argument("--tsv", required=True)
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_ingest)
 
     p = sub.add_parser("kg-extract", parents=[common], help="top-k depth-d subgraph around a source")
@@ -423,19 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_extract)
 
     p = sub.add_parser("kg-prompt", parents=[common], help="render the evaluation prompt")
     p.add_argument("--subgraph", required=True, help="kg-extract output JSON")
     p.add_argument("-k", type=int, default=None, help="override the embedded k")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_prompt)
 
     p = sub.add_parser("kg-parse", parents=[common], help="parse an edgelist out of a response")
     p.add_argument("--response", required=True)
     p.add_argument("--subgraph", required=True, help="kg-extract output JSON (vocabulary)")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_parse)
 
     p = sub.add_parser("kg-chat", parents=[common], help="fetch a model response for a prompt")
@@ -443,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
     src.add_argument("--responses-dir", help="offline replay directory keyed by prompt hash")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_chat)
 
     p = sub.add_parser("kg-eval", parents=[common], help="end-to-end relation evaluation")
@@ -456,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--response", help="response text file")
     src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
     p.add_argument("--model", help="model label for the CSV row (default unknown)")
-    p.add_argument("--csv", help="also write a CSV row here")
-    p.add_argument("-o", "--output")
+    p.add_argument("--csv", help="also write a CSV row to this file, or - for stdout")
+    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_eval)
 
     return parser
@@ -468,10 +471,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
         for flag, name in (("output", "-o"), ("csv", "--csv")):
-            if getattr(args, flag, None) == "":
+            path = getattr(args, flag, None)
+            if path == "":
                 raise ValueError(f"{name} is empty: it must name a file")
-        if getattr(args, "output", None) not in (None, "-") and not Path(args.output).parent.is_dir():
-            raise FileNotFoundError(f"no directory {str(Path(args.output).parent)!r} to write -o into")
+            written = flag == "output" or args.command == "kg-eval"  # fit --csv is read
+            if written and path not in (None, "-") and not Path(path).parent.is_dir():
+                raise FileNotFoundError(f"no directory {str(Path(path).parent)!r} to write {name} into")
         return args.func(args)
     except (HgrecError, ValueError, OSError, MemoryError) as exc:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever it holds

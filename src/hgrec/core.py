@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
@@ -439,8 +440,11 @@ def parse_lines(chunks: Iterable[str], parse, table: list) -> Iterator[Iterator[
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, whatever the platform."""
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, or to stdout if ``path`` is ``-``."""
+    if str(path) == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def read_json(text: str, what: str):

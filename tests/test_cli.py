@@ -3,10 +3,12 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,9 +245,14 @@ MINIMAL_ARGV = {
     "kg-chat": ["--prompt-file", "p.txt", "--responses-dir", "r"],
     "kg-eval": ["--kg", "kg.tsv", "--source", "table", "-k", "2", "-d", "3", "--responses-dir", "r"],
 }
-(SUBCOMMANDS,) = [
-    sorted(a.choices) for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-]
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+SUBCOMMANDS = sorted(subparsers())
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -781,6 +788,32 @@ def test_gen_refuses_a_flag_its_structure_does_not_read(tmp_path, capsys, argv, 
     assert run("gen", *argv[:-2], "-o", out) == 0
 
 
+@pytest.mark.parametrize("argv", [("star",), ("x",), ("chain",), ("wcgnm", "--p", 0.5)], ids=lambda a: a[0])
+def test_gen_names_a_missing_n(tmp_path, capsys, argv):
+    out = tmp_path / "g.hg"
+    assert run("gen", "--structure", *argv, "-o", out) == 1
+    assert_one_error_line(capsys, f"--structure {argv[0]} needs --n")
+    assert not out.exists()
+
+
+def test_kg_eval_csv_into_a_missing_directory_exits_1_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("kg.tsv").write_text(KG_TSV, encoding="utf-8")
+    Path("resp.txt").write_text(KG_RESPONSE, encoding="utf-8")
+    argv = ("kg-eval", "--kg", "kg.tsv", "--source", "table", "-k", 2, "-d", 2, "--response", "resp.txt",
+            "-o", "eval.json", "--csv")
+    assert run(*argv, "nodir/row.csv") == 1
+    assert capsys.readouterr().err == "error: FileNotFoundError: no directory 'nodir' to write --csv into\n"
+    assert sorted(os.listdir()) == ["kg.tsv", "resp.txt"]
+    assert run(*argv, "row.csv") == 0
+
+
+def test_fit_csv_in_a_missing_directory_is_a_read_error(tmp_path, capsys):
+    assert run("fit", "--csv", tmp_path / "nodir" / "rows.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileNotFoundError: [Errno 2] No such file or directory:") and "to write" not in err
+
+
 def assert_one_error_line(capsys, what: str) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: ValueError:") and what in err and err.count("\n") == 1
@@ -1011,3 +1044,267 @@ def test_out_of_memory_is_one_error_line(slot_dir, capsys, monkeypatch):
     monkeypatch.setattr("hgrec.sampling.sample_dataset", exhausted)
     assert run("sample", "--hypergraph", "g.hg", "-n", 10_000_000_000, "-o", "out") == 1
     assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 74.5 GiB\n"
+
+
+# -- every flag read or refused, every output through one writer ---------------------
+#
+# The tests below run each subcommand in process, in `cli_files`, which holds every
+# file MINIMAL_ARGV names plus those the flag rows read; each run's writes are undone.
+
+CLI_FILES = {
+    "g.hg": "#hg v1\n#normalized\nedge a b 0.125\nedge b c 0.375\nedge c d 0.5\n",
+    "rec.hg": "#hg v1\n#normalized\nedge a b 0.25\nedge b c 0.25\nedge c d 0.5\n",
+    "a.hg": "#hg v1\nedge a b 1\nedge b c 2\nedge c d 3\n",
+    "b.hg": "#hg v1\nedge w x 1\nedge x y 2\nedge y z 3\n",
+    "d.mm": "a b\ta _\na b\tb _\nb c\tb _\nb c\tc _\nc d\tc _\nc d\td _\nc d\td _\n",
+    "a.ds": "a b\nb c\nc d\nb c\n",
+    "b.ds": "w x\nx y\n",
+    "map.txt": "a w\nb x\nc y\nd z\n",
+    "cands.txt": "a b\nb c\n",
+    "anchors.txt": "node a w\n",
+    "pairs.txt": "a+b w+x\n",
+    "sweep.json": json.dumps({"instances": [{"structure": "star", "n": 4}], "n_grid": [50],
+                              "k_grid": [1], "num_seeds": 1}),
+    "rows.csv": "N,K,d_plugin,d_oracle\n100,1,0.4,0.5\n1000,2,0.13,0.2\n10000,4,0.04,0.03\n",
+    "kg.tsv": KG_TSV,
+    "sub.json": json.dumps({"entities": ["table", "furniture", "house", "room"], "k": 2}),
+    "resp.txt": KG_RESPONSE,
+    "p.txt": "p",
+    f"r/{prompt_key('p')}.txt": KG_RESPONSE,
+}
+
+#: One working invocation per subcommand: MINIMAL_ARGV, plus what makes its flags' effects show.
+WORKING = {command: [*argv, *{
+    "gen": ["--n", "4", "--w-max", "10"],
+    "sample": ["-n", "20"],
+    "mm-sample": ["-n", "20"],
+}.get(command, [])] for command, argv in MINIMAL_ARGV.items()}
+
+#: Per (subcommand, optional flag), arguments appended to the working invocation that give
+#: the flag a value other than its default. The run must change an output byte, or exit 1
+#: with one error line: `uniform1` is the only mask, and the other rows that exit 1 give a
+#: flag the rest of the command line leaves unread.
+FLAG_VALUES = {
+    ("gen", "--n"): ["--n", "5"],
+    ("gen", "--p"): ["--p", "0.5"],
+    ("gen", "--w-min"): ["--w-min", "2"],
+    ("gen", "--w-max"): ["--w-max", "5"],
+    ("gen", "--seed"): ["--seed", "1"],
+    ("sample", "--seed"): ["--seed", "1"],
+    ("mm-sample", "--seed"): ["--seed", "1"],
+    ("mm-sample", "--k-inner"): ["--k-inner", "2"],
+    ("mm-sample", "--mask"): ["--mask", "uniform2"],
+    ("recover", "--candidates"): ["--candidates", "cands.txt"],
+    ("recover", "--mask"): ["--mask", "uniform2"],
+    ("report", "--relabel"): ["--relabel", "map.txt"],
+    ("report", "--disconnected"): ["--disconnected"],
+    ("report", "--output"): ["-o", "out.json"],
+    ("align", "--anchors"): ["--anchors", "anchors.txt"],
+    ("align", "--edge-pairs"): ["--edge-pairs", "pairs.txt"],
+    ("align", "--max-nodes"): ["--max-nodes", "2"],
+    ("align", "--output"): ["-o", "out.txt"],
+    ("bounds", "--n-samples"): ["--n-samples", "100"],
+    ("bounds", "--m0"): ["--m0", "2"],
+    ("bounds", "--kappa0"): ["--kappa0", "3"],
+    ("bounds", "--output"): ["-o", "out.json"],
+    ("fit", "--x-field"): ["--x-field", "K"],
+    ("fit", "--y-field"): ["--y-field", "d_oracle"],
+    ("fit", "--output"): ["-o", "out.json"],
+    ("kg-ingest", "--output"): ["-o", "out.tsv"],
+    ("kg-extract", "--output"): ["-o", "out.json"],
+    ("kg-prompt", "-k"): ["-k", "3"],
+    ("kg-prompt", "--output"): ["-o", "out.txt"],
+    ("kg-parse", "--output"): ["-o", "out.json"],
+    ("kg-chat", "--output"): ["-o", "out.txt"],
+    ("kg-eval", "--model"): ["--model", "gpt-x"],
+    ("kg-eval", "--csv"): ["--csv", "row.csv"],
+    ("kg-eval", "--output"): ["-o", "out.json"],
+}
+
+#: Optional flags meant to change no output byte.
+NO_OUTPUT_BYTE = {
+    "--log-level": "records go to stderr, and outputs do not depend on what is logged",
+    "--jobs": "sweep cells run in worker processes, and rows are written in config order",
+}
+
+#: The other members of each required either-or group, each read in place of the one
+#: the working invocation names. They are where a stage reads its input, not options
+#: with a default, so the flag table holds no row for them.
+SOURCES = {
+    ("recover", "--oracle"): "--exact-from",
+    ("kg-chat", "--endpoint-config"): "--responses-dir",
+    ("kg-eval", "--response"): "--responses-dir",
+    ("kg-eval", "--endpoint-config"): "--responses-dir",
+}
+
+
+def flag_name(action: argparse.Action) -> str:
+    return max(action.option_strings, key=len)
+
+
+def test_flag_table_names_every_flag():
+    """A flag added without a row in FLAG_VALUES, NO_OUTPUT_BYTE or SOURCES fails here."""
+    optional, sources = set(), set()
+    for command, parser in subparsers().items():
+        grouped = {a for g in parser._mutually_exclusive_groups if g.required for a in g._group_actions}
+        for action in parser._actions:
+            if action.option_strings and not action.required and action.dest != "help":
+                (sources if action in grouped else optional).add((command, flag_name(action)))
+    assert {(c, f) for c, f in optional if f not in NO_OUTPUT_BYTE} == FLAG_VALUES.keys()
+    assert {f for _, f in optional} >= NO_OUTPUT_BYTE.keys()
+    assert sources == SOURCES.keys() | {(command, used) for (command, _), used in SOURCES.items()}
+    assert all(used in WORKING[command] for (command, _), used in SOURCES.items())
+
+
+class Ran(NamedTuple):
+    code: int
+    out: bytes
+    err: str
+    files: dict  # the path of every file in `cli_files` after the run -> its bytes
+
+
+def snapshot(d: Path) -> dict[str, bytes]:
+    return {p.relative_to(d).as_posix(): p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    from hgrec.kgeval import SubgraphSpec, extract_subgraph, ingest_edge_list
+
+    d = tmp_path_factory.mktemp("cli-files")
+    for name, text in CLI_FILES.items():
+        (d / name).parent.mkdir(exist_ok=True)
+        (d / name).write_text(text, encoding="utf-8")
+    _, entities = extract_subgraph(ingest_edge_list(d / "kg.tsv"), SubgraphSpec("table", 2, 3))
+    (d / "r" / f"{prompt_key(render_prompt(entities, 2))}.txt").write_text(KG_RESPONSE, encoding="utf-8")
+    return d
+
+
+@pytest.fixture
+def invoke(cli_files, monkeypatch, capsysbinary):
+    """Run ``hgrec.cli.main(argv)`` in ``cli_files``, then put its files back as they were.
+
+    ``prepare``, if given, is first called with the path ``bad`` there.
+    """
+    monkeypatch.chdir(cli_files)
+    original = snapshot(cli_files)
+
+    def call(argv: list[str], prepare=None) -> Ran:
+        bad = cli_files / "bad"
+        try:
+            if prepare is not None:
+                prepare(bad)
+            capsysbinary.readouterr()
+            code = main(argv)
+            out, err = capsysbinary.readouterr()
+        finally:
+            files = snapshot(cli_files)
+            if bad.is_dir():
+                shutil.rmtree(bad)
+            for name, data in files.items():
+                if name not in original:
+                    (cli_files / name).unlink()
+                elif data != original[name]:
+                    (cli_files / name).write_bytes(original[name])
+        return Ran(code, out, err.decode("utf-8"), files)
+
+    return call
+
+
+def assert_ok_or_one_error_line(ran: Ran, what: str = "") -> None:
+    if ran.code == 0:
+        assert ran.err == "", what
+    else:
+        assert ran.code == 1 and ran.err.startswith("error: ") and ran.err.count("\n") == 1, (what, ran.err)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_works_on_small_files(invoke, command):
+    ran = invoke([command, *WORKING[command]])
+    assert (ran.code, ran.err) == (0, "")
+
+
+@pytest.mark.parametrize("command, flag", FLAG_VALUES)
+def test_every_flag_changes_an_output_byte_or_is_refused(invoke, command, flag):
+    base = invoke([command, *WORKING[command]])
+    ran = invoke([command, *WORKING[command], *FLAG_VALUES[command, flag]])
+    assert_ok_or_one_error_line(ran)
+    if ran.code == 0:
+        assert (ran.out, ran.files) != (base.out, base.files)
+    else:
+        assert flag in ran.err or FLAG_VALUES[command, flag][-1] in ran.err
+
+
+def without_runtime(csv_text: bytes) -> list[bytes]:
+    """The sweep rows without ``runtime_ms``, their last column and the one that varies."""
+    return [line.rsplit(b",", 1)[0] for line in csv_text.splitlines()]
+
+
+@pytest.mark.parametrize("command", [c for c in SUBCOMMANDS if c != "recover"])
+def test_dash_writes_to_stdout_the_bytes_a_file_gets(invoke, command):
+    to_stdout = invoke([command, *WORKING[command], "-o", "-"])
+    to_file = invoke([command, *WORKING[command], "-o", "out"])
+    assert (to_stdout.code, to_stdout.err, to_file.code, to_file.out) == (0, "", 0, b"")
+    assert "-" not in to_stdout.files
+    assert to_stdout.files == {k: v for k, v in to_file.files.items() if k != "out"}
+    if command == "sweep":
+        assert without_runtime(to_stdout.out) == without_runtime(to_file.files["out"])
+    else:
+        assert to_stdout.out == to_file.files["out"]
+
+
+def test_an_optional_o_defaults_to_dash():
+    """Leaving out an optional ``-o`` is ``-o -``; every subcommand has ``-o``."""
+    for parser in subparsers().values():
+        (output,) = [a for a in parser._actions if a.dest == "output"]
+        assert output.required or output.default == "-"
+
+
+def test_recover_refuses_dash_output(invoke, cli_files):
+    ran = invoke(["recover", *WORKING["recover"], "-o", "-"])
+    assert (ran.code, ran.out) == (1, b"")
+    assert ran.err == "error: ValueError: recover writes meta_connected to stdout, so -o must name a file\n"
+    assert ran.files == snapshot(cli_files)  # nothing written
+
+
+def test_dash_file_is_dot_slash_dash(invoke):
+    ran = invoke(["gen", *WORKING["gen"], "-o", "./-"])
+    assert ran.code == 0 and ran.out == b""
+    assert ran.files["-"] == invoke(["gen", *WORKING["gen"], "-o", "-"]).out
+
+
+def input_slots() -> dict[tuple[str, str], list[str]]:
+    """Per (subcommand, input-file flag), a working argv that reads that flag's file from ``bad``."""
+    names = {name.split("/")[0] for name in CLI_FILES}
+    slots = {}
+    for command, argv in WORKING.items():
+        for i, (flag, value) in enumerate(zip(argv, argv[1:])):
+            if flag not in ("-o", "--output") and value in names:
+                slots[command, flag] = [*argv[:i + 1], "bad", *argv[i + 2:]]
+    for (command, flag), extra in FLAG_VALUES.items():
+        if extra[-1] in names:
+            slots[command, flag] = [*WORKING[command], flag, "bad"]
+    for (command, flag), used in SOURCES.items():
+        i = WORKING[command].index(used)
+        slots[command, flag] = [*WORKING[command][:i], flag, "bad", *WORKING[command][i + 2:]]
+    for flag, method in (("--anchors", "wl-ir"), ("--edge-pairs", "ids")):  # read only by their method
+        slots["align", flag] += ["--method", method]
+    return slots
+
+
+INPUT_SLOTS = input_slots()
+HOSTILE_INPUTS = {
+    "not-utf8": lambda bad: bad.write_bytes(b"a b\nc \xff d\n"),
+    "nuls": lambda bad: bad.write_bytes(b"\0" * 8 + b"\n\0"),
+    "junk": lambda bad: bad.write_bytes(b'{"a": [} |+_ \t#\n\r\nedge 0\n'),
+    "empty": lambda bad: bad.write_bytes(b""),
+    "directory": lambda bad: bad.mkdir(),
+}
+
+
+@pytest.mark.parametrize("command, flag", INPUT_SLOTS)
+def test_hostile_input_file_exits_0_or_1(invoke, command, flag):
+    """Each hostile file: exit 0, or exit 1 with one ``error:`` line; an escaping exception fails."""
+    for hostile, prepare in HOSTILE_INPUTS.items():
+        ran = invoke([command, *INPUT_SLOTS[command, flag]], prepare)
+        assert_ok_or_one_error_line(ran, hostile)
