@@ -11,12 +11,14 @@ so reruns are byte-reproducible. No other subcommand accepts ``--seed``.
 Every output goes through ``core.write_text``, where the path ``-`` is stdout:
 ``-o -`` writes there the bytes ``-o FILE`` writes, and a subcommand whose
 ``-o`` is optional writes there when it is left out. A file named ``-`` is
-``./-``. ``recover`` refuses ``-o -``, since it prints ``meta_connected`` on stdout.
+``./-``. ``recover`` refuses ``-o -``, since it prints ``meta_connected`` on stdout,
+and ``kg-eval`` refuses a ``--csv`` that names the destination of ``-o``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -30,9 +32,6 @@ from .errors import HgrecError, NotAnIsomorphism
 # bounds, kg-*, train and recover run without numpy, and only sweep loads the
 # process pool. train and recover --candidates <file> tally the table index of each
 # line of their file, chunk by chunk, and never hold the whole file.
-
-OUTPUT = "the file to write, or - for stdout"
-
 
 def _cmd_gen(args) -> int:
     from .generators import GeneratorSpec
@@ -217,15 +216,21 @@ def _cmd_kg_ingest(args) -> int:
     return 0
 
 
-def _cmd_kg_extract(args) -> int:
+def _extract(args):
+    """Read ``--kg``, then extract the ``--source -k -d`` subgraph: (spec, truth, entities)."""
     from .kgeval import SubgraphSpec, extract_subgraph, ingest_edge_list
 
     kg = ingest_edge_list(args.kg)
-    truth, entities = extract_subgraph(kg, SubgraphSpec(args.source.lower(), args.k, args.d))
+    spec = SubgraphSpec(args.source.lower(), args.k, args.d)
+    return (spec, *extract_subgraph(kg, spec))
+
+
+def _cmd_kg_extract(args) -> int:
+    spec, truth, entities = _extract(args)
     doc = {
-        "source": args.source.lower(),
-        "k": args.k,
-        "d": args.d,
+        "source": spec.source,
+        "k": spec.k,
+        "d": spec.d,
         "entities": entities,
         "edges": [list(e) for e in sorted(truth.edges)],
     }
@@ -280,21 +285,19 @@ def _cmd_kg_chat(args) -> int:
     return 0
 
 
+def _destination(path: str):
+    """Where ``path`` writes: stdout for ``-``, else the file it resolves to."""
+    return path if path == "-" else Path(path).resolve()
+
+
 def _cmd_kg_eval(args) -> int:
-    from .kgeval import (
-        SubgraphSpec,
-        eval_csv_row,
-        evaluate_response,
-        extract_subgraph,
-        ingest_edge_list,
-        render_prompt,
-    )
+    from .kgeval import eval_csv_row, evaluate_response, render_prompt
 
     if args.model is not None and args.csv is None:
         raise ValueError("--model is read only with --csv")
-    kg = ingest_edge_list(args.kg)
-    spec = SubgraphSpec(args.source.lower(), args.k, args.d)
-    truth, entities = extract_subgraph(kg, spec)
+    if args.csv is not None and _destination(args.csv) == _destination(args.output):
+        raise ValueError(f"--csv and -o both name {args.csv!r}: the CSV row and the JSON report need one each")
+    spec, truth, entities = _extract(args)
     prompt = render_prompt(entities, args.k)
     response = read_text(args.response) if args.response is not None else _completion(args, prompt)
     result = evaluate_response(truth, entities, response)
@@ -308,6 +311,8 @@ def _cmd_kg_eval(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     from .generators import STRUCTURES
 
+    # Parents share their Action objects with every subparser built on them, so no
+    # subparser may set_defaults a dest that a parent declares.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--log-level",
@@ -315,8 +320,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("debug", "info", "warning", "error"),
         help="logging verbosity",
     )
-    seeded = argparse.ArgumentParser(add_help=False)
+    to_stdout = argparse.ArgumentParser(add_help=False, parents=[common])
+    to_stdout.add_argument("-o", "--output", default="-", help="the file to write, or - for stdout (default -)")
+    to_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    to_file.add_argument("-o", "--output", required=True, help="the file to write, or - for stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[to_file])
     seeded.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--kg", required=True)
+    spec.add_argument("--source", required=True)
+    spec.add_argument("-k", type=int, required=True)
+    spec.add_argument("-d", type=int, required=True)
 
     parser = argparse.ArgumentParser(
         prog="hgrec",
@@ -325,34 +339,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "gen", parents=[common, seeded], help="generate a weighted benchmark hypergraph (.hg)"
-    )
+    p = sub.add_parser("gen", parents=[seeded], help="generate a weighted benchmark hypergraph (.hg)")
     p.add_argument("--structure", required=True, choices=STRUCTURES)
     p.add_argument("--n", type=int, default=None, help="node count (every structure but frucht)")
     p.add_argument("--p", type=float, default=None, help="edge density (wcgnm only)")
     p.add_argument("--w-min", type=float, default=1.0)
     p.add_argument("--w-max", type=float, default=1.0)
-    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sample", parents=[common, seeded], help="draw i.i.d. hyperedge samples (.ds)")
+    p = sub.add_parser("sample", parents=[seeded], help="draw i.i.d. hyperedge samples (.ds)")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-n", "--n-samples", type=int, required=True)
-    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("mm-sample", parents=[common, seeded], help="draw masked-modeling records (.mm)")
+    p = sub.add_parser("mm-sample", parents=[seeded], help="draw masked-modeling records (.mm)")
     p.add_argument("--hypergraph", required=True)
     p.add_argument("-n", "--n-samples", type=int, required=True, help="outer draws N")
     p.add_argument("-k", "--k-inner", type=int, default=1, help="masked variants per draw K")
     p.add_argument("--mask", default="uniform1")
-    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_mm_sample)
 
-    p = sub.add_parser("train", parents=[common], help="train the count-ratio oracle from .mm data")
+    p = sub.add_parser("train", parents=[to_file], help="train the count-ratio oracle from .mm data")
     p.add_argument("--mm-data", required=True)
-    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("recover", parents=[common], help="two-phase recovery from an oracle")
@@ -364,32 +372,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="the .hg file to write (not -: stdout gets meta_connected)")
     p.set_defaults(func=_cmd_recover)
 
-    p = sub.add_parser("report", parents=[common], help="recovery error report vs a truth file")
+    p = sub.add_parser("report", parents=[to_stdout], help="recovery error report vs a truth file")
     p.add_argument("--truth", required=True)
     p.add_argument("--rec", required=True)
     p.add_argument("--relabel", help="node mapping file applied to the recovered hypergraph")
     p.add_argument("--disconnected", action="store_true", help="mark the meta-graph as disconnected")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("align", parents=[common], help="align the entities of two hypergraphs")
+    p = sub.add_parser("align", parents=[to_stdout], help="align the entities of two hypergraphs")
     p.add_argument("--h1", required=True)
     p.add_argument("--h2", required=True)
     p.add_argument("--method", required=True, choices=("exact", "ids", "wl-ir"))
     p.add_argument("--anchors", help="anchor file (wl-ir)")
     p.add_argument("--edge-pairs", help="edge correspondence file (ids)")
     p.add_argument("--max-nodes", type=int, help="node cap (exact)")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_align)
 
-    p = sub.add_parser("fuse", parents=[common], help="relabel one dataset and append another")
+    p = sub.add_parser("fuse", parents=[to_file], help="relabel one dataset and append another")
     p.add_argument("--d1", required=True)
     p.add_argument("--d2", required=True)
     p.add_argument("--mapping", required=True, help="node mapping file (alignment output)")
-    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_fuse)
 
-    p = sub.add_parser("bounds", parents=[common], help="evaluate the closed-form sample bounds")
+    p = sub.add_parser("bounds", parents=[to_stdout], help="evaluate the closed-form sample bounds")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--length-bound", "-L", type=int, required=True, dest="length_bound")
@@ -400,74 +405,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=int, default=None, help="evaluate the minimax floor at N")
     p.add_argument("--m0", type=int, default=None, help="lemma bounds: distribution size")
     p.add_argument("--kappa0", type=float, default=None, help="lemma bounds: range ratio")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("sweep", parents=[common], help="run a recovery-error sweep to CSV")
+    p = sub.add_parser("sweep", parents=[to_file], help="run a recovery-error sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("-o", "--output", required=True, help=OUTPUT)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("fit", parents=[common], help="log-log scaling fit over sweep rows")
+    p = sub.add_parser("fit", parents=[to_stdout], help="log-log scaling fit over sweep rows")
     p.add_argument("--csv", required=True)
     p.add_argument("--x-field", default="N")
     p.add_argument("--y-field", default="d_plugin")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("kg-ingest", parents=[common], help="normalize a relatedness TSV")
+    p = sub.add_parser("kg-ingest", parents=[to_stdout], help="normalize a relatedness TSV")
     p.add_argument("--tsv", required=True)
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_ingest)
 
-    p = sub.add_parser("kg-extract", parents=[common], help="top-k depth-d subgraph around a source")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
+    p = sub.add_parser("kg-extract", parents=[to_stdout, spec], help="top-k depth-d subgraph around a source")
     p.set_defaults(func=_cmd_kg_extract)
 
-    p = sub.add_parser("kg-prompt", parents=[common], help="render the evaluation prompt")
+    p = sub.add_parser("kg-prompt", parents=[to_stdout], help="render the evaluation prompt")
     p.add_argument("--subgraph", required=True, help="kg-extract output JSON")
     p.add_argument("-k", type=int, default=None, help="override the embedded k")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_prompt)
 
-    p = sub.add_parser("kg-parse", parents=[common], help="parse an edgelist out of a response")
+    p = sub.add_parser("kg-parse", parents=[to_stdout], help="parse an edgelist out of a response")
     p.add_argument("--response", required=True)
     p.add_argument("--subgraph", required=True, help="kg-extract output JSON (vocabulary)")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_parse)
 
-    p = sub.add_parser("kg-chat", parents=[common], help="fetch a model response for a prompt")
+    p = sub.add_parser("kg-chat", parents=[to_stdout], help="fetch a model response for a prompt")
     p.add_argument("--prompt-file", required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
     src.add_argument("--responses-dir", help="offline replay directory keyed by prompt hash")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_chat)
 
-    p = sub.add_parser("kg-eval", parents=[common], help="end-to-end relation evaluation")
-    p.add_argument("--kg", required=True)
-    p.add_argument("--source", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-d", type=int, required=True)
+    p = sub.add_parser("kg-eval", parents=[to_stdout, spec], help="end-to-end relation evaluation")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--responses-dir", help="offline replay directory")
     src.add_argument("--response", help="response text file")
     src.add_argument("--endpoint-config", help="endpoint JSON (live mode)")
     p.add_argument("--model", help="model label for the CSV row (default unknown)")
     p.add_argument("--csv", help="also write a CSV row to this file, or - for stdout")
-    p.add_argument("-o", "--output", default="-", help=f"{OUTPUT} (default -)")
     p.set_defaults(func=_cmd_kg_eval)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: parsing leaves it as it was, and building it costs milliseconds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # A process's one call reads sys.argv (argv None) and drops its parser, which would
+    # otherwise stay live through the whole run; in-process callers pass argv and reuse one.
+    args = (build_parser() if argv is None else _parser()).parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
         for flag, name in (("output", "-o"), ("csv", "--csv")):

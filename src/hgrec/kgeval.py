@@ -323,6 +323,8 @@ def prompt_key(prompt: str) -> str:
 
 def replay_completion(responses_dir: str | Path, prompt: str) -> str:
     """Read the canned response for a prompt from `<sha256(prompt)>.txt`."""
+    if not Path(responses_dir).is_dir():
+        raise NotADirectoryError(f"no directory of canned responses at {str(responses_dir)!r}")
     path = Path(responses_dir) / f"{prompt_key(prompt)}.txt"
     if not path.exists():
         raise RequestFailed(0, f"no canned response at {path}")

@@ -1224,6 +1224,14 @@ def test_every_subcommand_works_on_small_files(invoke, command):
     assert (ran.code, ran.err) == (0, "")
 
 
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_every_subcommand_help_names_the_shared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--log-level" in out and "-o OUTPUT" in out
+
+
 @pytest.mark.parametrize("command, flag", FLAG_VALUES)
 def test_every_flag_changes_an_output_byte_or_is_refused(invoke, command, flag):
     base = invoke([command, *WORKING[command]])
@@ -1265,6 +1273,27 @@ def test_recover_refuses_dash_output(invoke, cli_files):
     assert (ran.code, ran.out) == (1, b"")
     assert ran.err == "error: ValueError: recover writes meta_connected to stdout, so -o must name a file\n"
     assert ran.files == snapshot(cli_files)  # nothing written
+
+
+@pytest.mark.parametrize(
+    "same",
+    [["--csv", "-"], ["-o", "same.txt", "--csv", "same.txt"], ["-o", "same.txt", "--csv", "./same.txt"]],
+    ids=["stdout", "file", "dot-file"],
+)
+def test_kg_eval_refuses_csv_and_o_at_one_destination(invoke, cli_files, same):
+    ran = invoke(["kg-eval", *WORKING["kg-eval"], *same])
+    assert (ran.code, ran.out) == (1, b"")
+    reason = "the CSV row and the JSON report need one each"
+    assert ran.err == f"error: ValueError: --csv and -o both name {same[-1]!r}: {reason}\n"
+    assert ran.files == snapshot(cli_files)  # nothing written
+
+
+@pytest.mark.parametrize("kind", ["file", "missing"])
+def test_responses_dir_that_is_not_a_directory_is_named(invoke, kind):
+    prepare = (lambda bad: bad.write_text("x", encoding="utf-8")) if kind == "file" else None
+    ran = invoke(["kg-chat", "--prompt-file", "p.txt", "--responses-dir", "bad"], prepare)
+    assert (ran.code, ran.out) == (1, b"")
+    assert ran.err == "error: NotADirectoryError: no directory of canned responses at 'bad'\n"
 
 
 def test_dash_file_is_dot_slash_dash(invoke):
