@@ -18,7 +18,6 @@ and ``kg-eval`` refuses a ``--csv`` that names the destination of ``-o``.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import logging
 import sys
@@ -454,16 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: parsing leaves it as it was, and building it costs milliseconds."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    # A process's one call reads sys.argv (argv None) and drops its parser, which would
-    # otherwise stay live through the whole run; in-process callers pass argv and reuse one.
-    args = (build_parser() if argv is None else _parser()).parse_args(argv)
+    args = build_parser().parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
     try:
         for flag, name in (("output", "-o"), ("csv", "--csv")):
