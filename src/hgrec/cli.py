@@ -2,17 +2,19 @@
 
 Exit codes: 0 on success, 2 on usage errors, and 1 with one ``error:`` line on
 stderr for a domain error, a bad input file or running out of memory; a line
-break in the message is written as ``\\r`` or ``\\n``. Input files are read
-as UTF-8: a bad byte is a ``ParseError`` naming its line, and JSON nested too
-deeply is a ``ValueError``. The three subcommands that draw,
+break in the message is written as ``\\r`` or ``\\n``. Only :func:`main` sets
+the status: a ``_cmd_*`` handler returns nothing and fails by raising. Input
+files are read as UTF-8: a bad byte is a ``ParseError`` naming its line, and
+JSON nested too deeply is a ``ValueError``. The three subcommands that draw,
 ``gen``, ``sample`` and ``mm-sample``, take ``--seed`` (default 0), and all
 their randomness flows from it through the documented stream-splitting rule,
 so reruns are byte-reproducible. No other subcommand accepts ``--seed``.
 Every output goes through ``core.write_text``, where the path ``-`` is stdout:
-``-o -`` writes there the bytes ``-o FILE`` writes, and a subcommand whose
-``-o`` is optional writes there when it is left out. A file named ``-`` is
-``./-``. ``recover`` refuses ``-o -``, since it prints ``meta_connected`` on stdout,
-and ``kg-eval`` refuses a ``--csv`` that names the destination of ``-o``.
+``-o -`` writes there the bytes ``-o FILE`` writes, UTF-8 whatever the
+stream's encoding, and a subcommand whose ``-o`` is optional writes there
+when it is left out. A file named ``-`` is ``./-``. ``recover`` refuses
+``-o -``, since it prints ``meta_connected`` on stdout, and ``kg-eval``
+refuses a ``--csv`` that names the destination of ``-o``.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ from .errors import HgrecError, NotAnIsomorphism
 # process pool. train and recover --candidates <file> tally the table index of each
 # line of their file, chunk by chunk, and never hold the whole file.
 
-def _cmd_gen(args) -> int:
-    from .generators import GeneratorSpec
+def _cmd_gen(args) -> None:
+    from .generators import STRUCTURES, GeneratorSpec
 
-    if args.p is not None and args.structure != "wcgnm":
-        raise ValueError("--p is read only by --structure wcgnm")
-    if args.n is not None and args.structure == "frucht":
-        raise ValueError("--n is not read by --structure frucht")
-    if args.n is None and args.structure != "frucht":
+    reads = STRUCTURES[args.structure][1]
+    if args.p is not None and "p" not in reads:
+        readers = ", ".join(s for s, (_, fields) in STRUCTURES.items() if "p" in fields)
+        raise ValueError(f"--p is read only by --structure {readers}")
+    if args.n is not None and "n" not in reads:
+        raise ValueError(f"--n is not read by --structure {args.structure}")
+    if args.n is None and "n" in reads:
         raise ValueError(f"--structure {args.structure} needs --n")
     spec = GeneratorSpec(
         structure=args.structure,
@@ -50,35 +54,31 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
     )
     save_hypergraph(spec.build(), args.output)
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     from .sampling import sample_dataset
 
     h = load_hypergraph(args.hypergraph)
     sample_dataset(h, args.n_samples, args.seed).save(args.output)
-    return 0
 
 
-def _cmd_mm_sample(args) -> int:
+def _cmd_mm_sample(args) -> None:
     from .sampling import make_masking_strategy, sample_mm_dataset
 
     h = load_hypergraph(args.hypergraph)
     strategy = make_masking_strategy(args.mask)
     sample_mm_dataset(h, args.n_samples, args.k_inner, strategy, args.seed).save(args.output)
-    return 0
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     from .oracle import train_tabular
     from .sampling import MMDataset
 
     train_tabular(MMDataset.load_counts(args.mm_data)).save(args.output)
-    return 0
 
 
-def _cmd_recover(args) -> int:
+def _cmd_recover(args) -> None:
     from .oracle import ExactOracle, TabularOracle
     from .recovery import ALL_PAIRS, recover_from_oracle
     from .sampling import Dataset, make_masking_strategy
@@ -97,10 +97,9 @@ def _cmd_recover(args) -> int:
     recovered, connected = recover_from_oracle(oracle, candidates, strategy)
     save_hypergraph(recovered, args.output)
     print(f"meta_connected: {'true' if connected else 'false'}")
-    return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     from .recovery import recovery_report
 
     truth = load_hypergraph(args.truth)
@@ -112,12 +111,10 @@ def _cmd_report(args) -> int:
         relabeling = parse_node_mapping(read_text(args.relabel))
     report = recovery_report(rec, truth, relabeling, meta_connected=not args.disconnected)
     write_text(args.output, report.to_json())
-    return 0
 
 
-def _cmd_align(args) -> int:
+def _cmd_align(args) -> None:
     from .alignment import (
-        AnchorSet,
         align_by_hyperedge_ids,
         align_exact,
         align_wl_anchored,
@@ -140,17 +137,14 @@ def _cmd_align(args) -> int:
         pairs = parse_edge_pairs(read_text(args.edge_pairs))
         alignment = align_by_hyperedge_ids(h1, h2, pairs)
     else:
-        anchors = AnchorSet()
-        if args.anchors is not None:
-            anchors = parse_anchor_file(read_text(args.anchors))
+        anchors = None if args.anchors is None else parse_anchor_file(read_text(args.anchors))
         alignment = align_wl_anchored(h1, h2, anchors)
         if alignment is None:
             raise NotAnIsomorphism("no structural isomorphism between the two hypergraphs")
     write_text(args.output, format_alignment(alignment))
-    return 0
 
 
-def _cmd_fuse(args) -> int:
+def _cmd_fuse(args) -> None:
     from .alignment import fuse_datasets, parse_node_mapping
     from .sampling import Dataset
 
@@ -158,10 +152,9 @@ def _cmd_fuse(args) -> int:
     d2 = Dataset.load(args.d2)
     phi = parse_node_mapping(read_text(args.mapping))
     fuse_datasets(d1, d2, phi).save(args.output)
-    return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> None:
     from .bounds import BoundsInput, lemma_rr_bounds, lower_bound_risk, mm_sample_bounds
 
     if (args.m0 is None) != (args.kappa0 is None):
@@ -187,32 +180,28 @@ def _cmd_bounds(args) -> int:
         doc["weight_min_floor"] = lo
         doc["weight_max_ceiling"] = hi
     write_text(args.output, json.dumps(doc, indent=2) + "\n")
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     from .sweep import SweepConfig, run_sweep, save_csv
 
     cfg = SweepConfig.load(args.config)
     rows = run_sweep(cfg, jobs=args.jobs)
     save_csv(rows, args.output)
-    return 0
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     from .bounds import fit_scaling, load_csv
 
     slope, intercept = fit_scaling(load_csv(args.csv), args.x_field, args.y_field)
     write_text(args.output, json.dumps({"slope": slope, "intercept": intercept}, indent=2) + "\n")
-    return 0
 
 
-def _cmd_kg_ingest(args) -> int:
+def _cmd_kg_ingest(args) -> None:
     from .kgeval import ingest_edge_list
 
     kg = ingest_edge_list(args.tsv)
     write_text(args.output, kg.to_tsv())
-    return 0
 
 
 def _extract(args):
@@ -224,7 +213,7 @@ def _extract(args):
     return (spec, *extract_subgraph(kg, spec))
 
 
-def _cmd_kg_extract(args) -> int:
+def _cmd_kg_extract(args) -> None:
     spec, truth, entities = _extract(args)
     doc = {
         "source": spec.source,
@@ -234,7 +223,6 @@ def _cmd_kg_extract(args) -> int:
         "edges": [list(e) for e in sorted(truth.edges)],
     }
     write_text(args.output, json.dumps(doc, indent=2) + "\n")
-    return 0
 
 
 def _load_subgraph(path: str, need_k: bool) -> dict:
@@ -250,16 +238,15 @@ def _load_subgraph(path: str, need_k: bool) -> dict:
     return doc
 
 
-def _cmd_kg_prompt(args) -> int:
+def _cmd_kg_prompt(args) -> None:
     from .kgeval import render_prompt
 
     doc = _load_subgraph(args.subgraph, need_k=args.k is None)
     k = args.k if args.k is not None else doc["k"]
     write_text(args.output, render_prompt(doc["entities"], k))
-    return 0
 
 
-def _cmd_kg_parse(args) -> int:
+def _cmd_kg_parse(args) -> None:
     from .kgeval import parse_edgelist
 
     doc = _load_subgraph(args.subgraph, need_k=False)
@@ -267,7 +254,6 @@ def _cmd_kg_parse(args) -> int:
     pairs, unparsed = parse_edgelist(response, doc["entities"])
     out = {"pairs": [list(p) for p in sorted(pairs)], "unparsed": unparsed}
     write_text(args.output, json.dumps(out, indent=2) + "\n")
-    return 0
 
 
 def _completion(args, prompt: str) -> str:
@@ -279,9 +265,8 @@ def _completion(args, prompt: str) -> str:
     return chat_completion(EndpointConfig.load(args.endpoint_config), prompt)
 
 
-def _cmd_kg_chat(args) -> int:
+def _cmd_kg_chat(args) -> None:
     write_text(args.output, _completion(args, read_text(args.prompt_file)))
-    return 0
 
 
 def _destination(path: str):
@@ -289,7 +274,7 @@ def _destination(path: str):
     return path if path == "-" else Path(path).resolve()
 
 
-def _cmd_kg_eval(args) -> int:
+def _cmd_kg_eval(args) -> None:
     from .kgeval import eval_csv_row, evaluate_response, render_prompt
 
     if args.model is not None and args.csv is None:
@@ -304,7 +289,6 @@ def _cmd_kg_eval(args) -> int:
     if args.csv is not None:
         model = "unknown" if args.model is None else args.model
         write_text(args.csv, eval_csv_row(spec.source, spec.k, spec.d, model, result))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     to_file.add_argument("-o", "--output", required=True, help="the file to write, or - for stdout")
     seeded = argparse.ArgumentParser(add_help=False, parents=[to_file])
     seeded.add_argument("--seed", type=int, default=0, help="64-bit unsigned master seed")
+    drawn_from = argparse.ArgumentParser(add_help=False)
+    drawn_from.add_argument("--hypergraph", required=True)
+    masked = argparse.ArgumentParser(add_help=False)
+    masked.add_argument("--mask", default="uniform1")
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--kg", required=True)
     spec.add_argument("--source", required=True)
@@ -346,28 +334,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w-max", type=float, default=1.0)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sample", parents=[seeded], help="draw i.i.d. hyperedge samples (.ds)")
-    p.add_argument("--hypergraph", required=True)
+    p = sub.add_parser("sample", parents=[seeded, drawn_from], help="draw i.i.d. hyperedge samples (.ds)")
     p.add_argument("-n", "--n-samples", type=int, required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("mm-sample", parents=[seeded], help="draw masked-modeling records (.mm)")
-    p.add_argument("--hypergraph", required=True)
+    p = sub.add_parser("mm-sample", parents=[seeded, drawn_from, masked], help="draw masked-modeling records (.mm)")
     p.add_argument("-n", "--n-samples", type=int, required=True, help="outer draws N")
     p.add_argument("-k", "--k-inner", type=int, default=1, help="masked variants per draw K")
-    p.add_argument("--mask", default="uniform1")
     p.set_defaults(func=_cmd_mm_sample)
 
     p = sub.add_parser("train", parents=[to_file], help="train the count-ratio oracle from .mm data")
     p.add_argument("--mm-data", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("recover", parents=[common], help="two-phase recovery from an oracle")
+    p = sub.add_parser("recover", parents=[common, masked], help="two-phase recovery from an oracle")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--oracle", help="trained oracle JSON")
     src.add_argument("--exact-from", help="hypergraph file for an exact population oracle")
     p.add_argument("--candidates", default="pairs", help="'pairs' or a candidate edge file")
-    p.add_argument("--mask", default="uniform1")
     p.add_argument("-o", "--output", required=True, help="the .hg file to write (not -: stdout gets meta_connected)")
     p.set_defaults(func=_cmd_recover)
 
@@ -464,11 +448,12 @@ def main(argv=None) -> int:
             written = flag == "output" or args.command == "kg-eval"  # fit --csv is read
             if written and path not in (None, "-") and not Path(path).parent.is_dir():
                 raise FileNotFoundError(f"no directory {str(Path(path).parent)!r} to write {name} into")
-        return args.func(args)
+        args.func(args)
     except (HgrecError, ValueError, OSError, MemoryError) as exc:
         message = str(exc).replace("\r", "\\r").replace("\n", "\\n")  # one line, whatever it holds
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

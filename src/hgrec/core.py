@@ -441,8 +441,9 @@ def parse_lines(chunks: Iterable[str], parse, table: list) -> Iterator[Iterator[
 
 def write_text(path: str | Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends, or to stdout if ``path`` is ``-``."""
-    if str(path) == "-":
-        sys.stdout.write(text)
+    if str(path) == "-":  # UTF-8 whatever the stream's encoding, so - gets the bytes a file gets
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 

@@ -129,7 +129,14 @@ def assign_weights(
     return normalize(weighted)
 
 
-STRUCTURES = ("star", "x", "chain", "wcgnm", "frucht")
+# Each structure's builder and the GeneratorSpec fields it reads, in argument order.
+STRUCTURES = {
+    "star": (star, ("n",)),
+    "x": (x_graph, ("n",)),
+    "chain": (chain, ("n",)),
+    "wcgnm": (wcgnm, ("n", "p", "seed")),
+    "frucht": (frucht, ()),
+}
 
 
 @dataclass(frozen=True)
@@ -145,20 +152,12 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.structure not in STRUCTURES:
-            raise InvalidSize(f"unknown structure {self.structure!r}; expected one of {STRUCTURES}")
-        if self.structure == "wcgnm" and self.p is None:
-            raise InvalidSize("wcgnm requires an edge density p")
+            raise InvalidSize(f"unknown structure {self.structure!r}; expected one of {tuple(STRUCTURES)}")
+        if "p" in STRUCTURES[self.structure][1] and self.p is None:
+            raise InvalidSize(f"{self.structure} requires an edge density p")
 
     def build(self) -> WeightedHypergraph:
         """Generate the structure and assign normalized two-point weights."""
-        if self.structure == "star":
-            h = star(self.n)
-        elif self.structure == "x":
-            h = x_graph(self.n)
-        elif self.structure == "chain":
-            h = chain(self.n)
-        elif self.structure == "wcgnm":
-            h = wcgnm(self.n, self.p, self.seed)
-        else:
-            h = frucht()
+        builder, fields = STRUCTURES[self.structure]
+        h = builder(*(getattr(self, f) for f in fields))
         return assign_weights(h, self.w_min, self.w_max, self.seed)

@@ -302,14 +302,10 @@ class EndpointConfig:
         for key in ("temperature", "timeout_s"):
             if key in doc and (isinstance(doc[key], bool) or not isinstance(doc[key], (int, float))):
                 raise ValueError(f"endpoint config: {key!r} must be a number, got {doc[key]!r}")
+        strings = {key: doc[key] for key in ("base_url", "model", "api_key_env") if key in doc}
         # float(str(n)) reads an integer too large for a float as inf; float(n) raises OverflowError.
-        return cls(
-            base_url=doc["base_url"],
-            model=doc["model"],
-            temperature=float(str(doc.get("temperature", 0.0))),
-            timeout_s=float(str(doc.get("timeout_s", 60.0))),
-            api_key_env=doc.get("api_key_env", "HGREC_API_KEY"),
-        )
+        numbers = {key: float(str(doc[key])) for key in ("temperature", "timeout_s") if key in doc}
+        return cls(**strings, **numbers)
 
     @classmethod
     def load(cls, path: str | Path) -> "EndpointConfig":

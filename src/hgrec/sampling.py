@@ -103,11 +103,9 @@ class UniformSingleMask(MaskingStrategy):
         return cached
 
 
-def uniform_single_mask() -> UniformSingleMask:
-    return UniformSingleMask()
+uniform_single_mask = UniformSingleMask  # the name the README and demos build it by
 
-
-MASKING_KINDS = {"uniform1": uniform_single_mask}
+MASKING_KINDS = {"uniform1": UniformSingleMask}
 
 
 def make_masking_strategy(kind: str) -> MaskingStrategy:

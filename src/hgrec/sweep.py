@@ -163,7 +163,7 @@ class SweepConfig:
                 raise ValueError(f"sweep config: missing key {key!r}")
         if not isinstance(doc["instances"], (list, tuple)):
             raise ValueError(f"sweep config: 'instances' must be a list, got {doc['instances']!r}")
-        masking = doc.get("masking", "uniform1")
+        masking = doc.get("masking", cls.masking)
         if not isinstance(masking, str):
             raise ValueError(f"sweep config: 'masking' must be a string, got {masking!r}")
         return cls(
@@ -187,12 +187,10 @@ class SweepConfig:
         return int.from_bytes(hashlib.sha256(canonical.encode()).digest()[:8], "little")
 
 
-def _fmt(x) -> str:
+def _fmt(x: float | bool) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(x)
 
 
 @dataclass(frozen=True)

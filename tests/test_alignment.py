@@ -593,6 +593,17 @@ def _leaf_alignment(h1, h2, colors1, colors2, backtracks):
     return alignment._leaf_alignment(h1, h2, pairs, backtracks)
 
 
+def test_leaf_alignment_rejects_a_node_paired_with_an_edge():
+    h = chain(3)
+    pairs = [("0", edge("0", "1")), ("1", "1"), ("2", "2")]
+    assert alignment._leaf_alignment(h, h, pairs, 0) is None
+
+
+def test_leaf_alignment_rejects_pairs_whose_edges_differ():
+    h = chain(3)  # 0-1-2; swapping 0 and 1 maps it to 1-0-2
+    assert alignment._leaf_alignment(h, h, [("0", "1"), ("1", "0"), ("2", "2")], 0) is None
+
+
 def _ir_search(adjs, colorings, next_color: int, h1, h2) -> Alignment | None:
     """Depth-first individualization-refinement over an explicit stack.
 

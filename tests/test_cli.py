@@ -1261,6 +1261,20 @@ def test_dash_writes_to_stdout_the_bytes_a_file_gets(invoke, command):
         assert to_stdout.out == to_file.files["out"]
 
 
+@pytest.mark.parametrize("tsv", ["東京\t大阪\t0.7\n", "café\tthé\t0.5\n"], ids=["unencodable", "latin-1"])
+def test_dash_writes_utf8_whatever_the_stdout_encoding(tmp_path, tsv):
+    """With a Latin-1 stdout, ``-o -`` still writes the UTF-8 bytes ``-o FILE`` writes."""
+    import hgrec
+
+    (tmp_path / "kg.tsv").write_text(tsv, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(hgrec.__file__).parents[1]), "PYTHONIOENCODING": "latin-1"}
+    argv = [sys.executable, "-m", "hgrec.cli", "kg-ingest", "--tsv", "kg.tsv", "-o"]
+    to_file = subprocess.run([*argv, "out.tsv"], env=env, cwd=tmp_path, capture_output=True)
+    to_stdout = subprocess.run([*argv, "-"], env=env, cwd=tmp_path, capture_output=True)
+    assert (to_file.returncode, to_stdout.returncode, to_stdout.stderr) == (0, 0, b"")
+    assert to_stdout.stdout == (tmp_path / "out.tsv").read_bytes()
+
+
 def test_an_optional_o_defaults_to_dash():
     """Leaving out an optional ``-o`` is ``-o -``; every subcommand has ``-o``."""
     for parser in subparsers().values():

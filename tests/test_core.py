@@ -14,6 +14,7 @@ import hgrec
 from hgrec import (
     Hyperedge,
     NodeRelabeling,
+    SimpleGraph,
     WeightedHypergraph,
     decode,
     dissimilarity,
@@ -203,6 +204,16 @@ def test_relabel_round_trip():
 def test_relabel_not_a_bijection():
     with pytest.raises(NotABijection):
         NodeRelabeling({"a": "x", "b": "x"})
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: NodeRelabeling([("a", "x"), ("a", "y")]), NotABijection, "node 'a' mapped to both 'x' and 'y'"),
+    (lambda: SimpleGraph(["a", "b"], [("a", "a")]), ValueError, "self-loop on 'a'"),
+])
+def test_mapping_and_graph_refuse_a_node_twice(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_relabel_incomplete():

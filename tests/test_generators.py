@@ -112,6 +112,16 @@ def test_wcgnm_deterministic():
     assert wcgnm(12, 0.3, seed=9).edge_set != wcgnm(12, 0.3, seed=10).edge_set
 
 
+@pytest.mark.parametrize("n, p, message", [
+    (1, 0.5, "wcgnm needs n >= 2, got 1"),
+    (5, 0.0, "edge density must lie in (0, 1], got 0.0"),
+    (5, 1.5, "edge density must lie in (0, 1], got 1.5"),
+])
+def test_wcgnm_rejects_size_and_density(n, p, message):
+    with pytest.raises(InvalidSize, match=f"^{re.escape(message)}$"):
+        wcgnm(n, p, seed=0)
+
+
 def test_wcgnm_edge_count_rounds_half_up():
     assert wcgnm_edge_count(10, 0.2) == 9
     assert wcgnm_edge_count(5, 0.45) == 5  # 4.5 rounds up
@@ -258,3 +268,19 @@ def test_generator_spec_builds():
         GeneratorSpec(structure="nope", n=6)
     with pytest.raises(InvalidSize):
         GeneratorSpec(structure="wcgnm", n=6)
+
+
+# Each structure as its builder draws it for n=9, p=0.5, seed=4.
+UNWEIGHTED = {
+    "star": lambda: star(9),
+    "x": lambda: x_graph(9),
+    "chain": lambda: chain(9),
+    "wcgnm": lambda: wcgnm(9, 0.5, 4),
+    "frucht": frucht,
+}
+
+
+@pytest.mark.parametrize("structure", generators.STRUCTURES)
+def test_generator_spec_builds_its_structure_then_weights_it(structure):
+    spec = GeneratorSpec(structure, n=9, p=0.5, w_min=1.0, w_max=3.0, seed=4)
+    assert spec.build() == assign_weights(UNWEIGHTED[structure](), 1.0, 3.0, seed=4)

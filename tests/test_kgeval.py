@@ -199,6 +199,22 @@ def test_extract_unknown_source(kg_file):
         extract_subgraph(ingest_edge_list(kg_file), SubgraphSpec("unicorn", 2, 2))
 
 
+def test_extract_takes_at_most_k_neighbours():
+    kg = KnowledgeGraph()
+    for nbr, w in (("b", 3.0), ("c", 2.0), ("d", 1.0)):
+        kg.add_edge("a", nbr, w)
+    g, entities = extract_subgraph(kg, SubgraphSpec("a", 2, 1))
+    assert entities == ["a", "b", "c"]
+    assert g.edges == {("a", "b"), ("a", "c")}
+
+
+@pytest.mark.parametrize("k, d, message", [(0, 1, "k must be >= 1, got 0"), (1, -1, "d must be >= 0, got -1")])
+def test_subgraph_spec_rejects_k_below_1_and_negative_d(k, d, message):
+    with pytest.raises(ValueError) as exc:
+        SubgraphSpec("a", k, d)
+    assert str(exc.value) == message
+
+
 def test_extract_line_order_invariant(tmp_path):
     fwd = tmp_path / "f.tsv"
     rev = tmp_path / "r.tsv"
@@ -235,6 +251,12 @@ def test_prompt_k_below_1_rejected(k):
 # -- response parsing ----------------------------------------------------------------
 
 VOCAB = ["table", "furniture", "house", "room"]
+
+
+def test_parse_needs_a_vocabulary():
+    with pytest.raises(EmptyEntities) as exc:
+        parse_edgelist("table - furniture", [])
+    assert str(exc.value) == "vocabulary must be nonempty"
 
 
 def test_parse_list_marker():

@@ -367,6 +367,12 @@ def test_weight_that_underflows_to_zero_is_stranded():
         recover_from_oracle(oracle, edges, STRATEGY)
 
 
+def test_unknown_candidate_string_is_named():
+    with pytest.raises(ValueError) as exc:
+        recover_from_oracle(ExactOracle(TWO_EDGE, STRATEGY), "triples", STRATEGY)
+    assert str(exc.value) == "unknown candidate set 'triples'"
+
+
 BIG = 10**200
 
 

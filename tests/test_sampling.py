@@ -32,7 +32,7 @@ from hgrec import (
 from hgrec.core import _CHUNK
 from hgrec.errors import EmptyHypergraph, NotNormalized, ParseError
 from hgrec.generators import chain, star
-from hgrec.rng import AliasSampler, rng_stream
+from hgrec.rng import AliasSampler, derive_seed, rng_stream
 from conftest import (
     EDGE_LISTS,
     HideOneOrTwo,
@@ -132,6 +132,26 @@ def test_sample_deterministic():
 def test_sample_requires_normalized():
     with pytest.raises(NotNormalized):
         sample_dataset(star(6), 10, seed=0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: MaskedHyperedge(["a"], 0), ValueError, "masked_count must be >= 1, got 0"),
+    (lambda: sample_dataset(normalize(star(3)), 0, seed=0), ValueError, "n_samples must be >= 1, got 0"),
+    (lambda: sample_mm_dataset(star(3), 5, 1, STRATEGY, seed=0), NotNormalized,
+     "sample_mm_dataset requires a normalized hypergraph"),
+    (lambda: strategy_constants(WeightedHypergraph({}), STRATEGY), EmptyHypergraph, "no edges"),
+    (lambda: derive_seed(-1, "t"), ValueError, "seed must be a 64-bit unsigned integer, got -1"),
+    (lambda: derive_seed(2**64, "t"), ValueError, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+    (lambda: AliasSampler([]), ValueError, "probs must be a nonempty 1-d array"),
+    (lambda: AliasSampler([[0.5]]), ValueError, "probs must be a nonempty 1-d array"),
+    (lambda: AliasSampler([0.5, -0.5]), ValueError, "probs must be finite and nonnegative"),
+    (lambda: AliasSampler([0.5, np.nan]), ValueError, "probs must be finite and nonnegative"),
+    (lambda: AliasSampler([0.0, 0.0]), ValueError, "probs must have positive total mass"),
+])
+def test_draw_inputs_are_checked(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_empirical_max_gap_shrinks():

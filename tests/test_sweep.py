@@ -339,6 +339,12 @@ def test_fit_skips_failed_rows():
     assert slope == pytest.approx(0.0, abs=1e-9)
 
 
+def test_fit_skips_ok_rows_without_a_y_value():
+    rows = [{"N": n, "d": 2.0 / n} for n in (10, 100, 1000)]
+    with_empty = rows + [{"N": 5000, "d": ""}, {"N": "x", "d": None, "status": "ok"}]
+    assert fit_scaling(with_empty, "N", "d") == fit_scaling(rows, "N", "d")
+
+
 def test_fit_needs_three_points():
     with pytest.raises(InvalidForLogFit):
         fit_scaling([{"N": 1, "d": 1.0}, {"N": 2, "d": 1.0}], "N", "d")
